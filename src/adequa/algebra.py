@@ -140,8 +140,8 @@ def reverse_element(t: Element) -> Element:
 
 def is_idempotent_element(t: Element, verify_by_product: bool = False) -> bool:
     idem = t.trunk_length == 0
-    if verify_by_product:
-        assert idem == (multiply(t, t) == t)
+    if verify_by_product and idem != (multiply(t, t) == t):
+        raise ValueError("trunk length and t*t disagree on idempotency")
     return idem
 
 

@@ -356,7 +356,8 @@ def tree_to_zigzag(t: XTree) -> ZigZag:
     prev, cur = -1, t.start
     for _ in range(t.edge_count):
         nxt = [(w, o) for w, o in nbr[cur] if w != prev]
-        assert len(nxt) == 1
+        if len(nxt) != 1:
+            raise ValueError("not a zig-zag tree: path is broken")
         w, outgoing = nxt[0]
         away.append(outgoing)
         prev, cur = cur, w

@@ -229,7 +229,8 @@ def check_fad1_plain(spec: IdentitySpec) -> CheckResult:
     }
     lhs = eval_term(spec.lhs, witness, Flavor.TWO_SIDED)
     rhs = eval_term(spec.rhs, witness, Flavor.TWO_SIDED)
-    assert lhs.code != rhs.code, "witness family failed to separate"
+    if lhs.code == rhs.code:
+        raise RuntimeError("witness family failed to separate")
     return CheckResult(False, "literal-inequality", witness)
 
 

@@ -1,29 +1,39 @@
 """The retraction engine.
 
-A branch of a tree is deleted when it admits a label- and
-direction-preserving morphism, anchored at the branch's attachment
-vertex, into the rest of the tree.  Extending such a morphism by the
+A branch of a tree is a non-trunk edge a-b, with b the endpoint away
+from the trunk, together with the subtree hanging below b.  It folds
+when it admits a label- and direction-preserving morphism into the rest
+of the tree that fixes its anchor a.  Extending such a morphism by the
 identity on the rest yields an idempotent endomorphism fixing both
-roots, so each deletion realises a retraction; greedily deleting until
-nothing folds reaches the retract-free retract.
+roots, so each deletion of a folding branch realises a retraction.
 
-Completeness of the greedy loop: if a proper retraction with image R
-exists, pick an edge e outside R whose anchor vertex lies in R (one
-exists on the boundary).  The whole branch hanging off e is disjoint
-from R and the retraction maps it into R, so a foldable branch exists
-whenever the tree is not retract-free.  Uniqueness of the retract-free
-retract is a general fact about relational structures.
+Completeness: if a proper retraction with image R exists, R contains
+the trunk and is connected, so some edge outside R has its anchor in R,
+and the whole branch below it is disjoint from R and maps into R.  A
+tree with no folding branch is therefore retract-free.  Uniqueness of
+the retract-free retract up to isomorphism is a general fact about
+relational structures (Hell & Nesetril, "The core of a graph", 1992),
+so the engine may delete in whatever order is cheapest.
+
+One pass suffices.  Rooting the tree once at its trunk, the branches
+are visited leaves first, over one adjacency in which the head of each
+folded branch is marked dead, cutting the branch off.  Deleting a
+branch disjoint from B only shrinks the host that B must map into, so
+a branch found rigid stays rigid; and every branch inside B is settled
+before B is tested, so B's pattern never changes after its test.  A
+branch of the final tree that folded there would have folded when it
+was tested, hence the result is retract-free.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .trees import (
     XTree,
     TrunkInfo,
-    canonical_code,
     classify,
     is_monogenic,
     undirected_adjacency,
@@ -31,6 +41,8 @@ from .trees import (
 )
 
 ORACLE_EDGE_BOUND = 8
+
+Adjacency = list[list[tuple[int, bool, str]]]
 
 
 @dataclass(frozen=True)
@@ -47,14 +59,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class RootedPattern:
-    """A subtree viewed as rooted at `root`, reusing host vertex ids."""
-
-    root: int
-    edges: tuple[tuple[int, int, str], ...]
-
-
-@dataclass(frozen=True)
 class Endomorphism:
     vertex_map: tuple[int, ...]
 
@@ -68,162 +72,157 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _pattern_children(pattern: RootedPattern) -> dict[int, list[tuple[int, bool, str]]]:
-    adj: dict[int, list[tuple[int, bool, str]]] = {pattern.root: []}
-    for a, b, lab in pattern.edges:
-        adj.setdefault(a, []).append((b, True, lab))
-        adj.setdefault(b, []).append((a, False, lab))
-    children: dict[int, list[tuple[int, bool, str]]] = {}
-    stack = [(pattern.root, -1)]
-    while stack:
-        v, par = stack.pop()
-        kids = [(w, out, lab) for w, out, lab in adj.get(v, []) if w != par]
-        children[v] = kids
-        for w, _, _ in kids:
-            stack.append((w, v))
-    return children
+def _rooted(
+    t: XTree, trunk: TrunkInfo, rng: random.Random | None = None
+) -> tuple[Adjacency, list[int], list[int]]:
+    """Adjacency, parent array and BFS order of the non-trunk vertices.
 
-
-def hom_exists(
-    pattern: RootedPattern,
-    host: XTree,
-    anchor: int,
-    allowed: frozenset[int] | None = None,
-    forbidden_first_edge: tuple[int, int, str] | None = None,
-) -> bool:
-    """Is there a morphism of the pattern into the host sending root to anchor?
-
-    The map preserves edge directions and labels; folding is allowed
-    (distinct pattern vertices may share an image).  `allowed` restricts
-    image vertices; `forbidden_first_edge` excludes one host edge as the
-    image of the pattern's root edge.
+    The BFS starts from every trunk vertex at once, so parent[b] is the
+    anchor of the branch headed by b (-1 on the trunk), and every vertex
+    comes after its parent in the order.  An RNG shuffles neighbour order.
     """
-    if not (0 <= anchor < host.vertices):
-        raise ValueError("anchor not in host")
-    if allowed is None:
-        allowed = frozenset(range(host.vertices))
-    host_adj = undirected_adjacency(host)
-    children = _pattern_children(pattern)
-    memo: dict[tuple[int, int], bool] = {}
+    adj = undirected_adjacency(t)
+    if rng is not None:
+        for nbrs in adj:
+            rng.shuffle(nbrs)
+    parent = [-2] * t.vertices  # -2: not reached yet
+    for v in trunk.vertices:
+        parent[v] = -1
+    queue = list(trunk.vertices)
+    for v in queue:
+        for w, _, _ in adj[v]:
+            if parent[w] == -2:
+                parent[w] = v
+                queue.append(w)
+    return adj, parent, queue[len(trunk.vertices):]
 
-    def match(p: int, h: int) -> bool:
-        key = (p, h)
-        if key in memo:
-            return memo[key]
-        memo[key] = ok = all(
-            any(
-                w in allowed and out2 == out and lab2 == lab and match(c, w)
-                for w, out2, lab2 in host_adj[h]
-            )
-            for c, out, lab in children[p]
-        )
-        return ok
 
-    if anchor not in allowed:
-        return False
-    for c, out, lab in children[pattern.root]:
-        found = False
-        for w, out2, lab2 in host_adj[anchor]:
-            if w not in allowed or out2 != out or lab2 != lab:
+def _branch(adj: Adjacency, parent: list[int], b: int) -> Branch:
+    """The branch headed by b."""
+    a = parent[b]
+    inside = {b}
+    stack = [b]
+    while stack:
+        v = stack.pop()
+        for w, _, _ in adj[v]:
+            if w != parent[v]:
+                inside.add(w)
+                stack.append(w)
+    _, out, lab = next(e for e in adj[b] if e[0] == a)
+    return Branch(a, (b, a, lab) if out else (a, b, lab), frozenset(inside))
+
+
+def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
+    """Does the branch headed by b map into the rest of the tree?
+
+    The morphism fixes the anchor a = parent[b], preserves edge
+    directions and labels, and may fold.  Pattern and host avoid every
+    vertex that is not alive, and with it the subtree it heads; the host
+    never steps onto b, its only way into the branch.  Depth-first over
+    (pattern, host) vertex pairs with an explicit stack and a memo local
+    to this test.
+    """
+    a = parent[b]
+    n = len(adj)
+    memo: dict[int, bool] = {}
+    # A frame tries to map pattern vertex p to host vertex h.  It holds
+    # [p, h, p's unmatched pattern children, host candidates for the
+    # current child, the current child]; `done` carries the answer of a
+    # finished frame to the one below.  The root frame maps a to itself.
+    _, out, lab = next(e for e in adj[b] if e[0] == a)
+    stack = [[a, a, iter(((b, not out, lab),)), None, None]]
+    done = None
+    while stack:
+        frame = stack[-1]
+        if done:
+            frame[3] = None  # the current child is matched
+        done = None
+        p, h, children, candidates, child = frame
+        if candidates is None:
+            child = frame[4] = next(children, None)
+            if child is None:
+                memo[p * n + h] = done = True
+                stack.pop()
                 continue
-            edge = (anchor, w, lab) if out else (w, anchor, lab)
-            if forbidden_first_edge is not None and edge == forbidden_first_edge:
+            candidates = frame[3] = iter(adj[h])
+        c, out, lab = child
+        for w, out2, lab2 in candidates:
+            if out2 != out or lab2 != lab or w == b or not alive[w]:
                 continue
-            if match(c, w):
-                found = True
+            known = memo.get(c * n + w)
+            if known is None:
+                pc = parent[c]
+                kids = [e for e in adj[c] if e[0] != pc and alive[e[0]]]
+                stack.append([c, w, iter(kids), None, None])
                 break
-        if not found:
-            return False
-    return True
+            if known:
+                done = True
+                break
+        else:
+            memo[p * n + h] = done = False
+            stack.pop()
+    return bool(done)
+
+
+def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]:
+    """The heads of the branches that fold, leaves first.
+
+    Each head is marked dead as its branch folds, which cuts the whole
+    branch from the tree the later tests see.
+    """
+    alive = [True] * len(adj)
+    for b in reversed(order):
+        if hom_exists(adj, parent, alive, b):
+            alive[b] = False
+            yield b
 
 
 def branches(t: XTree, trunk: TrunkInfo | None = None) -> list[Branch]:
     """All branches of t, one per non-trunk edge, in sorted edge order."""
-    if trunk is None:
-        trunk = validate(t)
-    trunk_edge_set = set(trunk.edges)
-    trunk_vertices = set(trunk.vertices)
-    adj = undirected_adjacency(t)
-    out: list[Branch] = []
-    for edge in sorted(t.edges):
-        if edge in trunk_edge_set:
-            continue
-        a, b, lab = edge
-        # Component of b with the edge removed; the trunk sits on exactly
-        # one side since it is connected and avoids this edge.
-        comp = {b}
-        stack = [b]
-        while stack:
-            v = stack.pop()
-            for w, _, _ in adj[v]:
-                if w not in comp and not (
-                    (v == a and w == b) or (v == b and w == a)
-                ):
-                    comp.add(w)
-                    stack.append(w)
-        if comp & trunk_vertices:
-            # trunk on the b side: the branch is a's component, anchored at b
-            comp = set(range(t.vertices)) - comp
-            anchor = b
-        else:
-            anchor = a
-        out.append(Branch(anchor, edge, frozenset(comp)))
-    return out
+    adj, parent, order = _rooted(t, validate(t) if trunk is None else trunk)
+    return sorted((_branch(adj, parent, b) for b in order), key=lambda br: br.edge)
 
 
-def _branch_pattern(t: XTree, br: Branch) -> RootedPattern:
-    edges = [br.edge]
-    inside = br.vertices
-    for e in t.edges:
-        a, b, _ = e
-        if a in inside and b in inside:
-            edges.append(e)
-    return RootedPattern(br.anchor, tuple(edges))
-
-
-def _branch_foldable(t: XTree, br: Branch) -> bool:
-    allowed = frozenset(range(t.vertices)) - br.vertices
-    return hom_exists(_branch_pattern(t, br), t, br.anchor, allowed=allowed)
-
-
-def find_foldable_branch(
-    t: XTree, rng: random.Random | None = None
-) -> Branch | None:
+def find_foldable_branch(t: XTree) -> Branch | None:
     """A branch mapping into the rest of the tree, or None if retract-free.
 
-    Deterministic (lowest edge first) unless an RNG is supplied, in which
-    case a uniformly random foldable branch is returned.
+    Deterministic: the first foldable branch of the leaves-first pass.
     """
-    trunk = validate(t)
-    candidates = branches(t, trunk)
-    if rng is None:
-        for br in candidates:
-            if _branch_foldable(t, br):
-                return br
-        return None
-    foldable = [br for br in candidates if _branch_foldable(t, br)]
-    return rng.choice(foldable) if foldable else None
+    adj, parent, order = _rooted(t, validate(t))
+    b = next(_folds(adj, parent, order), None)
+    return None if b is None else _branch(adj, parent, b)
 
 
-def delete_branch(t: XTree, br: Branch) -> XTree:
-    keep = [v for v in range(t.vertices) if v not in br.vertices]
+def _delete(t: XTree, gone: frozenset[int] | set[int]) -> XTree:
+    keep = [v for v in range(t.vertices) if v not in gone]
     relabel = {v: i for i, v in enumerate(keep)}
     edges = tuple(
         (relabel[a], relabel[b], lab)
         for a, b, lab in t.edges
-        if a not in br.vertices and b not in br.vertices
+        if a not in gone and b not in gone
     )
     return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
 
 
+def delete_branch(t: XTree, br: Branch) -> XTree:
+    return _delete(t, br.vertices)
+
+
 def retract(t: XTree, rng: random.Random | None = None) -> XTree:
-    """The retract-free retract; independent of deletion order."""
-    validate(t)
-    while True:
-        br = find_foldable_branch(t, rng=rng)
-        if br is None:
-            return t
-        t = delete_branch(t, br)
+    """The retract-free retract; independent of deletion order.
+
+    An RNG shuffles the order in which sibling branches are visited and
+    candidate images are tried, so isomorphic but differently numbered
+    results may come back.
+    """
+    adj, parent, order = _rooted(t, validate(t), rng)
+    gone = set(_folds(adj, parent, order))
+    if not gone:
+        return t
+    for v in order:  # parents come first, so each dead head takes its subtree
+        if parent[v] in gone:
+            gone.add(v)
+    return _delete(t, gone)
 
 
 def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool:

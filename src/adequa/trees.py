@@ -174,25 +174,25 @@ def canonical_code(t: XTree) -> bytes:
     """
     validate(t)
     adj = undirected_adjacency(t)
-
-    def enc(v: int, parent: int) -> bytes:
+    parent = [-1] * t.vertices
+    order = [t.start]
+    for v in order:
+        for w, _, _ in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    # Every vertex follows its parent in `order`, so walking it backwards
+    # encodes children before parents; a child's code is dropped once used.
+    code: dict[int, bytes] = {}
+    for v in reversed(order):
         parts = sorted(
-            (b">" if out else b"<") + lab.encode() + enc(w, v)
+            (b">" if out else b"<") + lab.encode() + code.pop(w)
             for w, out, lab in adj[v]
-            if w != parent
+            if w != parent[v]
         )
         flag = b"E" if v == t.end else b""
-        return b"(" + flag + b"".join(parts) + b")"
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    if t.vertices + 100 > old:
-        sys.setrecursionlimit(t.vertices + 1000)
-    try:
-        return enc(t.start, -1)
-    finally:
-        sys.setrecursionlimit(old)
+        code[v] = b"(" + flag + b"".join(parts) + b")"
+    return code[t.start]
 
 
 def theta(t: XTree) -> XTree:

@@ -82,6 +82,13 @@ class TestBasics:
         assert not is_idempotent_element(a)
         assert is_idempotent_element(plus_op(a), verify_by_product=True)
 
+    def test_idempotency_check_raises_on_corrupt_element(self):
+        # a trunkless tree whose cached code is not its own: t*t != t
+        e = plus_op(generator("a", Flavor.LEFT))
+        corrupt = Element(e.tree, b"corrupt", Flavor.LEFT)
+        with pytest.raises(ValueError, match="idempotency"):
+            is_idempotent_element(corrupt, verify_by_product=True)
+
     def test_right_shape_validation(self):
         left_only = XTree(4, ((0, 1, "a"), (0, 2, "a"), (2, 3, "a")), 0, 1)
         make_element(left_only, Flavor.LEFT)

@@ -33,6 +33,13 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--flavor", "fad", "--format", "dot", "a")
         assert code == 0 and out.startswith("digraph")
 
+    def test_long_foldable_block(self, capsys):
+        # (x^250)^+ x^300: the 250-edge plus block folds into the trunk
+        term = "(" + "x" * 250 + ")^+" + "x" * 300
+        code, out, _ = run(capsys, "eval", "--flavor", "flad", term)
+        assert code == 0
+        assert json.loads(out)["edges"] == 300
+
     def test_star_rejected_in_left_flavor(self, capsys):
         code, _, err = run(capsys, "eval", "--flavor", "flad", "x^*")
         assert code == 2 and err

@@ -30,7 +30,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import is_retract_free
-from adequa.trees import canonical_code, validate
+from adequa.trees import XTree, canonical_code, validate
 
 
 class TestPartitions:
@@ -159,6 +159,14 @@ class TestZigZags:
     def test_tree_roundtrip(self):
         z = ZigZag((True, False, True, False, False))
         assert tree_to_zigzag(zigzag_tree(z)) == z
+
+    def test_broken_path_raises(self, monkeypatch):
+        # with validation bypassed, a path 0-1 plus a detached 2-cycle passes
+        # the degree checks and must stop the walk rather than misdecode
+        monkeypatch.setattr(growth, "validate", lambda t: None)
+        t = XTree(4, ((0, 1, "a"), (2, 3, "a"), (3, 2, "a")), 0, 0)
+        with pytest.raises(ValueError, match="path is broken"):
+            tree_to_zigzag(t)
 
     def test_prefix_dominance_order(self):
         # membership in Z is the prefix away-count dominance against the

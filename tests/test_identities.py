@@ -165,6 +165,15 @@ class TestTwoSided:
             assert not res.satisfied
             assert res.witness is not None
 
+    def test_separation_failure_raises(self, monkeypatch):
+        import adequa.identities as ids
+
+        monkeypatch.setattr(
+            ids, "fad1_witness_element", lambda n: generator("a", Flavor.TWO_SIDED)
+        )
+        with pytest.raises(RuntimeError, match="failed to separate"):
+            check_fad1_plain(spec("xy", "yx"))
+
     def test_witness_separates(self):
         res = check_fad1_plain(spec("xy", "yx"))
         lhs = eval_term(parse_term("xy"), res.witness, Flavor.TWO_SIDED)

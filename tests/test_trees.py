@@ -127,7 +127,36 @@ class TestClassify:
         assert not is_monogenic(XTree(3, ((0, 1, "a"), (1, 2, "b")), 0, 2))
 
 
+def recursive_code(t: XTree) -> bytes:
+    """Reference encoder: the recursive form of canonical_code."""
+    adj = [[] for _ in range(t.vertices)]
+    for a, b, lab in t.edges:
+        adj[a].append((b, True, lab))
+        adj[b].append((a, False, lab))
+
+    def enc(v, parent):
+        parts = sorted(
+            (b">" if out else b"<") + lab.encode() + enc(w, v)
+            for w, out, lab in adj[v]
+            if w != parent
+        )
+        return b"(" + (b"E" if v == t.end else b"") + b"".join(parts) + b")"
+
+    return enc(t.start, -1)
+
+
 class TestCanonicalCode:
+    def test_matches_recursive_reference(self):
+        for n in range(7):
+            for t in all_monogenic_trees(n):
+                assert canonical_code(t) == recursive_code(t), t
+
+    def test_deep_chain(self):
+        n = 2000
+        t = XTree(n + 1, tuple((i, i + 1, "a") for i in range(n)), 0, n)
+        code = canonical_code(t)
+        assert code == b"(>a" * n + b"(E" + b")" * (n + 1)
+
     def test_matches_brute_force_exhaustive(self):
         trees = list(all_monogenic_trees(3))
         for s in trees:
