@@ -150,10 +150,6 @@ def equal_elements(s: Element, t: Element) -> bool:
     return s.code == t.code
 
 
-class Assignment(dict):
-    """Letter name -> Element, all of one flavor."""
-
-
 def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> Element:
     """Structural evaluation: the unique morphism extending the assignment."""
     if isinstance(t, terms_mod.Identity):

@@ -3,8 +3,8 @@
 Every verdict printed here is computed through the library API; exit
 code 0 means success, 1 means a negative verdict (identity not
 satisfied, elements not equal, a reproduction target failed), 2 means a
-usage or input error.  JSON output uses sorted keys so identical
-invocations are byte-identical.
+usage or input error, 3 means an internal error (a bug, not a verdict).
+JSON output uses sorted keys so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from . import growth
 from .algebra import Element, Flavor, FlavorError, eval_term, generator, make_element
@@ -28,7 +29,7 @@ from .identities import (
 from .reproduce import run_targets
 from .retract import retract
 from .terms import TermSyntaxError, letters_of, parse_term
-from .trees import InvalidTreeError, from_json, to_dot, to_json, validate
+from .trees import InvalidTreeError, from_json, to_dot, to_json
 
 FLAVORS = {"flad": Flavor.LEFT, "frad": Flavor.RIGHT, "fad": Flavor.TWO_SIDED}
 
@@ -96,8 +97,7 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_retract(args) -> int:
-    t = from_json(args.json)
-    validate(t)
+    t = from_json(args.json)  # validates
     r = retract(t)
     if args.format == "dot":
         print(to_dot(r))
@@ -337,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

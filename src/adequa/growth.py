@@ -163,7 +163,9 @@ def structural_left_trees(n: int) -> list[XTree]:
     For trunk length k, a tree is determined by the set Y of distances
     from the end carrying a branch and, per branch, its excess length
     over that distance; retract-freeness forces the excesses to be
-    distinct, positive, and increasing with the distance.
+    distinct, positive, and increasing with the distance.  Only the sets
+    Y that leave room for r distinct positive excesses are visited, so
+    the work grows with the output.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -171,20 +173,31 @@ def structural_left_trees(n: int) -> list[XTree]:
     for k in range(n + 1):
         budget = n - k
         for r in range(0, k + 2):
-            # r branch positions among distances {0..k}
-            min_tau = r * (r + 1) // 2
-            for Y in combinations(range(k + 1), r):
-                rest = budget - sum(Y)
-                if rest < min_tau:
-                    continue
-                for tau in partitions_into_distinct_parts(rest, r):
+            # r branch positions among distances {0..k}; the excesses
+            # need at least 1 + 2 + ... + r edges
+            cap = budget - r * (r + 1) // 2
+            for Y in _capped_subsets(k + 1, r, cap):
+                for tau in partitions_into_distinct_parts(budget - sum(Y), r):
                     # tau descending; match to Y descending
-                    lengths = {
-                        y: y + tau[j]
-                        for j, y in enumerate(sorted(Y, reverse=True))
-                    }
+                    lengths = {y: y + tau[j] for j, y in enumerate(reversed(Y))}
                     out.append(_build_left_tree(k, lengths))
     return out
+
+
+def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
+    """The r-subsets of range(lo, m) with sum at most cap.
+
+    In itertools.combinations order; a branch stops once its smallest
+    completion, first + (first+1) + ... + (first+r-1), exceeds the cap.
+    """
+    if r == 0:
+        yield ()
+        return
+    for first in range(lo, m - r + 1):
+        if first * r + r * (r - 1) // 2 > cap:
+            return
+        for rest in _capped_subsets(m, r - 1, cap - first, first + 1):
+            yield (first,) + rest
 
 
 def _build_left_tree(k: int, branch_by_distance: dict[int, int]) -> XTree:
@@ -264,11 +277,9 @@ def left_sphere(n: int, strategy: str = "structural") -> tuple[list[Element], Ce
         trees = generic_left_trees(n)
     else:
         raise ValueError("unknown strategy: %r" % strategy)
-    trees = sorted(trees, key=canonical_code)
-    elements = [
-        Element(t, canonical_code(t), Flavor.LEFT) for t in trees
-    ]
-    return elements, census_from_trees(n, trees)
+    coded = sorted(((canonical_code(t), t) for t in trees), key=lambda ct: ct[0])
+    elements = [Element(t, code, Flavor.LEFT) for code, t in coded]
+    return elements, census_from_trees(n, [t for _, t in coded])
 
 
 def two_sided_sphere(n: int, bound: int = TWO_SIDED_BOUND) -> tuple[list[Element], CensusRow]:
@@ -302,9 +313,8 @@ def two_sided_sphere(n: int, bound: int = TWO_SIDED_BOUND) -> tuple[list[Element
                     continue
                 if is_retract_free(t, engine="generic"):
                     seen[code] = t
-    trees = [seen[c] for c in sorted(seen)]
-    elements = [Element(t, canonical_code(t), Flavor.TWO_SIDED) for t in trees]
-    return elements, census_from_trees(n, trees)
+    elements = [Element(seen[c], c, Flavor.TWO_SIDED) for c in sorted(seen)]
+    return elements, census_from_trees(n, [e.tree for e in elements])
 
 
 # ------------------------------------------------------------------ zig-zags
@@ -498,7 +508,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
             row["two_sided_idempotents"] = tcensus.idempotent_count
             row["verified_by_published_table"] = n < len(PUBLISHED_TABLE_S)
             if row["two_sided_idempotents"] < binom:
-                raise AssertionError(
+                raise RuntimeError(
                     "idempotent count below the binomial bound at n=%d" % n
                 )
         rows.append(row)

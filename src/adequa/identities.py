@@ -24,6 +24,7 @@ from .algebra import (
     multiply,
     plus_op,
     reverse_element,
+    star_op,
 )
 from .exactlp import convex_dominates
 from .growth import left_sphere, two_sided_sphere
@@ -40,7 +41,6 @@ from .terms import (
     suff,
     swap_unary,
     to_nonnested,
-    word_stats,
 )
 from .trees import XTree
 
@@ -207,9 +207,6 @@ def check_fladX(spec: IdentitySpec) -> CheckResult:
 def fad1_witness_element(n: int) -> Element:
     """The separating element (a(a^n)*)^+ a of the two-sided witness family."""
     a = generator("a", Flavor.TWO_SIDED)
-    inner = a
-    from .algebra import star_op
-
     power = a
     for _ in range(n - 1):
         power = multiply(power, a)
@@ -334,12 +331,8 @@ def random_monogenic_element(rng: random.Random, flavor: Flavor, max_edges: int 
             for _ in range(k - 1):
                 p = multiply(p, a)
             if flavor is Flavor.RIGHT:
-                from .algebra import star_op
-
                 piece = star_op(p)
             elif flavor is Flavor.TWO_SIDED and rng.random() < 0.5:
-                from .algebra import star_op
-
                 piece = star_op(p)
             else:
                 piece = plus_op(p)

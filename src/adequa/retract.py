@@ -34,7 +34,6 @@ from typing import Iterator
 from .trees import (
     XTree,
     TrunkInfo,
-    classify,
     is_monogenic,
     undirected_adjacency,
     validate,
@@ -225,50 +224,52 @@ def retract(t: XTree, rng: random.Random | None = None) -> XTree:
     return _delete(t, gone)
 
 
-def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool:
-    # Fast path for monogenic out-trees: a branch folds at its anchor iff
-    # some sibling subtree is at least as high, so the tree is retract-free
-    # iff every non-trunk child is its vertex's unique strict height maximum.
+def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool | None:
+    """Retract-freeness of a monogenic left tree; None if t is not left.
+
+    In a monogenic out-tree a branch folds at its anchor iff some sibling
+    subtree is at least as high, so the tree is retract-free iff every
+    vertex has at most one non-trunk child, higher than its trunk child.
+    """
     children: list[list[int]] = [[] for _ in range(t.vertices)]
     for a, b, _ in t.edges:
         children[a].append(b)
-    height = [0] * t.vertices
-    order: list[int] = []
-    stack = [t.start]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    for v in reversed(order):
-        height[v] = 1 + max((height[c] for c in children[v]), default=-1)
-    on_trunk = [False] * t.vertices
+    order = [t.start]
+    for v in order:
+        order.extend(children[v])
+    if len(order) != t.vertices:  # some vertex is not reached: not a left tree
+        return None
     trunk_child = [-1] * t.vertices
     for a, b, _ in trunk.edges:
-        on_trunk[a] = True
         trunk_child[a] = b
-    on_trunk[t.end] = True
-    for v in range(t.vertices):
+    height = [0] * t.vertices
+    for v in reversed(order):  # children before parents
         kids = children[v]
-        for c in kids:
-            if c == trunk_child[v]:
-                continue
-            if any(height[c] <= height[c2] for c2 in kids if c2 != c):
+        if len(kids) > 1:
+            side = [c for c in kids if c != trunk_child[v]]
+            if len(side) > 1 or height[side[0]] <= height[trunk_child[v]]:
                 return False
+            kids = side  # the one branch child is the highest child
+        if kids:
+            height[v] = height[kids[0]] + 1
     return True
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     """True iff the tree admits no non-trivial retraction.
 
-    engine="auto" dispatches monogenic left trees to a height-comparison
-    fast path (cross-validated against the generic engine); "generic"
-    always runs the morphism search.
+    engine="auto" answers monogenic left trees by a height-comparison
+    fast path (cross-validated against the generic engine) and sends the
+    rest, found non-left by the same walk, to the morphism search that
+    engine="generic" always runs.
     """
     trunk = validate(t)
-    if engine == "auto" and is_monogenic(t) and classify(t).is_left:
-        return _left_monogenic_retract_free(t, trunk)
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
+    if engine == "auto" and is_monogenic(t):
+        free = _left_monogenic_retract_free(t, trunk)
+        if free is not None:
+            return free
     return find_foldable_branch(t) is None
 
 

@@ -295,22 +295,6 @@ def word_length(u: NonNestedWord) -> int:
     return sum(1 for a in u.atoms if isinstance(a, str))
 
 
-@dataclass(frozen=True)
-class WordStats:
-    counts: dict  # atom -> occurrence count; blocks do not feed letter counts
-    support: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-
-
-def word_stats(u: NonNestedWord) -> WordStats:
-    counts: dict[Atom, int] = {}
-    for a in u.atoms:
-        counts[a] = counts.get(a, 0) + 1
-    return WordStats(counts, frozenset(counts))
-
-
 def letter_counts(u: NonNestedWord) -> dict[str, int]:
     """|u|_y per letter y; PlusBlock contents are not counted."""
     counts: dict[str, int] = {}

@@ -10,7 +10,6 @@ decided through :func:`canonical_code`.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -76,52 +75,70 @@ def out_adjacency(t: XTree) -> list[list[tuple[int, str]]]:
     return adj
 
 
+# The last tree validated and its trunk, as one tuple so no reader pairs
+# a tree with another's trunk.  Repeated checks of a tree come back to
+# back on the same object, so one entry catches them and keeps no other.
+_last: tuple[XTree | None, TrunkInfo | None] = (None, None)
+
+
 def validate(t: XTree) -> TrunkInfo:
     """Check the tree and trunk invariants; return the trunk on success.
 
     Raises InvalidTreeError("not a tree") on disconnection, bad counts or
     out-of-range indices, and InvalidTreeError("no trunk") when there is
-    no directed start-to-end path.
+    no directed start-to-end path.  Only a success is remembered, so an
+    invalid tree raises on every call.
     """
-    if t.vertices < 1:
+    global _last
+    last_t, last_info = _last
+    if last_t is t:
+        return last_info
+    n = t.vertices
+    if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")
-    if not (0 <= t.start < t.vertices and 0 <= t.end < t.vertices):
+    if not (0 <= t.start < n and 0 <= t.end < n):
         raise InvalidTreeError("not a tree: root out of range")
-    if len(t.edges) != t.vertices - 1:
+    if len(t.edges) != n - 1:
         raise InvalidTreeError(
-            "not a tree: expected %d edges, got %d" % (t.vertices - 1, len(t.edges))
+            "not a tree: expected %d edges, got %d" % (n - 1, len(t.edges))
         )
     for src, dst, lab in t.edges:
-        if not (0 <= src < t.vertices and 0 <= dst < t.vertices):
+        if not (0 <= src < n and 0 <= dst < n):
             raise InvalidTreeError("not a tree: edge endpoint out of range")
         if not (isinstance(lab, str) and lab):
             raise InvalidTreeError("not a tree: empty edge label")
 
+    # BFS from the start; each vertex records its parent and the direction
+    # and label of the edge it was reached by.
     adj = undirected_adjacency(t)
-    parent: dict[int, tuple[int, bool, str]] = {t.start: (t.start, True, "")}
-    order = deque([t.start])
-    while order:
-        v = order.popleft()
+    parent = [-1] * n
+    forward = [False] * n
+    label = [""] * n
+    parent[t.start] = t.start
+    order = [t.start]
+    for v in order:
         for w, out, lab in adj[v]:
-            if w not in parent:
-                parent[w] = (v, out, lab)
+            if parent[w] < 0:
+                parent[w] = v
+                forward[w] = out
+                label[w] = lab
                 order.append(w)
-    if len(parent) != t.vertices:
+    if len(order) != n:
         raise InvalidTreeError("not a tree: graph is disconnected")
 
     # The undirected start->end path is unique; the trunk exists iff every
     # edge along it is oriented forward.
     path = [t.end]
     while path[-1] != t.start:
-        path.append(parent[path[-1]][0])
+        path.append(parent[path[-1]])
     path.reverse()
-    trunk_edges = []
-    for a, b in zip(path, path[1:]):
-        _, out, lab = parent[b]
-        if not out:
-            raise InvalidTreeError("no trunk: no directed start-to-end path")
-        trunk_edges.append((a, b, lab))
-    return TrunkInfo(tuple(path), tuple(trunk_edges))
+    if not all(forward[b] for b in path[1:]):
+        raise InvalidTreeError("no trunk: no directed start-to-end path")
+    info = TrunkInfo(
+        tuple(path), tuple((parent[b], b, label[b]) for b in path[1:])
+    )
+    _last = (t, info)
+    return info
 
 
 @dataclass(frozen=True)
@@ -277,11 +294,3 @@ def to_dot(t: XTree) -> str:
         lines.append('  %d -> %d [label="%s"];' % (a, b, lab))
     lines.append("}")
     return "\n".join(lines)
-
-
-def serialize(t: XTree, format: str = "json") -> str:
-    if format == "json":
-        return to_json(t)
-    if format == "dot":
-        return to_dot(t)
-    raise ValueError("unknown format: %r" % format)

@@ -179,6 +179,17 @@ class TestPlumbing:
         code, _, err = run(capsys, "eval", "--flavor", "flad", "x^")
         assert code == 2 and "dangling" in err
 
+    def test_internal_error_exit_three(self, capsys, monkeypatch):
+        import adequa.cli as cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_partitions", boom)
+        code, out, err = run(capsys, "partitions", "--n", "3")
+        assert code == 3
+        assert out == "" and "internal error: boom" in err
+
     def test_reproduce_only_filter(self, capsys):
         # run the cheap growth subset end to end through the CLI
         from adequa import reproduce

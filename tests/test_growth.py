@@ -2,11 +2,13 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 import adequa.growth as growth
 from adequa.growth import (
+    _capped_subsets,
     P,
     Q,
     PUBLISHED_TABLE_S,
@@ -78,9 +80,22 @@ class TestRootedTreeShapes:
 
 class TestLeftSpheres:
     def test_sphere_equals_partition_function(self):
-        for n in range(14):
+        for n in range(31):
             _, cen = left_sphere(n, "structural")
             assert cen.total == P(n + 1)
+            for k in range(n + 1):
+                assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
+
+    def test_capped_subsets_match_filtered_combinations(self):
+        # the r-subsets of the trunk distances {0..k} that structural_left_trees
+        # visits for every n <= 16, against the unpruned search
+        for n in range(17):
+            for k in range(n + 1):
+                for r in range(k + 2):
+                    cap = n - k - r * (r + 1) // 2
+                    assert list(_capped_subsets(k + 1, r, cap)) == [
+                        Y for Y in combinations(range(k + 1), r) if sum(Y) <= cap
+                    ]
 
     def test_generic_matches_structural(self):
         for n in range(9):
@@ -218,6 +233,18 @@ class TestReport:
         rows = rep["rows"]
         assert [r["left_sphere"] for r in rows] == [P(n + 1) for n in range(7)]
         assert rows[3]["two_sided_sphere"] == PUBLISHED_TABLE_S[3]
+
+    def test_report_rejects_idempotent_count_below_bound(self, monkeypatch):
+        real = growth.two_sided_sphere
+
+        def short(n):
+            els, census = real(n)
+            census.idempotent_count = 0
+            return els, census
+
+        monkeypatch.setattr(growth, "two_sided_sphere", short)
+        with pytest.raises(RuntimeError, match="below the binomial bound at n=0"):
+            growth.growth_report(2, two_sided_max=2)
 
     def test_report_higher_rank(self):
         rep = growth.growth_report(4, rank=2, two_sided_max=0)

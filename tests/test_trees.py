@@ -1,8 +1,10 @@
 """Birooted tree structure, validation, canonical codes, serialization."""
 
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -98,6 +100,36 @@ class TestValidation:
             validate(XTree(2, ((0, 5, "a"),), 0, 1))
         with pytest.raises(InvalidTreeError):
             validate(XTree(2, ((0, 1, "a"),), 0, 7))
+
+    def test_invalid_tree_raises_on_every_call(self):
+        t = XTree(3, ((0, 1, "a"), (2, 1, "a")), 0, 2)
+        for _ in range(3):
+            with pytest.raises(InvalidTreeError, match="no trunk"):
+                validate(t)
+
+    def test_memo_returns_each_trees_own_trunk(self):
+        chain = ((0, 1, "a"), (1, 2, "a"))
+        mixed = ((0, 1, "a"), (1, 2, "b"))
+        cases = [
+            # equal in value, distinct objects
+            (XTree(3, chain, 0, 2), XTree(3, chain, 0, 2), chain, chain),
+            # different trees
+            (XTree(3, mixed, 0, 2), XTree(3, ((0, 1, "a"), (0, 2, "a")), 0, 1),
+             mixed, ((0, 1, "a"),)),
+        ]
+        for t1, t2, trunk1, trunk2 in cases:
+            assert t1 is not t2
+            for t, trunk in ((t1, trunk1), (t2, trunk2), (t1, trunk1)):
+                assert validate(t).edges == trunk
+
+    def test_memo_keeps_only_the_last_tree(self):
+        t1 = XTree(2, ((0, 1, "a"),), 0, 1)
+        validate(t1)
+        validate(XTree(2, ((0, 1, "b"),), 0, 1))
+        ref = weakref.ref(t1)
+        del t1
+        gc.collect()
+        assert ref() is None
 
     def test_trunk_unique(self):
         # the directed start-to-end path in a tree is unique; check the
