@@ -13,13 +13,15 @@ import enum
 from dataclasses import dataclass
 
 from . import terms as terms_mod
-from .retract import retract
+from .retract import left_monogenic_core, retract
 from .trees import (
     EPSILON,
     XTree,
     canonical_code,
-    classify,
     generator_tree,
+    is_left,
+    is_monogenic,
+    is_right,
     reverse_tree,
     validate,
 )
@@ -63,12 +65,23 @@ class Element:
 
 
 def make_element(tree: XTree, flavor: Flavor) -> Element:
-    """Retract eagerly and check the flavor's tree-shape invariant."""
+    """Retract eagerly and check the flavor's tree-shape invariant.
+
+    The input is validated here.  A monogenic left tree is retracted and
+    coded in one height walk; any other tree, including a non-left one
+    that may retract to a left one, goes through the generic engine.  A
+    left (right) element must then reach every vertex from its start
+    along the edges (from its end against them).
+    """
+    trunk = validate(tree)
+    if flavor is Flavor.LEFT and is_monogenic(tree):
+        core = left_monogenic_core(tree, trunk)
+        if core is not None:
+            return Element(core[0], core[1], flavor)
     tree = retract(tree)
-    cls = classify(tree)
-    if flavor is Flavor.LEFT and not cls.is_left:
+    if flavor is Flavor.LEFT and not is_left(tree):
         raise FlavorError("tree is not a left tree")
-    if flavor is Flavor.RIGHT and not cls.is_right:
+    if flavor is Flavor.RIGHT and not is_right(tree):
         raise FlavorError("tree is not a right tree")
     return Element(tree, canonical_code(tree), flavor)
 
@@ -110,13 +123,13 @@ def plus_op(t: Element) -> Element:
 def star_op(t: Element) -> Element:
     """Move the start marker to the end vertex, then retract.
 
-    Implemented through the left machinery via the anti-isomorphism:
-    star = reverse . plus . reverse.
+    Reversal is an anti-isomorphism that commutes with retraction, so
+    this is reverse . plus . reverse.
     """
     if t.flavor is Flavor.LEFT:
         raise FlavorError("star is not in the left-adequate signature")
-    rev = make_element(reverse_tree(t.tree), _dual_flavor(t.flavor))
-    return make_element(reverse_tree(plus_op_any(rev).tree), t.flavor)
+    moved = XTree(t.tree.vertices, t.tree.edges, t.tree.end, t.tree.end)
+    return make_element(moved, t.flavor)
 
 
 def _dual_flavor(f: Flavor) -> Flavor:
@@ -125,12 +138,6 @@ def _dual_flavor(f: Flavor) -> Flavor:
     if f is Flavor.RIGHT:
         return Flavor.LEFT
     return Flavor.TWO_SIDED
-
-
-def plus_op_any(t: Element) -> Element:
-    # internal: plus without the signature gate (used by star_op's dual route)
-    moved = XTree(t.tree.vertices, t.tree.edges, t.tree.start, t.tree.start)
-    return make_element(moved, t.flavor)
 
 
 def reverse_element(t: Element) -> Element:
@@ -151,31 +158,50 @@ def equal_elements(s: Element, t: Element) -> bool:
 
 
 def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> Element:
-    """Structural evaluation: the unique morphism extending the assignment."""
-    if isinstance(t, terms_mod.Identity):
-        return identity_element(flavor)
-    if isinstance(t, terms_mod.Letter):
-        try:
-            e = assignment[t.name]
-        except KeyError:
-            raise ValueError("unassigned letter: %s" % t.name) from None
-        if e.flavor is not flavor:
-            raise FlavorError("assignment flavor mismatch for %s" % t.name)
-        return e
-    if isinstance(t, terms_mod.Product):
-        return multiply(
-            eval_term(t.left, assignment, flavor),
-            eval_term(t.right, assignment, flavor),
-        )
-    if isinstance(t, terms_mod.Plus):
-        if flavor is Flavor.RIGHT:
-            raise FlavorError("plus operator not valid for the right flavor")
-        return plus_op(eval_term(t.child, assignment, flavor))
-    if isinstance(t, terms_mod.Star):
-        if flavor is Flavor.LEFT:
-            raise FlavorError("star operator not valid for the left flavor")
-        return star_op(eval_term(t.child, assignment, flavor))
-    raise TypeError("not a term: %r" % (t,))
+    """Structural evaluation: the unique morphism extending the assignment.
+
+    Iterative, so a long word, which parses to a product nested as deep
+    as the word is long, needs no recursion.  Subterms are evaluated left
+    to right and an operator outside the flavor's signature is rejected
+    before its argument is evaluated.
+    """
+    values: list[Element] = []
+    todo = [(t, False)]  # (subterm, its arguments are on top of `values`)
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, terms_mod.Product):
+            if ready:
+                right = values.pop()
+                values[-1] = multiply(values[-1], right)
+            else:
+                todo += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, terms_mod.Letter):
+            try:
+                e = assignment[node.name]
+            except KeyError:
+                raise ValueError("unassigned letter: %s" % node.name) from None
+            if e.flavor is not flavor:
+                raise FlavorError("assignment flavor mismatch for %s" % node.name)
+            values.append(e)
+        elif isinstance(node, terms_mod.Plus):
+            if ready:
+                values[-1] = plus_op(values[-1])
+            elif flavor is Flavor.RIGHT:
+                raise FlavorError("plus operator not valid for the right flavor")
+            else:
+                todo += ((node, True), (node.child, False))
+        elif isinstance(node, terms_mod.Star):
+            if ready:
+                values[-1] = star_op(values[-1])
+            elif flavor is Flavor.LEFT:
+                raise FlavorError("star operator not valid for the left flavor")
+            else:
+                todo += ((node, True), (node.child, False))
+        elif isinstance(node, terms_mod.Identity):
+            values.append(identity_element(flavor))
+        else:
+            raise TypeError("not a term: %r" % (node,))
+    return values[0]
 
 
 def identity_assignment(letters, flavor: Flavor) -> dict[str, Element]:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
 
 from . import growth
-from .algebra import Element, Flavor, FlavorError, eval_term, generator, make_element
+from .algebra import Element, Flavor, FlavorError, eval_term, generator
 from .identities import (
     IdentitySpec,
     check_enriched_flad1,

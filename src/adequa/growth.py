@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import Element, Flavor, make_element
-from .retract import is_retract_free, retract
-from .trees import XTree, canonical_code, out_adjacency, validate
+from .algebra import Element, Flavor
+from .retract import is_retract_free
+from .trees import XTree, canonical_code, directed_walk, validate
 
 GENERIC_LEFT_BOUND = 12
 TWO_SIDED_BOUND = 8
@@ -131,10 +131,10 @@ def _first_branch_index(t: XTree) -> int | None:
     """Smallest trunk index (from the start) carrying a non-trunk out-edge."""
     trunk = validate(t)
     trunk_next = {a: b for a, b, _ in trunk.edges}
-    out = out_adjacency(t)
+    children, _ = directed_walk(t)
     for i, v in enumerate(trunk.vertices):
         nxt = trunk_next.get(v)
-        if any(w != nxt for w, _ in out[v]):
+        if any(w != nxt for w in children[v]):
             return i
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import terms as T
 from .algebra import (
@@ -20,7 +20,6 @@ from .algebra import (
     eval_term,
     generator,
     identity_element,
-    make_element,
     multiply,
     plus_op,
     reverse_element,
@@ -34,7 +33,6 @@ from .terms import (
     dualize_term,
     letter_counts,
     letters_of,
-    mp,
     parse_term,
     plain_projection,
     pqr_sets,
@@ -42,7 +40,6 @@ from .terms import (
     swap_unary,
     to_nonnested,
 )
-from .trees import XTree
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 from . import growth
-from . import identities as ids
 from .algebra import (
     Flavor,
     eval_term,

@@ -34,6 +34,7 @@ from typing import Iterator
 from .trees import (
     XTree,
     TrunkInfo,
+    directed_walk,
     is_monogenic,
     undirected_adjacency,
     validate,
@@ -224,6 +225,17 @@ def retract(t: XTree, rng: random.Random | None = None) -> XTree:
     return _delete(t, gone)
 
 
+def _heights(children: list[list[int]], order: list[int]) -> list[int]:
+    """Subtree heights of an out-tree, given an order with every vertex
+    after its parent."""
+    height = [0] * len(children)
+    for v in reversed(order):  # children before parents
+        for c in children[v]:
+            if height[c] >= height[v]:
+                height[v] = height[c] + 1
+    return height
+
+
 def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool | None:
     """Retract-freeness of a monogenic left tree; None if t is not left.
 
@@ -231,28 +243,70 @@ def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool | None:
     subtree is at least as high, so the tree is retract-free iff every
     vertex has at most one non-trunk child, higher than its trunk child.
     """
-    children: list[list[int]] = [[] for _ in range(t.vertices)]
-    for a, b, _ in t.edges:
-        children[a].append(b)
-    order = [t.start]
-    for v in order:
-        order.extend(children[v])
-    if len(order) != t.vertices:  # some vertex is not reached: not a left tree
+    children, order = directed_walk(t)
+    if len(order) != t.vertices:
         return None
-    trunk_child = [-1] * t.vertices
-    for a, b, _ in trunk.edges:
-        trunk_child[a] = b
-    height = [0] * t.vertices
-    for v in reversed(order):  # children before parents
-        kids = children[v]
-        if len(kids) > 1:
-            side = [c for c in kids if c != trunk_child[v]]
-            if len(side) > 1 or height[side[0]] <= height[trunk_child[v]]:
-                return False
-            kids = side  # the one branch child is the highest child
-        if kids:
-            height[v] = height[kids[0]] + 1
+    forks = [(a, b) for a, b, _ in trunk.edges if len(children[a]) > 1]
+    # An out-tree with L leaves forks L - 1 times, counted with
+    # multiplicity, so this says that only trunk vertices other than the
+    # end fork, each into its trunk child and one side child.
+    if children.count([]) != len(forks) + 1 or any(len(children[a]) > 2 for a, _ in forks):
+        return False
+    height = _heights(children, order)
+    for a, b in forks:
+        kids = children[a]
+        if height[kids[1] if kids[0] == b else kids[0]] <= height[b]:
+            return False
     return True
+
+
+def left_monogenic_core(t: XTree, trunk: TrunkInfo) -> tuple[XTree, bytes] | None:
+    """The retract of a monogenic left tree and its canonical code, from
+    one height walk; None if t is not left.
+
+    By the height rule of `_left_monogenic_retract_free`, the retract is
+    the trunk plus, at each trunk vertex, a bare path as high as its
+    highest side child, kept only when strictly higher than the trunk
+    child (at the end, whenever there is a side child).  The code is
+    built bottom-up along the trunk and is byte-identical to
+    `canonical_code` of the retract.  Returns t itself when nothing
+    folds; otherwise the kept vertices keep their relative order, and
+    ties go to the first highest child, which gives the tree `retract`
+    returns.
+    """
+    children, order = directed_walk(t)
+    if len(order) != t.vertices:
+        return None
+    height = _heights(children, order)
+    arrow = b">" + (t.edges[0][2].encode() if t.edges else b"")
+    paths = [b"()"]  # paths[h]: the code of a vertex heading a bare h-edge path
+    kept = list(trunk.vertices)
+    code = b""
+    tc = -1  # the trunk child of v; none at the end
+    for v in reversed(trunk.vertices):
+        # The end flag, then the child codes in sorted order, as in
+        # canonical_code.
+        body = b"E" if tc < 0 else arrow + code
+        side = -1
+        for c in children[v]:
+            if c != tc and (side < 0 or height[c] > height[side]):
+                side = c
+        if side >= 0 and (tc < 0 or height[side] > height[tc]):
+            h = height[side]
+            while len(paths) <= h:
+                paths.append(b"(" + arrow + paths[-1] + b")")
+            branch = arrow + paths[h]
+            body = branch + body if tc >= 0 and branch < body else body + branch
+            while True:
+                kept.append(side)
+                if not children[side]:
+                    break
+                side = max(children[side], key=height.__getitem__)
+        code = b"(" + body + b")"
+        tc = v
+    if len(kept) == t.vertices:
+        return t, code
+    return _delete(t, set(range(t.vertices)).difference(kept)), code
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 # ---------------------------------------------------------------- term AST
@@ -165,13 +164,18 @@ def term_length(t: Term) -> int:
 
 
 def letters_of(t: Term) -> set[str]:
-    if isinstance(t, Letter):
-        return {t.name}
-    if isinstance(t, Product):
-        return letters_of(t.left) | letters_of(t.right)
-    if isinstance(t, (Plus, Star)):
-        return letters_of(t.child)
-    return set()
+    """The letters occurring in t, found without recursion."""
+    found: set[str] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Letter):
+            found.add(node.name)
+        elif isinstance(node, Product):
+            todo += (node.left, node.right)
+        elif isinstance(node, (Plus, Star)):
+            todo.append(node.child)
+    return found
 
 
 def dualize_term(t: Term) -> Term:

@@ -68,13 +68,6 @@ def undirected_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
     return adj
 
 
-def out_adjacency(t: XTree) -> list[list[tuple[int, str]]]:
-    adj: list[list[tuple[int, str]]] = [[] for _ in range(t.vertices)]
-    for src, dst, lab in t.edges:
-        adj[src].append((dst, lab))
-    return adj
-
-
 # The last tree validated and its trunk, as one tuple so no reader pairs
 # a tree with another's trunk.  Repeated checks of a tree come back to
 # back on the same object, so one entry catches them and keeps no other.
@@ -148,33 +141,40 @@ class Classification:
     is_idempotent_shape: bool
 
 
+def directed_walk(t: XTree, forward: bool = True) -> tuple[list[list[int]], list[int]]:
+    """The walk from the start along the edges, or from the end against them.
+
+    Returns the successor lists in the walk's direction and the vertices
+    reached, each after the one it was reached from.  t must be a valid
+    tree: two edges into one reached vertex would close a cycle, so no
+    vertex is reached twice.  t is left iff the forward walk reaches every
+    vertex, right iff the backward one does.
+    """
+    succ: list[list[int]] = [[] for _ in range(t.vertices)]
+    if forward:
+        for src, dst, _ in t.edges:
+            succ[src].append(dst)
+    else:
+        for src, dst, _ in t.edges:
+            succ[dst].append(src)
+    order = [t.start if forward else t.end]
+    for v in order:
+        order.extend(succ[v])
+    return succ, order
+
+
+def is_left(t: XTree) -> bool:
+    return len(directed_walk(t)[1]) == t.vertices
+
+
+def is_right(t: XTree) -> bool:
+    return len(directed_walk(t, forward=False)[1]) == t.vertices
+
+
 def classify(t: XTree) -> Classification:
     """Left/right tree tests and the trunk-length-zero idempotency shape."""
     trunk = validate(t)
-    out = out_adjacency(t)
-    seen = {t.start}
-    stack = [t.start]
-    while stack:
-        v = stack.pop()
-        for w, _ in out[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    is_left = len(seen) == t.vertices
-
-    rev: list[list[int]] = [[] for _ in range(t.vertices)]
-    for src, dst, _ in t.edges:
-        rev[dst].append(src)
-    seen_r = {t.end}
-    stack = [t.end]
-    while stack:
-        v = stack.pop()
-        for w in rev[v]:
-            if w not in seen_r:
-                seen_r.add(w)
-                stack.append(w)
-    is_right = len(seen_r) == t.vertices
-    return Classification(is_left, is_right, trunk.length == 0)
+    return Classification(is_left(t), is_right(t), trunk.length == 0)
 
 
 def is_monogenic(t: XTree) -> bool:

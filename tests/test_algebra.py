@@ -19,7 +19,6 @@ from adequa.algebra import (
     make_element,
     multiply,
     plus_op,
-    plus_op_any,
     reverse_element,
     star_op,
 )
@@ -94,6 +93,15 @@ class TestBasics:
         make_element(left_only, Flavor.LEFT)
         with pytest.raises(FlavorError):
             make_element(left_only, Flavor.RIGHT)
+
+    def test_left_shape_checked_after_retraction(self):
+        # the branch 3->1 folds onto 0->1, leaving the left trunk 0->1->2
+        folds_to_left = XTree(4, ((0, 1, "a"), (1, 2, "a"), (3, 1, "a")), 0, 2)
+        assert make_element(folds_to_left, Flavor.LEFT) == a_power(2)
+        # nothing else enters the start, so the branch 2->0 stays
+        rigid = XTree(3, ((0, 1, "a"), (2, 0, "a")), 0, 1)
+        with pytest.raises(FlavorError):
+            make_element(rigid, Flavor.LEFT)
 
 
 class TestAxioms:
@@ -181,11 +189,10 @@ class TestReverse:
 
     def test_star_via_reverse(self):
         rng = random.Random(8)
-        for _ in range(60):
-            x = random_monogenic_element(rng, Flavor.TWO_SIDED, 6)
-            assert star_op(x) == reverse_element(
-                plus_op_any(reverse_element(x))
-            )
+        for flavor in (Flavor.TWO_SIDED, Flavor.RIGHT):
+            for _ in range(60):
+                x = random_monogenic_element(rng, flavor, 6)
+                assert star_op(x) == reverse_element(plus_op(reverse_element(x)))
 
     def test_reverse_involution(self):
         rng = random.Random(9)

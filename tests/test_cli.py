@@ -40,6 +40,11 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["edges"] == 300
 
+    def test_long_word(self, capsys):
+        code, out, _ = run(capsys, "eval", "--flavor", "flad", "xy" * 600)
+        assert code == 0
+        assert json.loads(out)["trunk_length"] == 1200
+
     def test_star_rejected_in_left_flavor(self, capsys):
         code, _, err = run(capsys, "eval", "--flavor", "flad", "x^*")
         assert code == 2 and err
@@ -53,6 +58,12 @@ class TestEqual:
     def test_equal_false_exit_one(self, capsys):
         code, out, _ = run(capsys, "equal", "--flavor", "flad", "xy", "yx")
         assert code == 1 and json.loads(out)["equal"] is False
+
+    def test_long_words(self, capsys):
+        # a 1200-letter word parses to a product nested 1200 deep
+        word = "x" * 1200
+        code, out, _ = run(capsys, "equal", "--flavor", "flad", word, word)
+        assert code == 0 and json.loads(out)["equal"] is True
 
 
 class TestRetract:

@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from adequa.growth import structural_left_trees
+from adequa.growth import (
+    _level_sequence_to_edges,
+    rooted_tree_level_sequences,
+    structural_left_trees,
+)
 from adequa.retract import (
     branches,
     delete_branch,
@@ -13,6 +17,7 @@ from adequa.retract import (
     endomorphism_oracle,
     find_foldable_branch,
     is_retract_free,
+    left_monogenic_core,
     retract,
     strongly_retracts,
 )
@@ -260,6 +265,40 @@ class TestFastPath:
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             is_retract_free(generator_tree("a"), engine="nope")
+
+
+def assert_core_matches_generic(t):
+    core, code = left_monogenic_core(t, validate(t))
+    assert code == canonical_code(retract(t)), t
+    assert canonical_code(core) == code, t
+    return core
+
+
+class TestMonogenicLeftCore:
+    def test_matches_generic_on_all_small_left_trees(self):
+        # every monogenic left tree <= 8 edges: each rooted shape, each end
+        for n in range(9):
+            for L in rooted_tree_level_sequences(n + 1):
+                edges = tuple(_level_sequence_to_edges(L))
+                for end in range(n + 1):
+                    assert_core_matches_generic(XTree(n + 1, edges, 0, end))
+
+    def test_matches_generic_on_large_random_left_trees(self):
+        rng = random.Random(41)
+        for i in range(30):
+            n = rng.randint(50, 300)
+            reach = 3 if i % 2 else n  # deep, path-like trees and bushy ones
+            edges = tuple((rng.randrange(max(0, v - reach), v), v, "a") for v in range(1, n + 1))
+            core = assert_core_matches_generic(XTree(n + 1, edges, 0, rng.randrange(n + 1)))
+            assert is_retract_free(core, engine="generic")
+
+    def test_returns_input_when_nothing_folds(self):
+        for t in structural_left_trees(8):
+            assert left_monogenic_core(t, validate(t))[0] is t
+
+    def test_none_for_non_left_tree(self):
+        t = a_tree([(0, 1), (1, 2), (3, 1)], 0, 2)
+        assert left_monogenic_core(t, validate(t)) is None
 
 
 class TestIdempotentShape:
