@@ -17,16 +17,8 @@ from adequa.identities import (
     check_enriched_flad1,
     falsify_by_substitution,
 )
-from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
-
-
-def random_term(rng: random.Random, depth: int = 0):
-    r = rng.random()
-    if r < 0.35 or depth > 3:
-        return parse_term(rng.choice("xy"))
-    if r < 0.55:
-        return Plus(random_term(rng, depth + 1))
-    return Product(random_term(rng, depth + 1), random_term(rng, depth + 1))
+from adequa.reproduce import random_term
+from adequa.terms import term_length, term_to_str
 
 
 def main() -> None:

@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adequa",
         description="Compute in free adequate monoids via birooted trees.",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallelism cap (advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("eval", help="evaluate a term to its canonical tree")
@@ -322,9 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (

@@ -282,38 +282,39 @@ def left_sphere(n: int, strategy: str = "structural") -> tuple[list[Element], Ce
     return elements, census_from_trees(n, [t for _, t in coded])
 
 
-def two_sided_sphere(n: int, bound: int = TWO_SIDED_BOUND) -> tuple[list[Element], CensusRow]:
-    """All retract-free a-trees with n edges: shapes x orientations x ends."""
-    if n > bound:
-        raise ValueError("n=%d exceeds the two-sided bound %d" % (n, bound))
-    seen: dict[bytes, XTree] = {}
+def oriented_trees(n: int):
+    """Every a-tree with n edges, rooted at vertex 0, in raw form.
+
+    Each shape in level-sequence order, each of its 2**n edge
+    orientations, each end a directed path from the start reaches, in
+    ascending order; isomorphic trees recur.
+    """
     for L in rooted_tree_level_sequences(n + 1):
         base = _level_sequence_to_edges(L)
         for mask in range(1 << n):
             edges = tuple(
-                (a, b, lab) if not (mask >> i) & 1 else (b, a, lab)
+                (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
                 for i, (a, b, lab) in enumerate(base)
             )
-            # ends: every vertex reachable by a directed path from the root
-            out = [[] for _ in range(n + 1)]
-            for a, b, _ in edges:
-                out[a].append(b)
-            reach = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in out[v]:
-                    if w not in reach:
-                        reach.add(w)
-                        stack.append(w)
-            for end in sorted(reach):
-                t = XTree(n + 1, edges, 0, end)
-                code = canonical_code(t)
-                if code in seen:
-                    continue
-                if is_retract_free(t, engine="generic"):
-                    seen[code] = t
-    elements = [Element(seen[c], c, Flavor.TWO_SIDED) for c in sorted(seen)]
+            t = XTree(n + 1, edges, 0, 0)
+            for end in sorted(directed_walk(t)[1]):
+                yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
+
+
+def two_sided_sphere(n: int, bound: int = TWO_SIDED_BOUND) -> tuple[list[Element], CensusRow]:
+    """All retract-free a-trees with n edges: shapes x orientations x ends."""
+    if n > bound:
+        raise ValueError("n=%d exceeds the two-sided bound %d" % (n, bound))
+    seen: set[bytes] = set()
+    free: dict[bytes, XTree] = {}
+    for t in oriented_trees(n):
+        code = canonical_code(t)
+        if code in seen:
+            continue
+        seen.add(code)
+        if is_retract_free(t, engine="generic"):
+            free[code] = t
+    elements = [Element(free[c], c, Flavor.TWO_SIDED) for c in sorted(free)]
     return elements, census_from_trees(n, [e.tree for e in elements])
 
 

@@ -38,6 +38,7 @@ from .terms import (
     pqr_sets,
     suff,
     swap_unary,
+    term_to_str,
     to_nonnested,
 )
 
@@ -162,13 +163,17 @@ def check_enriched_frad1(spec: IdentitySpec) -> CheckResult:
 
 
 def _require_plain(t: T.Term) -> str:
-    if isinstance(t, T.Identity):
-        return ""
-    if isinstance(t, T.Letter):
-        return t.name
-    if isinstance(t, T.Product):
-        return _require_plain(t.left) + _require_plain(t.right)
-    raise ValueError("plain word expected, found a unary operator")
+    letters: list[str] = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, T.Product):
+            todo += (node.right, node.left)
+        elif isinstance(node, T.Letter):
+            letters.append(node.name)
+        elif not isinstance(node, T.Identity):
+            raise ValueError("plain word expected, found a unary operator")
+    return "".join(letters)
 
 
 def check_plain(spec: IdentitySpec, side: str) -> CheckResult:
@@ -309,8 +314,11 @@ def monogenic_pool(flavor: Flavor, max_edges: int = 4) -> list[Element]:
     return pool
 
 
-def _cached_eval(t: T.Term, assignment: dict[str, Element], flavor: Flavor) -> Element:
-    key = (t, flavor, tuple(sorted((k, e.code) for k, e in assignment.items())))
+def _cached_eval(
+    t: T.Term, text: str, assignment: dict[str, Element], flavor: Flavor
+) -> Element:
+    """eval_term memoised on the printed term, which names it uniquely."""
+    key = (text, flavor, tuple(sorted((k, e.code) for k, e in assignment.items())))
     if key not in _EVAL_CACHE:
         _EVAL_CACHE[key] = eval_term(t, assignment, flavor)
     return _EVAL_CACHE[key]
@@ -353,6 +361,12 @@ def falsify_by_substitution(
     letters = spec.alphabet
     if budget <= 0:
         return None
+    lhs_text, rhs_text = term_to_str(spec.lhs), term_to_str(spec.rhs)
+
+    def separates(assignment: dict[str, Element]) -> bool:
+        lhs = _cached_eval(spec.lhs, lhs_text, assignment, flavor)
+        return lhs.code != _cached_eval(spec.rhs, rhs_text, assignment, flavor).code
+
     pool = monogenic_pool(flavor)
     # order tuples by total edge count so small witnesses come first
     indexed = sorted(range(len(pool)), key=lambda i: pool[i].edge_count)
@@ -365,9 +379,7 @@ def falsify_by_substitution(
             return None
         assignment = {x: pool[i] for x, i in zip(letters, combo)}
         spent += 1
-        if _cached_eval(spec.lhs, assignment, flavor).code != _cached_eval(
-            spec.rhs, assignment, flavor
-        ).code:
+        if separates(assignment):
             return assignment
     rng = rng or random.Random(7)
     while spent < budget:
@@ -375,8 +387,6 @@ def falsify_by_substitution(
             x: random_monogenic_element(rng, flavor) for x in letters
         }
         spent += 1
-        if _cached_eval(spec.lhs, assignment, flavor).code != _cached_eval(
-            spec.rhs, assignment, flavor
-        ).code:
+        if separates(assignment):
             return assignment
     return None

@@ -35,7 +35,7 @@ from .identities import (
     random_monogenic_element,
 )
 from .retract import endomorphism_oracle, is_retract_free
-from .terms import parse_term, term_length
+from .terms import Letter, Plus, Product, Term, parse_term, term_length
 from .trees import XTree, canonical_code, theta
 
 
@@ -185,41 +185,29 @@ def _axiom_suite(rounds: int = 1000, seed: int = 11) -> tuple[bool, str]:
 
 def _oracle_equivalence() -> tuple[bool, str]:
     seen = set()
-    checked = 0
     for n in range(8):
-        for L in growth.rooted_tree_level_sequences(n + 1):
-            base = growth._level_sequence_to_edges(L)
-            for mask in range(1 << n):
-                edges = tuple(
-                    (a, b, lab) if not (mask >> i) & 1 else (b, a, lab)
-                    for i, (a, b, lab) in enumerate(base)
-                )
-                out = [[] for _ in range(n + 1)]
-                for s, d, _ in edges:
-                    out[s].append(d)
-                reach = {0}
-                stack = [0]
-                while stack:
-                    v = stack.pop()
-                    for w in out[v]:
-                        if w not in reach:
-                            reach.add(w)
-                            stack.append(w)
-                for end in reach:
-                    t = XTree(n + 1, edges, 0, end)
-                    code = canonical_code(t)
-                    if code in seen:
-                        continue
-                    seen.add(code)
-                    engine = is_retract_free(t, engine="generic")
-                    oracle = all(
-                        not e.is_idempotent or e.is_identity
-                        for e in endomorphism_oracle(t)
-                    )
-                    if engine != oracle:
-                        return False, "disagreement on %r" % (t,)
-                    checked += 1
-    return True, "engine and endomorphism oracle agree on %d trees" % checked
+        for t in growth.oriented_trees(n):
+            code = canonical_code(t)
+            if code in seen:
+                continue
+            seen.add(code)
+            engine = is_retract_free(t, engine="generic")
+            oracle = all(
+                not e.is_idempotent or e.is_identity for e in endomorphism_oracle(t)
+            )
+            if engine != oracle:
+                return False, "disagreement on %r" % (t,)
+    return True, "engine and endomorphism oracle agree on %d trees" % len(seen)
+
+
+def random_term(rng: random.Random, depth: int = 0) -> Term:
+    """A random term on x, y built from products and plus, at most 4 deep."""
+    r = rng.random()
+    if r < 0.35 or depth > 3:
+        return Letter(rng.choice("xy"))
+    if r < 0.55:
+        return Plus(random_term(rng, depth + 1))
+    return Product(random_term(rng, depth + 1), random_term(rng, depth + 1))
 
 
 def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, str]:
@@ -240,22 +228,9 @@ def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, s
                 return False, "plain disagreement on %r ~ %r" % (u, v)
     # random enriched sweep
     rng = random.Random(seed)
-
-    def rand_term(depth=0):
-        r = rng.random()
-        if r < 0.35 or depth > 3:
-            return parse_term(rng.choice("xy"))
-        if r < 0.55:
-            from .terms import Plus
-
-            return Plus(rand_term(depth + 1))
-        from .terms import Product
-
-        return Product(rand_term(depth + 1), rand_term(depth + 1))
-
     done = 0
     while done < random_rounds:
-        u, v = rand_term(), rand_term()
+        u, v = random_term(rng), random_term(rng)
         if term_length(u) > 6 or term_length(v) > 6:
             continue
         spec = IdentitySpec(u, v)
@@ -279,7 +254,7 @@ def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, s
         for v in words5:
             if u != v and cache[u] == cache[v]:
                 return False, "witness fails to separate %r and %r" % (u, v)
-    for u, v in [("xy", "yx"), ("xyx", "xxy"), ("x", "y")]:
+    for u, v in [("xy", "yx"), ("xyx", "xxy"), ("xxy", "xyx"), ("x", "y")]:
         res = check_fad1_plain(IdentitySpec.parse(u, v))
         if res.satisfied or res.witness is None:
             return False, "two-sided rejection fails on %r ~ %r" % (u, v)
@@ -288,8 +263,6 @@ def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, s
 
 def _enriched_corpus():
     """Non-nested left terms with at most 3 letter occurrences on {x,y}."""
-    from .terms import parse_term as p
-
     blocks = [""]
     for L in range(1, 4):
         blocks += ["".join(w) for w in itertools.product("xy", repeat=L)]
@@ -308,16 +281,13 @@ def _enriched_corpus():
                     new.append(cand)
         frontier = new
     corpus += sorted(s for s in seqs if s)
-    return [p(s) for s in corpus]
+    return [parse_term(s) for s in corpus]
 
 
 def _fladX_checking() -> tuple[bool, str]:
     corpus = _enriched_corpus()
-    from .algebra import Element
-
     assign = {x: generator(x, Flavor.LEFT) for x in "xy"}
     codes = [eval_term(t, assign, Flavor.LEFT).code for t in corpus]
-    strict = False
     for i, u in enumerate(corpus):
         for j, v in enumerate(corpus):
             spec = IdentitySpec(u, v)

@@ -125,42 +125,76 @@ def parse_term(text: str) -> Term:
     return result
 
 
+# markers on _fold's stack: the arguments of this node are on `values`
+_PRODUCT, _PLUS, _STAR = object(), object(), object()
+
+
+def _fold(t: Term, leaf, product, plus, star):
+    """Combine t bottom-up without recursion.
+
+    leaf(node) gives the value of a letter or 1, and product(left,
+    right), plus(child) and star(child) combine the values below a node.
+    """
+    values: list = []
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is Product:
+            todo += (_PRODUCT, item.right, item.left)
+        elif kind is Plus:
+            todo += (_PLUS, item.child)
+        elif kind is Star:
+            todo += (_STAR, item.child)
+        elif kind is Letter or kind is Identity:
+            values.append(leaf(item))
+        elif item is _PRODUCT:
+            right = values.pop()
+            values[-1] = product(values[-1], right)
+        elif item is _PLUS:
+            values[-1] = plus(values[-1])
+        elif item is _STAR:
+            values[-1] = star(values[-1])
+        else:
+            raise TypeError("not a term: %r" % (item,))
+    return values[0]
+
+
+def _keep(x):
+    return x
+
+
 def term_to_str(t: Term) -> str:
     """Inverse of parse_term up to the grammar's left-associated products."""
-
-    def factor(t: Term) -> str:
-        # anything usable as a single grammar factor
-        if isinstance(t, Letter):
-            return t.name
-        if isinstance(t, Identity):
-            return "(1)"
-        if isinstance(t, Plus):
-            return factor(t.child) + "^+"
-        if isinstance(t, Star):
-            return factor(t.child) + "^*"
-        return "(" + seq(t) + ")"
-
-    def seq(t: Term) -> str:
-        if isinstance(t, Product):
-            return seq(t.left) + factor(t.right)
-        if isinstance(t, Identity):
-            return "1"
-        return factor(t)
-
-    return seq(t)
+    out: list[str] = []
+    # literal text, or (subterm, printed as a sequence rather than a factor)
+    todo: list = [(t, True)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, as_seq = item
+        if isinstance(node, Product):
+            if as_seq:
+                todo += ((node.right, False), (node.left, True))
+            else:
+                out.append("(")
+                todo += (")", (node, True))
+        elif isinstance(node, Letter):
+            out.append(node.name)
+        elif isinstance(node, Identity):
+            out.append("1" if as_seq else "(1)")
+        elif isinstance(node, (Plus, Star)):
+            todo += ("^+" if isinstance(node, Plus) else "^*", (node.child, False))
+        else:
+            raise TypeError("not a term: %r" % (node,))
+    return "".join(out)
 
 
 def term_length(t: Term) -> int:
     """Number of letter occurrences; unary operators add nothing."""
-    if isinstance(t, Identity):
-        return 0
-    if isinstance(t, Letter):
-        return 1
-    if isinstance(t, Product):
-        return term_length(t.left) + term_length(t.right)
-    if isinstance(t, (Plus, Star)):
-        return term_length(t.child)
-    raise TypeError("not a term: %r" % (t,))
+    return _fold(t, lambda leaf: int(isinstance(leaf, Letter)), int.__add__, _keep, _keep)
 
 
 def letters_of(t: Term) -> set[str]:
@@ -180,24 +214,12 @@ def letters_of(t: Term) -> set[str]:
 
 def dualize_term(t: Term) -> Term:
     """Reverse every product, keep unary nodes; an involution."""
-    if isinstance(t, Product):
-        return Product(dualize_term(t.right), dualize_term(t.left))
-    if isinstance(t, Plus):
-        return Plus(dualize_term(t.child))
-    if isinstance(t, Star):
-        return Star(dualize_term(t.child))
-    return t
+    return _fold(t, _keep, lambda left, right: Product(right, left), Plus, Star)
 
 
 def swap_unary(t: Term) -> Term:
     """Exchange the two unary operators throughout."""
-    if isinstance(t, Product):
-        return Product(swap_unary(t.left), swap_unary(t.right))
-    if isinstance(t, Plus):
-        return Star(swap_unary(t.child))
-    if isinstance(t, Star):
-        return Plus(swap_unary(t.child))
-    return t
+    return _fold(t, _keep, Product, Star, Plus)
 
 
 # ------------------------------------------------------- non-nested words
@@ -247,33 +269,34 @@ def to_nonnested(t: Term) -> NonNestedWord:
     Innermost-first rewriting; sound for the left signature only, so Star
     nodes are rejected.
     """
-    if isinstance(t, Star):
-        raise NestedTermError("star nodes have no non-nested normal form")
-    if isinstance(t, Identity):
-        return EMPTY_WORD
-    if isinstance(t, Letter):
-        return NonNestedWord((t.name,))
-    if isinstance(t, Product):
-        return NonNestedWord(
-            to_nonnested(t.left).atoms + to_nonnested(t.right).atoms
-        )
-    if isinstance(t, Plus):
-        inner = to_nonnested(t.child)
-        # u = p0 b1 p1 ... bm pm; u+ = prod_i (p0..p_{i-1} w_i)+ . (p0..pm)+
-        # with every empty-word factor dropped (the rule eps+ -> eps).
-        out: list[Atom] = []
-        plain_prefix = ""
-        for a in inner.atoms:
-            if isinstance(a, PlusBlock):
-                w = plain_prefix + a.word
-                if w:
-                    out.append(PlusBlock(w))
-            else:
-                plain_prefix += a
-        if plain_prefix:
-            out.append(PlusBlock(plain_prefix))
-        return NonNestedWord(tuple(out))
-    raise TypeError("not a term: %r" % (t,))
+    return NonNestedWord(
+        _fold(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
+    )
+
+
+def _leaf_atoms(leaf: Letter | Identity) -> tuple[Atom, ...]:
+    return (leaf.name,) if isinstance(leaf, Letter) else ()
+
+
+def _plus_atoms(inner: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    # u = p0 b1 p1 ... bm pm; u+ = prod_i (p0..p_{i-1} w_i)+ . (p0..pm)+
+    # with every empty-word factor dropped (the rule eps+ -> eps).
+    out: list[Atom] = []
+    plain_prefix = ""
+    for a in inner:
+        if isinstance(a, PlusBlock):
+            w = plain_prefix + a.word
+            if w:
+                out.append(PlusBlock(w))
+        else:
+            plain_prefix += a
+    if plain_prefix:
+        out.append(PlusBlock(plain_prefix))
+    return tuple(out)
+
+
+def _reject_star(inner: tuple[Atom, ...]):
+    raise NestedTermError("star nodes have no non-nested normal form")
 
 
 def nonnested_to_term(u: NonNestedWord) -> Term:

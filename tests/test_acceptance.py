@@ -5,20 +5,9 @@ asserts, so the printed table survives in captured output on failure and
 under `pytest -s` on success.
 """
 
-import itertools
-import math
 import time
 
-import adequa.growth as growth
 from adequa import reproduce
-from adequa.algebra import Flavor, identity_element, multiply
-from adequa.identities import (
-    IdentitySpec,
-    check_enriched_flad1,
-    check_enriched_frad1,
-    check_fad1_plain,
-    fad1_witness_element,
-)
 
 
 def verdict(num: int, label: str, ok: bool, extra: str = "") -> None:
@@ -31,23 +20,13 @@ def verdict(num: int, label: str, ok: bool, extra: str = "") -> None:
 
 def test_criterion_01_left_sphere_sizes():
     t0 = time.time()
-    ok = True
-    for n in range(13):
-        _, cen = growth.left_sphere(n, "generic")
-        ok = ok and cen.total == growth.P(n + 1)
-    for n in range(21):
-        _, cen = growth.left_sphere(n, "structural")
-        ok = ok and cen.total == growth.P(n + 1)
+    ok, _ = reproduce._left_sphere_sizes()
     elapsed = time.time() - t0
     verdict(1, "left sphere sizes", ok and elapsed < 120, "%.1fs" % elapsed)
 
 
 def test_criterion_02_trunk_refinement():
-    ok = True
-    for n in range(13):
-        _, cen = growth.left_sphere(n, "structural")
-        for k in range(n + 1):
-            ok = ok and cen.by_trunk.get(k, 0) == growth.P(n + 1, k + 1)
+    ok, _ = reproduce._trunk_refinement()
     verdict(2, "trunk refinement", ok)
 
 
@@ -74,10 +53,7 @@ def test_criterion_06_zigzag_counts():
 
 
 def test_criterion_07_exponential_lower_bound():
-    ok = True
-    for n in range(1, growth.TWO_SIDED_BOUND - 2):
-        _, cen = growth.two_sided_sphere(n)
-        ok = ok and cen.idempotent_count >= math.comb(n - 1, (n - 1) // 2)
+    ok, _ = reproduce._idempotent_lower_bound()
     verdict(7, "idempotent lower bound", ok)
 
 
@@ -99,24 +75,8 @@ def test_criterion_10_oracle_equivalence():
 
 
 def test_criterion_11_identity_checker():
-    ok = check_enriched_flad1(IdentitySpec.parse("xyzxty", "yxzxty")).satisfied
-    ok = ok and check_enriched_frad1(IdentitySpec.parse("xzytxy", "xzytyx")).satisfied
-    agree, _ = reproduce._identity_checker(random_rounds=1000)
-    ok = ok and agree
-    # two-sided rejection: the shared witness family separates all plain
-    # words with <= 5 letters, so every unequal pair is rejected
-    assign = {"x": fad1_witness_element(7), "y": fad1_witness_element(8)}
-    codes = {}
-    for L in range(6):
-        for w in itertools.product("xy", repeat=L):
-            el = identity_element(Flavor.TWO_SIDED)
-            for c in w:
-                el = multiply(el, assign[c])
-            codes["".join(w)] = el.code
-    ok = ok and len(set(codes.values())) == len(codes)
-    res = check_fad1_plain(IdentitySpec.parse("xxy", "xyx"))
-    ok = ok and not res.satisfied and res.witness is not None
-    verdict(11, "identity checker", ok)
+    ok, detail = reproduce._identity_checker(random_rounds=1000)
+    verdict(11, "identity checker", ok, detail if not ok else "")
 
 
 def test_criterion_12_rank_X_checking():

@@ -170,15 +170,28 @@ class TestIdentity:
         assert code == 0 and json.loads(out)["witness"] is None
 
 
+class TestLongTerms:
+    # a 1200-letter word parses to a product nested 1200 deep; no command
+    # may walk it by recursion
+    W = "xy" * 600
+
+    @pytest.mark.parametrize("argv", [
+        ("identity", "--monoid", "flad1", "--enriched"),
+        ("identity", "--monoid", "frad1", "--enriched"),
+        ("identity", "--monoid", "flad1", "--plain"),
+        ("identity", "--monoid", "fad1"),
+        ("falsify", "--monoid", "flad1", "--budget", "3"),
+    ], ids=["flad1-enriched", "frad1-enriched", "flad1-plain", "fad1", "falsify"])
+    def test_long_identity(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, self.W, self.W)
+        assert code == 0
+        assert json.loads(out)["witness"] is None
+
+
 class TestPlumbing:
     def test_usage_error(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "sphere", "--variant", "left")[0] == 2
-
-    def test_jobs_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "--jobs", "2", "partitions", "--n", "3")
-        assert code == 0
-        assert run(capsys, "--jobs", "0", "partitions", "--n", "3")[0] == 2
 
     def test_deterministic_output(self, capsys):
         argv = ["census", "--variant", "two-sided", "--max", "3"]
@@ -201,9 +214,23 @@ class TestPlumbing:
         assert code == 3
         assert out == "" and "internal error: boom" in err
 
-    def test_reproduce_only_filter(self, capsys):
-        # run the cheap growth subset end to end through the CLI
+    def test_reproduce_only_filter(self, capsys, monkeypatch):
+        # stub targets, one per group, so the table and exit code are exact
         from adequa import reproduce
 
-        results = reproduce.run_targets(only="growth")
-        assert results and all(r.group == "growth" for r in results)
+        monkeypatch.setattr(reproduce, "TARGETS", [
+            ("good", "growth", lambda: (True, "fine")),
+            ("bad", "algebra", lambda: (False, "broken")),
+        ])
+        code, out, _ = run(capsys, "reproduce-paper", "--only", "growth")
+        assert code == 0
+        assert out.splitlines() == ["good  [growth]  PASS  fine", "1/1 targets passed"]
+        code, out, _ = run(capsys, "reproduce-paper")
+        assert code == 1
+        assert out.splitlines() == [
+            "good  [growth]  PASS  fine",
+            "bad   [algebra]  FAIL  broken",
+            "1/2 targets passed",
+        ]
+        code, out, _ = run(capsys, "reproduce-paper", "--only", "algebra")
+        assert code == 1 and out.splitlines()[-1] == "0/1 targets passed"

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -19,6 +19,7 @@ from adequa.growth import (
     hardy_ramanujan_estimate,
     in_Z,
     left_sphere,
+    oriented_trees,
     p_zigzag,
     partition_table,
     partitions_into_distinct_parts,
@@ -32,7 +33,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import is_retract_free
-from adequa.trees import XTree, canonical_code, validate
+from adequa.trees import InvalidTreeError, XTree, canonical_code, validate
 
 
 class TestPartitions:
@@ -131,6 +132,30 @@ class TestLeftSpheres:
 
 
 class TestTwoSidedSpheres:
+    def test_oriented_trees_cover_every_birooted_tree(self):
+        # brute force: hanging each vertex v > 0 off any u < v gives every
+        # tree numbered from its start; add each orientation and each end
+        # that has a trunk
+        for n in range(5):
+            brute = set()
+            for parents in product(*(range(v) for v in range(1, n + 1))):
+                for flips in product((False, True), repeat=n):
+                    edges = tuple(
+                        (v, u, "a") if f else (u, v, "a")
+                        for v, u, f in zip(range(1, n + 1), parents, flips)
+                    )
+                    for end in range(n + 1):
+                        t = XTree(n + 1, edges, 0, end)
+                        try:
+                            validate(t)
+                        except InvalidTreeError:
+                            continue
+                        brute.add(canonical_code(t))
+            got = list(oriented_trees(n))
+            for t in got:
+                validate(t)
+            assert {canonical_code(t) for t in got} == brute
+
     def test_published_table(self):
         for n in range(6):
             _, cen = two_sided_sphere(n)

@@ -7,6 +7,7 @@ import pytest
 
 from adequa.growth import (
     _level_sequence_to_edges,
+    oriented_trees,
     rooted_tree_level_sequences,
     structural_left_trees,
 )
@@ -22,7 +23,6 @@ from adequa.retract import (
     strongly_retracts,
 )
 from adequa.trees import XTree, canonical_code, generator_tree, validate
-from tests.test_trees import all_monogenic_trees
 
 
 def a_tree(edges, start, end):
@@ -57,13 +57,13 @@ class TestFolding:
         assert is_retract_free(t)
 
     def test_trunk_never_deleted(self):
-        for t in itertools.islice(all_monogenic_trees(5), 0, None, 17):
+        for t in itertools.islice(oriented_trees(5), 0, None, 17):
             r = retract(t)
             assert len(validate(r).edges) == len(validate(t).edges)
             assert r.edge_count <= t.edge_count
 
     def test_branches_cover_non_trunk_edges(self):
-        for t in itertools.islice(all_monogenic_trees(5), 0, None, 13):
+        for t in itertools.islice(oriented_trees(5), 0, None, 13):
             info = validate(t)
             brs = branches(t, info)
             assert len(brs) == t.edge_count - len(info.edges)
@@ -75,7 +75,7 @@ class TestFolding:
                 validate(d)
 
     def test_found_branch_keeps_retract(self):
-        for t in itertools.islice(all_monogenic_trees(5), 0, None, 7):
+        for t in itertools.islice(oriented_trees(5), 0, None, 7):
             br = find_foldable_branch(t)
             if br is None:
                 assert retract(t) == t
@@ -190,7 +190,7 @@ def core_with_copies(rng, n_edges):
 class TestConfluence:
     def test_random_order_same_retract(self):
         rng = random.Random(11)
-        pool = [t for t in all_monogenic_trees(6)]
+        pool = list(oriented_trees(6))
         renumbered = 0
         for t in rng.sample(pool, 300):
             expected = canonical_code(retract(t))
@@ -202,7 +202,7 @@ class TestConfluence:
 
     def test_retract_is_idempotent(self):
         rng = random.Random(13)
-        pool = [t for t in all_monogenic_trees(6)]
+        pool = list(oriented_trees(6))
         for t in rng.sample(pool, 200):
             r = retract(t)
             assert retract(r) == r
@@ -211,7 +211,7 @@ class TestConfluence:
 class TestOracle:
     def test_oracle_agreement_sampled(self):
         rng = random.Random(17)
-        pool = [t for t in all_monogenic_trees(6)]
+        pool = list(oriented_trees(6))
         for t in rng.sample(pool, 400):
             engine = is_retract_free(t, engine="generic")
             oracle = all(
@@ -257,7 +257,7 @@ class TestFastPath:
     def test_matches_generic_on_all_left_a_trees(self):
         # every monogenic tree <= 6 edges, retract-free or not; the non-left
         # ones fall through from the fast path to the generic engine
-        for t in all_monogenic_trees(6):
+        for t in oriented_trees(6):
             assert is_retract_free(t, engine="auto") == is_retract_free(
                 t, engine="generic"
             )
@@ -304,7 +304,7 @@ class TestMonogenicLeftCore:
 class TestIdempotentShape:
     def test_trunk_length_preserved(self):
         # retraction cannot create or destroy trunk edges
-        for t in itertools.islice(all_monogenic_trees(5), 0, None, 7):
+        for t in itertools.islice(oriented_trees(5), 0, None, 7):
             before = len(validate(t).edges)
             after = len(validate(retract(t)).edges)
             assert before == after

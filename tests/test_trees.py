@@ -8,10 +8,7 @@ import weakref
 
 import pytest
 
-from adequa.growth import (
-    _level_sequence_to_edges,
-    rooted_tree_level_sequences,
-)
+from adequa.growth import oriented_trees
 from adequa.trees import (
     EPSILON,
     InvalidTreeError,
@@ -41,30 +38,6 @@ def brute_force_iso(s: XTree, t: XTree) -> bool:
         if {(perm[a], perm[b], lab) for a, b, lab in s.edges} == t_edges:
             return True
     return False
-
-
-def all_monogenic_trees(n_edges: int):
-    """Every birooted a-labelled tree with the given edge count, raw form."""
-    for L in rooted_tree_level_sequences(n_edges + 1):
-        base = _level_sequence_to_edges(L)
-        for mask in range(1 << n_edges):
-            edges = tuple(
-                (a, b, lab) if not (mask >> i) & 1 else (b, a, lab)
-                for i, (a, b, lab) in enumerate(base)
-            )
-            out = [[] for _ in range(n_edges + 1)]
-            for a, b, _ in edges:
-                out[a].append(b)
-            reach = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in out[v]:
-                    if w not in reach:
-                        reach.add(w)
-                        stack.append(w)
-            for end in reach:
-                yield XTree(n_edges + 1, edges, 0, end)
 
 
 class TestValidation:
@@ -134,7 +107,7 @@ class TestValidation:
     def test_trunk_unique(self):
         # the directed start-to-end path in a tree is unique; check the
         # reported trunk is a path with the right endpoints on a sweep
-        for t in all_monogenic_trees(4):
+        for t in oriented_trees(4):
             info = validate(t)
             assert info.vertices[0] == t.start
             assert info.vertices[-1] == t.end
@@ -180,7 +153,7 @@ def recursive_code(t: XTree) -> bytes:
 class TestCanonicalCode:
     def test_matches_recursive_reference(self):
         for n in range(7):
-            for t in all_monogenic_trees(n):
+            for t in oriented_trees(n):
                 assert canonical_code(t) == recursive_code(t), t
 
     def test_deep_chain(self):
@@ -190,7 +163,7 @@ class TestCanonicalCode:
         assert code == b"(>a" * n + b"(E" + b")" * (n + 1)
 
     def test_matches_brute_force_exhaustive(self):
-        trees = list(all_monogenic_trees(3))
+        trees = list(oriented_trees(3))
         for s in trees:
             for t in trees:
                 same = canonical_code(s) == canonical_code(t)
@@ -198,7 +171,7 @@ class TestCanonicalCode:
 
     def test_matches_brute_force_sampled(self):
         rng = random.Random(3)
-        trees = list(all_monogenic_trees(5))
+        trees = list(oriented_trees(5))
         for _ in range(400):
             s, t = rng.choice(trees), rng.choice(trees)
             assert (canonical_code(s) == canonical_code(t)) == brute_force_iso(
@@ -207,7 +180,7 @@ class TestCanonicalCode:
 
     def test_relabel_invariance(self):
         rng = random.Random(5)
-        for t in itertools.islice(all_monogenic_trees(4), 0, None, 7):
+        for t in itertools.islice(oriented_trees(4), 0, None, 7):
             perm = list(range(t.vertices))
             rng.shuffle(perm)
             assert canonical_code(relabel_tree(t, perm)) == canonical_code(t)
@@ -218,7 +191,7 @@ class TestCanonicalCode:
         assert canonical_code(t) != canonical_code(s)
 
     def test_reverse_is_involution(self):
-        for t in itertools.islice(all_monogenic_trees(4), 0, None, 5):
+        for t in itertools.islice(oriented_trees(4), 0, None, 5):
             assert canonical_code(reverse_tree(reverse_tree(t))) == canonical_code(t)
 
     def test_theta_keeps_trunk_only(self):
@@ -230,7 +203,7 @@ class TestCanonicalCode:
 
 class TestSerialization:
     def test_roundtrip(self):
-        for t in itertools.islice(all_monogenic_trees(4), 0, None, 11):
+        for t in itertools.islice(oriented_trees(4), 0, None, 11):
             back = from_json(to_json(t))
             assert canonical_code(back) == canonical_code(t)
 
