@@ -37,7 +37,7 @@ class FlavorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A free adequate monoid element: retract-free tree plus its code."""
 

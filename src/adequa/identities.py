@@ -9,8 +9,10 @@ substitution falsifier doubles as an independent oracle for all of them.
 
 from __future__ import annotations
 
-import itertools
 import random
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import terms as T
@@ -43,7 +45,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentitySpec:
     lhs: T.Term
     rhs: T.Term
@@ -266,32 +268,31 @@ def trunk_plus_length(w: str, assignment: dict[str, Element]) -> int:
 
 def embed_rank2(t: T.Term, sigma_order) -> T.Term:
     """Substitute the i-th letter by b a^i b throughout."""
-    index = {s: i for i, s in enumerate(sigma_order)}
-
-    def word_term(i: int) -> T.Term:
-        acc: T.Term = T.Letter("b")
+    a, b = T.Letter("a"), T.Letter("b")
+    images: dict[str, T.Term] = {}
+    for i, s in enumerate(sigma_order):
+        acc: T.Term = b
         for _ in range(i):
-            acc = T.Product(acc, T.Letter("a"))
-        return T.Product(acc, T.Letter("b"))
+            acc = T.Product(acc, a)
+        images[s] = T.Product(acc, b)
 
-    def rec(t: T.Term) -> T.Term:
-        if isinstance(t, T.Letter):
-            return word_term(index[t.name])
-        if isinstance(t, T.Product):
-            return T.Product(rec(t.left), rec(t.right))
-        if isinstance(t, T.Plus):
-            return T.Plus(rec(t.child))
-        if isinstance(t, T.Star):
-            return T.Star(rec(t.child))
-        return t
+    def leaf(node: T.Term) -> T.Term:
+        return images[node.name] if isinstance(node, T.Letter) else node
 
-    return rec(t)
+    return T.fold_term(t, leaf, T.Product, T.Plus, T.Star)
 
 
 # ------------------------------------------------------------- falsifier
 
-_POOL_CACHE: dict[tuple[Flavor, int], list[Element]] = {}
-_EVAL_CACHE: dict = {}
+# Both falsifier caches are bounded.  _POOL_CACHE keeps the graded pools
+# and, per flavor, the first _RANDOM_KEEP elements of the random phase;
+# _EVAL_CACHE keeps at most _EVAL_CACHE_LIMIT codes of evaluated terms
+# and drops the least recently used.
+_RANDOM_KEEP = 4096
+_EVAL_CACHE_LIMIT = 8192
+
+_POOL_CACHE: dict[tuple, list[Element] | tuple[random.Random, list[Element]]] = {}
+_EVAL_CACHE: OrderedDict[tuple, bytes] = OrderedDict()
 
 
 def monogenic_pool(flavor: Flavor, max_edges: int = 4) -> list[Element]:
@@ -316,12 +317,18 @@ def monogenic_pool(flavor: Flavor, max_edges: int = 4) -> list[Element]:
 
 def _cached_eval(
     t: T.Term, text: str, assignment: dict[str, Element], flavor: Flavor
-) -> Element:
-    """eval_term memoised on the printed term, which names it uniquely."""
+) -> bytes:
+    """The code of eval_term's value, memoised on the printed term, which
+    names it uniquely, and the codes of the assignment."""
     key = (text, flavor, tuple(sorted((k, e.code) for k, e in assignment.items())))
-    if key not in _EVAL_CACHE:
-        _EVAL_CACHE[key] = eval_term(t, assignment, flavor)
-    return _EVAL_CACHE[key]
+    code = _EVAL_CACHE.get(key)
+    if code is None:
+        code = _EVAL_CACHE[key] = eval_term(t, assignment, flavor).code
+        if len(_EVAL_CACHE) > _EVAL_CACHE_LIMIT:
+            _EVAL_CACHE.popitem(last=False)
+    else:
+        _EVAL_CACHE.move_to_end(key)
+    return code
 
 
 def random_monogenic_element(rng: random.Random, flavor: Flavor, max_edges: int = 8) -> Element:
@@ -347,11 +354,54 @@ def random_monogenic_element(rng: random.Random, flavor: Flavor, max_edges: int 
     return acc
 
 
+def _random_draws(flavor: Flavor) -> Iterator[Element]:
+    """The draws of random_monogenic_element from one random.Random(7).
+
+    The first _RANDOM_KEEP draws are built once per flavor and kept in
+    _POOL_CACHE, extended as far as a caller reads.  Later draws are made
+    again on each pass, from the generator state after the last kept one.
+    """
+    key = ("random", flavor)
+    if key not in _POOL_CACHE:
+        _POOL_CACHE[key] = (random.Random(7), [])
+    rng, kept = _POOL_CACHE[key]
+    i = 0
+    while i < len(kept) or len(kept) < _RANDOM_KEEP:
+        if i == len(kept):
+            kept.append(random_monogenic_element(rng, flavor))
+        yield kept[i]
+        i += 1
+    rest = random.Random()
+    rest.setstate(rng.getstate())
+    while True:
+        yield random_monogenic_element(rest, flavor)
+
+
+def _by_total_weight(weights: list[int], length: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of indices into the ascending weights, lightest total first.
+
+    Ties keep product order, so this is a stable sort of
+    itertools.product(range(len(weights)), repeat=length) by total weight,
+    made one total at a time without building the product.
+    """
+    lo, hi = weights[0], weights[-1]
+    for total in range(length * lo, length * hi + 1):
+        # depth first in index order, each prefix extended only by
+        # indices whose weight leaves the rest of the total reachable
+        todo: list[tuple[tuple[int, ...], int]] = [((), total)]
+        while todo:
+            prefix, rest = todo.pop()
+            left = length - len(prefix)
+            if left == 0:
+                yield prefix
+                continue
+            first = bisect_left(weights, rest - (left - 1) * hi)
+            last = bisect_right(weights, rest - (left - 1) * lo)
+            todo += ((prefix + (i,), rest - weights[i]) for i in range(last - 1, first - 1, -1))
+
+
 def falsify_by_substitution(
-    spec: IdentitySpec,
-    flavor: Flavor,
-    budget: int = 2000,
-    rng: random.Random | None = None,
+    spec: IdentitySpec, flavor: Flavor, budget: int = 2000
 ) -> dict[str, Element] | None:
     """Search assignments for one separating the two sides.
 
@@ -365,27 +415,23 @@ def falsify_by_substitution(
 
     def separates(assignment: dict[str, Element]) -> bool:
         lhs = _cached_eval(spec.lhs, lhs_text, assignment, flavor)
-        return lhs.code != _cached_eval(spec.rhs, rhs_text, assignment, flavor).code
+        return lhs != _cached_eval(spec.rhs, rhs_text, assignment, flavor)
 
     pool = monogenic_pool(flavor)
     # order tuples by total edge count so small witnesses come first
     indexed = sorted(range(len(pool)), key=lambda i: pool[i].edge_count)
+    weights = [pool[i].edge_count for i in indexed]
     spent = 0
-    for combo in sorted(
-        itertools.product(indexed, repeat=len(letters)),
-        key=lambda c: sum(pool[i].edge_count for i in c),
-    ):
+    for combo in _by_total_weight(weights, len(letters)):
         if spent >= budget:
             return None
-        assignment = {x: pool[i] for x, i in zip(letters, combo)}
+        assignment = {x: pool[indexed[j]] for x, j in zip(letters, combo)}
         spent += 1
         if separates(assignment):
             return assignment
-    rng = rng or random.Random(7)
+    draws = _random_draws(flavor)
     while spent < budget:
-        assignment = {
-            x: random_monogenic_element(rng, flavor) for x in letters
-        }
+        assignment = {x: next(draws) for x in letters}
         spent += 1
         if separates(assignment):
             return assignment

@@ -15,28 +15,28 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------- term AST
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identity:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plus:
     child: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     child: "Term"
 
@@ -50,6 +50,12 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
+# One shared node per letter and for 1: terms are immutable, so every
+# parse can hand out the same leaves.
+_LETTERS = {ch: Letter(ch) for ch in string.ascii_lowercase}
+_ONE = Identity()
+
+
 def parse_term(text: str) -> Term:
     """Parse the surface syntax.
 
@@ -57,7 +63,8 @@ def parse_term(text: str) -> Term:
         term    := factor { factor } | "1"
         factor  := atom [ "^+" | "^*" ]
         atom    := LETTER | "(" term ")"
-    Whitespace between factors is insignificant.
+    Whitespace between factors is insignificant.  Parentheses are kept
+    on an explicit stack, so nesting depth needs no recursion.
     """
     pos = 0
     n = len(text)
@@ -67,29 +74,39 @@ def parse_term(text: str) -> Term:
         while pos < n and text[pos] in " \t\n":
             pos += 1
 
-    def parse_factor() -> Term | None:
-        nonlocal pos
+    skip_ws()
+    # one frame per open term: (its factors, where it starts, the
+    # position of its "(" or None at the top level)
+    frames: list[tuple[list[Term], int, int | None]] = [([], pos, None)]
+    while True:
         skip_ws()
-        if pos >= n:
-            return None
-        ch = text[pos]
-        if ch in string.ascii_lowercase:
-            atom: Term = Letter(ch)
-            pos += 1
-        elif ch == "1":
-            atom = Identity()
-            pos += 1
-        elif ch == "(":
+        ch = text[pos] if pos < n else ""
+        if ch == "(":
             open_pos = pos
             pos += 1
-            inner = parse_sequence()
             skip_ws()
-            if pos >= n or text[pos] != ")":
+            frames.append(([], pos, open_pos))
+            continue
+        if ch in _LETTERS:
+            atom = _LETTERS[ch]
+            pos += 1
+        elif ch == "1":
+            atom = _ONE
+            pos += 1
+        elif ch == "" or ch == ")":
+            factors, start, open_pos = frames.pop()
+            if not factors:
+                raise TermSyntaxError("empty term", start)
+            atom = factors[0]
+            for f in factors[1:]:
+                atom = Product(atom, f)
+            if open_pos is None:
+                if pos != n:
+                    raise TermSyntaxError("unexpected character %r" % ch, pos)
+                return atom
+            if ch != ")":
                 raise TermSyntaxError("unbalanced parenthesis", open_pos)
             pos += 1
-            atom = inner
-        elif ch == ")":
-            return None
         else:
             raise TermSyntaxError("unexpected character %r" % ch, pos)
         skip_ws()
@@ -99,37 +116,14 @@ def parse_term(text: str) -> Term:
             atom = Plus(atom) if text[pos + 1] == "+" else Star(atom)
             pos += 2
             skip_ws()
-        return atom
-
-    def parse_sequence() -> Term:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        factors: list[Term] = []
-        while True:
-            f = parse_factor()
-            if f is None:
-                break
-            factors.append(f)
-        if not factors:
-            raise TermSyntaxError("empty term", start)
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = Product(acc, f)
-        return acc
-
-    result = parse_sequence()
-    skip_ws()
-    if pos != n:
-        raise TermSyntaxError("unexpected character %r" % text[pos], pos)
-    return result
+        frames[-1][0].append(atom)
 
 
-# markers on _fold's stack: the arguments of this node are on `values`
+# markers on fold_term's stack: the arguments of this node are on `values`
 _PRODUCT, _PLUS, _STAR = object(), object(), object()
 
 
-def _fold(t: Term, leaf, product, plus, star):
+def fold_term(t: Term, leaf, product, plus, star):
     """Combine t bottom-up without recursion.
 
     leaf(node) gives the value of a letter or 1, and product(left,
@@ -194,7 +188,7 @@ def term_to_str(t: Term) -> str:
 
 def term_length(t: Term) -> int:
     """Number of letter occurrences; unary operators add nothing."""
-    return _fold(t, lambda leaf: int(isinstance(leaf, Letter)), int.__add__, _keep, _keep)
+    return fold_term(t, lambda leaf: int(isinstance(leaf, Letter)), int.__add__, _keep, _keep)
 
 
 def letters_of(t: Term) -> set[str]:
@@ -214,18 +208,18 @@ def letters_of(t: Term) -> set[str]:
 
 def dualize_term(t: Term) -> Term:
     """Reverse every product, keep unary nodes; an involution."""
-    return _fold(t, _keep, lambda left, right: Product(right, left), Plus, Star)
+    return fold_term(t, _keep, lambda left, right: Product(right, left), Plus, Star)
 
 
 def swap_unary(t: Term) -> Term:
     """Exchange the two unary operators throughout."""
-    return _fold(t, _keep, Product, Star, Plus)
+    return fold_term(t, _keep, Product, Star, Plus)
 
 
 # ------------------------------------------------------- non-nested words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlusBlock:
     """A +-applied plain word; the word may be empty (the atom ε⁺)."""
 
@@ -235,7 +229,7 @@ class PlusBlock:
 Atom = str | PlusBlock
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonNestedWord:
     atoms: tuple[Atom, ...]
 
@@ -270,7 +264,7 @@ def to_nonnested(t: Term) -> NonNestedWord:
     nodes are rejected.
     """
     return NonNestedWord(
-        _fold(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
+        fold_term(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
     )
 
 

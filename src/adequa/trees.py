@@ -17,7 +17,7 @@ class InvalidTreeError(ValueError):
     """Raised when a vertex/edge structure is not a valid birooted tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class XTree:
     """A birooted edge-labelled directed tree.
 
@@ -39,7 +39,7 @@ class XTree:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrunkInfo:
     """The unique directed start-to-end path of a valid tree."""
 

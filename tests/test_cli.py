@@ -55,6 +55,11 @@ class TestEqual:
         code, out, _ = run(capsys, "equal", "--flavor", "flad", "x^+x", "x")
         assert code == 0 and json.loads(out)["equal"] is True
 
+    def test_deeply_parenthesised_term(self, capsys):
+        term = "(" * 1200 + "x" + ")" * 1200
+        code, out, _ = run(capsys, "equal", "--flavor", "flad", term, "x")
+        assert code == 0 and json.loads(out)["equal"] is True
+
     def test_equal_false_exit_one(self, capsys):
         code, out, _ = run(capsys, "equal", "--flavor", "flad", "xy", "yx")
         assert code == 1 and json.loads(out)["equal"] is False

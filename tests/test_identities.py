@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
+from adequa import identities as I
 from adequa.algebra import Flavor, eval_term, generator, multiply
 from adequa.identities import (
     IdentitySpec,
@@ -21,7 +23,7 @@ from adequa.identities import (
     scale_morphism,
     trunk_plus_length,
 )
-from adequa.terms import Plus, Product, parse_term, term_length
+from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
 
 
 def spec(u: str, v: str) -> IdentitySpec:
@@ -156,6 +158,14 @@ class TestHigherRank:
         assign = {c: generator(c, Flavor.LEFT) for c in "ab"}
         eval_term(image, assign, Flavor.LEFT)
 
+    def test_embed_rank2_long_word(self):
+        # a 1200-letter word parses to a product nested 1200 deep
+        w = "xyy" * 400
+        image = embed_rank2(parse_term(w), ["x", "y"])
+        words = {"x": "(bb)", "y": "(bab)"}
+        expected = parse_term("".join(words[c] for c in w))
+        assert term_to_str(image) == term_to_str(expected)
+
 
 class TestTwoSided:
     def test_trivial_identities_only(self):
@@ -225,3 +235,131 @@ class TestAuxiliary:
 
         a3_plus = plus_op(multiply(multiply(a, a), a))
         assert trunk_plus_length("xy", {"x": a, "y": a3_plus}) == 4
+
+
+# ------------------------------------------------ falsifier caches
+
+
+def reference_falsify(spec, flavor, budget):
+    """The falsifier without caches: the whole pool product sorted by
+    total edge count, then fresh draws from random.Random(7)."""
+    letters = spec.alphabet
+    if budget <= 0:
+        return None
+    pool = I.monogenic_pool(flavor)
+
+    def separates(assignment):
+        lhs = eval_term(spec.lhs, assignment, flavor)
+        return lhs.code != eval_term(spec.rhs, assignment, flavor).code
+
+    indexed = sorted(range(len(pool)), key=lambda i: pool[i].edge_count)
+    spent = 0
+    for combo in sorted(
+        itertools.product(indexed, repeat=len(letters)),
+        key=lambda c: sum(pool[i].edge_count for i in c),
+    ):
+        if spent >= budget:
+            return None
+        assignment = {x: pool[i] for x, i in zip(letters, combo)}
+        spent += 1
+        if separates(assignment):
+            return assignment
+    rng = random.Random(7)
+    while spent < budget:
+        assignment = {x: random_monogenic_element(rng, flavor) for x in letters}
+        spent += 1
+        if separates(assignment):
+            return assignment
+    return None
+
+
+def codes(witness):
+    return None if witness is None else {x: e.code for x, e in witness.items()}
+
+
+# per flavor, terms in its signature on one letter and on two letters;
+# each list holds pairs that are satisfied and pairs that are not
+SWEEP_TERMS = {
+    Flavor.LEFT: (
+        ["x", "xx", "x^+", "x^+x", "(xx)^+x", "xx^+"],
+        ["xy", "yx", "(xy)^+xy", "x^+y^+", "y^+x^+", "(xy)^+"],
+    ),
+    Flavor.RIGHT: (
+        ["x", "xx", "x^*", "xx^*", "x(xx)^*", "x^*x"],
+        ["xy", "yx", "xy(xy)^*", "x^*y^*", "y^*x^*", "(xy)^*"],
+    ),
+    Flavor.TWO_SIDED: (
+        ["x", "xx", "x^+x", "xx^*", "x^+", "x^*"],
+        ["xy", "yx", "(xy)^+xy", "xy(xy)^*", "x^+y^+", "y^+x^+"],
+    ),
+}
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(I, "_POOL_CACHE", {})
+    monkeypatch.setattr(I, "_EVAL_CACHE", OrderedDict())
+
+
+def sweep_pairs(flavor):
+    one, two = SWEEP_TERMS[flavor]
+    return [(u, v) for terms in (one, two) for u in terms for v in terms if u < v]
+
+
+class TestFalsifierCaches:
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_random_draws_follow_one_generator(self, flavor, fresh_caches, monkeypatch):
+        # past the keep limit the draws go on from the saved state
+        monkeypatch.setattr(I, "_RANDOM_KEEP", 5)
+        rng = random.Random(7)
+        want = [random_monogenic_element(rng, flavor).code for _ in range(12)]
+        for _ in range(2):
+            got = [e.code for e in itertools.islice(I._random_draws(flavor), 12)]
+            assert got == want
+        _, kept = I._POOL_CACHE[("random", flavor)]
+        assert len(kept) == 5
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_pool_tuples_in_sorted_product_order(self, flavor, letters):
+        pool = I.monogenic_pool(flavor)
+        indexed = sorted(range(len(pool)), key=lambda i: pool[i].edge_count)
+        want = sorted(
+            itertools.product(indexed, repeat=letters),
+            key=lambda c: sum(pool[i].edge_count for i in c),
+        )
+        weights = [pool[i].edge_count for i in indexed]
+        got = [
+            tuple(indexed[j] for j in combo)
+            for combo in I._by_total_weight(weights, letters)
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_verdicts_and_witnesses_match_uncached_search(self, flavor, fresh_caches):
+        # budget 10 stops inside the pool product; budget 400 passes it
+        # with one letter (and with two, but for the two-sided pool), so
+        # the random phase runs; the second call answers from warm caches
+        for u, v in sweep_pairs(flavor):
+            s = spec(u, v)
+            for budget in (10, 400):
+                want = codes(reference_falsify(s, flavor, budget))
+                for _ in range(2):
+                    got = codes(falsify_by_substitution(s, flavor, budget=budget))
+                    assert got == want, (u, v, budget)
+
+    def test_eval_cache_bound(self, fresh_caches, monkeypatch):
+        monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 8)
+        inner = I.eval_term
+
+        def eval_within_bound(*args):
+            assert len(I._EVAL_CACHE) <= 8
+            return inner(*args)
+
+        monkeypatch.setattr(I, "eval_term", eval_within_bound)
+        for u, v in sweep_pairs(Flavor.LEFT):
+            s = spec(u, v)
+            want = codes(reference_falsify(s, Flavor.LEFT, 400))
+            for _ in range(2):
+                assert codes(falsify_by_substitution(s, Flavor.LEFT, budget=400)) == want
+                assert len(I._EVAL_CACHE) <= 8

@@ -11,10 +11,29 @@ def test_target_names_unique_and_grouped():
     assert groups == {"growth", "algebra", "identities"}
 
 
-def test_only_filter():
+def test_only_filter(monkeypatch):
+    # stub targets: the acceptance tests run the real ones
+    ran = []
+
+    def target(name, ok):
+        def fn():
+            ran.append(name)
+            return ok, name
+        return fn
+
+    monkeypatch.setattr(reproduce, "TARGETS", [
+        ("g1", "growth", target("g1", True)),
+        ("a1", "algebra", target("a1", True)),
+        ("g2", "growth", target("g2", False)),
+        ("i1", "identities", target("i1", True)),
+    ])
     results = reproduce.run_targets(only="growth")
-    assert results
-    assert all(r.group == "growth" for r in results)
+    assert ran == ["g1", "g2"]
+    assert [(r.name, r.group, r.passed, r.detail) for r in results] == [
+        ("g1", "growth", True, "g1"),
+        ("g2", "growth", False, "g2"),
+    ]
+    assert [r.name for r in reproduce.run_targets()] == ["g1", "a1", "g2", "i1"]
 
 
 def test_negative_control_partition_base(monkeypatch):
