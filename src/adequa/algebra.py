@@ -145,18 +145,6 @@ def reverse_element(t: Element) -> Element:
     return make_element(reverse_tree(t.tree), _dual_flavor(t.flavor))
 
 
-def is_idempotent_element(t: Element, verify_by_product: bool = False) -> bool:
-    idem = t.trunk_length == 0
-    if verify_by_product and idem != (multiply(t, t) == t):
-        raise ValueError("trunk length and t*t disagree on idempotency")
-    return idem
-
-
-def equal_elements(s: Element, t: Element) -> bool:
-    _require_same_flavor(s, t)
-    return s.code == t.code
-
-
 def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> Element:
     """Structural evaluation: the unique morphism extending the assignment.
 
@@ -203,15 +191,3 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
             raise TypeError("not a term: %r" % (node,))
     return values[0]
 
-
-def identity_assignment(letters, flavor: Flavor) -> dict[str, Element]:
-    """Each letter to its own generator tree."""
-    return {x: generator(x, flavor) for x in letters}
-
-
-def eval_word(word: str, assignment: dict[str, Element], flavor: Flavor) -> Element:
-    """Evaluate a plain word (string of letters)."""
-    acc = identity_element(flavor)
-    for ch in word:
-        acc = multiply(acc, assignment[ch])
-    return acc

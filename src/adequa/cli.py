@@ -107,7 +107,7 @@ def _cmd_retract(args) -> int:
 
 def _sphere_elements(variant: str, n: int):
     if variant == "left":
-        return growth.left_sphere(n, "generic" if n <= growth.GENERIC_LEFT_BOUND else "structural")
+        return growth.left_sphere(n)
     return growth.two_sided_sphere(n)
 
 
@@ -130,10 +130,9 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rows = []
-    for n in range(args.max + 1):
-        _, census = _sphere_elements(args.variant, n)
-        rows.append(census)
+    # largest first, so a size past the enumerator's bound fails before
+    # any other work
+    rows = [_sphere_elements(args.variant, n)[1] for n in range(args.max, -1, -1)][::-1]
     if args.format == "csv":
         print("n,total,k,count_by_trunk,idempotent_count")
         for c in rows:
@@ -209,12 +208,11 @@ def _cmd_identity(args) -> int:
         res = check_enriched_flad1(spec)
     else:
         res = check_enriched_frad1(spec)
-    witness = res.witness if isinstance(res.witness, dict) else None
     _emit(
         {
             "satisfied": res.satisfied,
             "failing_condition": res.failing_condition,
-            "witness": _witness_obj(witness),
+            "witness": _witness_obj(res.witness),
         }
     )
     return 0 if res.satisfied else 1

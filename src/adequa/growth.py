@@ -17,13 +17,14 @@ from .retract import is_retract_free
 from .trees import XTree, canonical_code, directed_walk, validate
 
 GENERIC_LEFT_BOUND = 12
+LEFT_SPHERE_BOUND = 30
 TWO_SIDED_BOUND = 8
 ZIGZAG_BOUND = 18
+PARTITION_BOUND = 600
 
-# base cases are module state so a corrupted-table negative control can
-# patch them without touching the recurrences
+# the base case is module state so a corrupted-table negative control can
+# patch it without touching the recurrences
 P_BASE = 1
-Q_BASE = 1
 
 
 @dataclass
@@ -44,6 +45,8 @@ class PartitionTable:
 def partition_table(n_max: int) -> PartitionTable:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if n_max > PARTITION_BOUND:
+        raise ValueError("n=%d exceeds the partition bound %d" % (n_max, PARTITION_BOUND))
     t = PartitionTable(n_max)
 
     def p(n: int, k: int) -> int:
@@ -66,7 +69,7 @@ def partition_table(n_max: int) -> PartitionTable:
         if (n, k) in t.Q:
             return t.Q[(n, k)]
         if n == 0 and k == 0:
-            v = Q_BASE
+            v = 1
         elif n == 0 or k == 0:
             v = 0
         else:
@@ -169,6 +172,8 @@ def structural_left_trees(n: int) -> list[XTree]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > LEFT_SPHERE_BOUND:
+        raise ValueError("n=%d exceeds the left sphere bound %d" % (n, LEFT_SPHERE_BOUND))
     out: list[XTree] = []
     for k in range(n + 1):
         budget = n - k
@@ -253,10 +258,10 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def generic_left_trees(n: int, bound: int = GENERIC_LEFT_BOUND) -> list[XTree]:
+def generic_left_trees(n: int) -> list[XTree]:
     """All retract-free left a-trees with n edges, by exhaustive search."""
-    if n > bound:
-        raise ValueError("n=%d exceeds the generic left bound %d" % (n, bound))
+    if n > GENERIC_LEFT_BOUND:
+        raise ValueError("n=%d exceeds the generic left bound %d" % (n, GENERIC_LEFT_BOUND))
     seen: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
         edges = tuple(_level_sequence_to_edges(L))
@@ -301,10 +306,10 @@ def oriented_trees(n: int):
                 yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
 
 
-def two_sided_sphere(n: int, bound: int = TWO_SIDED_BOUND) -> tuple[list[Element], CensusRow]:
+def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """All retract-free a-trees with n edges: shapes x orientations x ends."""
-    if n > bound:
-        raise ValueError("n=%d exceeds the two-sided bound %d" % (n, bound))
+    if n > TWO_SIDED_BOUND:
+        raise ValueError("n=%d exceeds the two-sided bound %d" % (n, TWO_SIDED_BOUND))
     seen: set[bytes] = set()
     free: dict[bytes, XTree] = {}
     for t in oriented_trees(n):
@@ -348,33 +353,6 @@ def zigzag_tree(z: ZigZag) -> XTree:
     return XTree(n + 1, edges, 0, 0)
 
 
-def tree_to_zigzag(t: XTree) -> ZigZag:
-    validate(t)
-    if t.start != t.end:
-        raise ValueError("not a zig-zag tree: start and end differ")
-    deg = [0] * t.vertices
-    nbr: list[list[tuple[int, bool]]] = [[] for _ in range(t.vertices)]
-    for a, b, _ in t.edges:
-        deg[a] += 1
-        deg[b] += 1
-        nbr[a].append((b, True))
-        nbr[b].append((a, False))
-    if t.vertices > 1 and deg[t.start] != 1:
-        raise ValueError("not a zig-zag tree: start is not at an extremity")
-    if any(d > 2 for d in deg):
-        raise ValueError("not a zig-zag tree: path branches")
-    away = []
-    prev, cur = -1, t.start
-    for _ in range(t.edge_count):
-        nxt = [(w, o) for w, o in nbr[cur] if w != prev]
-        if len(nxt) != 1:
-            raise ValueError("not a zig-zag tree: path is broken")
-        w, outgoing = nxt[0]
-        away.append(outgoing)
-        prev, cur = cur, w
-    return ZigZag(tuple(away))
-
-
 def p_zigzag(n: int, i: int) -> ZigZag:
     """The minimal member of Z(n,i)."""
     if not (0 <= i < n / 2):
@@ -406,10 +384,10 @@ def in_Z(z: ZigZag, i: int) -> bool:
     return zigzag_ge(z, p_zigzag(n, i))
 
 
-def zigzag_census(n: int, bound: int = ZIGZAG_BOUND) -> dict[int, dict]:
+def zigzag_census(n: int) -> dict[int, dict]:
     """Per height i: the total count C(n,i) and the Z(n,i) members."""
-    if not (1 <= n <= bound):
-        raise ValueError("n=%d outside 1..%d" % (n, bound))
+    if not (1 <= n <= ZIGZAG_BOUND):
+        raise ValueError("n=%d outside 1..%d" % (n, ZIGZAG_BOUND))
     out: dict[int, dict] = {}
     max_i = (n - 1) // 2
     for i in range(max_i + 1):
@@ -427,32 +405,6 @@ def zigzag_census(n: int, bound: int = ZIGZAG_BOUND) -> dict[int, dict]:
             "members": members,
         }
     return out
-
-
-def d_value(t: XTree, v: int) -> int:
-    """Toward-edges minus away-edges along the start-to-v path of a zig-zag."""
-    z = tree_to_zigzag(t)  # validates the shape
-    if not (0 <= v < t.vertices):
-        raise ValueError("vertex out of range")
-    # path order from the start
-    order = [t.start]
-    nbr: list[list[int]] = [[] for _ in range(t.vertices)]
-    for a, b, _ in t.edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    prev = -1
-    cur = t.start
-    d = 0
-    pos = 0
-    if v == t.start:
-        return 0
-    for step, away in enumerate(z.away):
-        nxt = [w for w in nbr[cur] if w != prev][0]
-        d += -1 if away else 1
-        prev, cur = cur, nxt
-        if cur == v:
-            return d
-    raise ValueError("vertex not on the path")
 
 
 # --------------------------------------------------- identity checks

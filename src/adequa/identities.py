@@ -83,11 +83,6 @@ def _mp_plain(word: str, x: str) -> str | None:
     return None if i < 0 else word[: i + 1]
 
 
-def dominance_holds(target, candidates) -> bool:
-    """All nonnegative weightings admit a candidate at least as heavy."""
-    return convex_dominates(target, candidates)
-
-
 def _condition_iii(
     u: NonNestedWord, v: NonNestedWord, alphabet: tuple[str, ...]
 ) -> str | None:
@@ -107,7 +102,7 @@ def _condition_iii(
                 mpk = _mp_plain(pk, x)
                 if mpk is not None:
                     candidates.append(_counts_vector(mpk, alphabet))
-            if dominance_holds(target, candidates):
+            if convex_dominates(target, candidates):
                 continue
             # (b): a matching block on the other side
             ok = False
@@ -235,53 +230,6 @@ def check_fad1_plain(spec: IdentitySpec) -> CheckResult:
     return CheckResult(False, "literal-inequality", witness)
 
 
-# ------------------------------------------- auxiliary constructions
-
-
-def scale_morphism(psi: dict[str, int], L: int, sigma_order) -> dict[str, int]:
-    """Blow a weight morphism up so order comparisons become exact."""
-    if L < 1:
-        raise ValueError("L must be positive")
-    r = len(sigma_order)
-    return {
-        s: L**r * psi[s] + L**i for i, s in enumerate(sigma_order)
-    }
-
-
-def trunk_plus_length(w: str, assignment: dict[str, Element]) -> int:
-    """Edge count of the idempotent of the image of a plain word.
-
-    Computed combinatorially as the maximum over letters of the trunk
-    contribution before the last occurrence plus the letter's own
-    idempotent size.
-    """
-    if not w:
-        return 0
-    rho = lambda word: sum(assignment[c].trunk_length for c in word)
-    best = 0
-    for x in set(w):
-        mprime = w[: w.rfind(x)]
-        ex = plus_op(assignment[x]).edge_count
-        best = max(best, rho(mprime) + ex)
-    return best
-
-
-def embed_rank2(t: T.Term, sigma_order) -> T.Term:
-    """Substitute the i-th letter by b a^i b throughout."""
-    a, b = T.Letter("a"), T.Letter("b")
-    images: dict[str, T.Term] = {}
-    for i, s in enumerate(sigma_order):
-        acc: T.Term = b
-        for _ in range(i):
-            acc = T.Product(acc, a)
-        images[s] = T.Product(acc, b)
-
-    def leaf(node: T.Term) -> T.Term:
-        return images[node.name] if isinstance(node, T.Letter) else node
-
-    return T.fold_term(t, leaf, T.Product, T.Plus, T.Star)
-
-
 # ------------------------------------------------------------- falsifier
 
 # Both falsifier caches are bounded.  _POOL_CACHE keeps the graded pools
@@ -290,18 +238,19 @@ def embed_rank2(t: T.Term, sigma_order) -> T.Term:
 # and drops the least recently used.
 _RANDOM_KEEP = 4096
 _EVAL_CACHE_LIMIT = 8192
+_POOL_EDGES = 4
 
 _POOL_CACHE: dict[tuple, list[Element] | tuple[random.Random, list[Element]]] = {}
 _EVAL_CACHE: OrderedDict[tuple, bytes] = OrderedDict()
 
 
-def monogenic_pool(flavor: Flavor, max_edges: int = 4) -> list[Element]:
-    """All monogenic elements with at most max_edges edges, small first."""
-    key = (flavor, max_edges)
+def monogenic_pool(flavor: Flavor) -> list[Element]:
+    """All monogenic elements with at most _POOL_EDGES edges, small first."""
+    key = ("pool", flavor)
     if key in _POOL_CACHE:
         return _POOL_CACHE[key]
     pool: list[Element] = []
-    for n in range(max_edges + 1):
+    for n in range(_POOL_EDGES + 1):
         if flavor is Flavor.TWO_SIDED:
             els, _ = two_sided_sphere(n)
             pool.extend(els)

@@ -88,10 +88,9 @@ def expected_refined_cell_trees() -> list[XTree]:
 
 
 def _refined_cell_check() -> tuple[bool, str]:
-    _, cen = growth.left_sphere(6, "structural")
+    els, cen = growth.left_sphere(6, "structural")
     if cen.by_trunk_and_first_branch.get((2, 1), 0) != 2:
         return False, "|S_L(6,2,1)| != 2"
-    els, _ = growth.left_sphere(6, "structural")
     codes = {e.code for e in els}
     expected = {canonical_code(t) for t in expected_refined_cell_trees()}
     if not expected <= codes:

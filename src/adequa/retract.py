@@ -177,12 +177,6 @@ def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]
             yield b
 
 
-def branches(t: XTree, trunk: TrunkInfo | None = None) -> list[Branch]:
-    """All branches of t, one per non-trunk edge, in sorted edge order."""
-    adj, parent, order = _rooted(t, validate(t) if trunk is None else trunk)
-    return sorted((_branch(adj, parent, b) for b in order), key=lambda br: br.edge)
-
-
 def find_foldable_branch(t: XTree) -> Branch | None:
     """A branch mapping into the rest of the tree, or None if retract-free.
 
@@ -193,7 +187,7 @@ def find_foldable_branch(t: XTree) -> Branch | None:
     return None if b is None else _branch(adj, parent, b)
 
 
-def _delete(t: XTree, gone: frozenset[int] | set[int]) -> XTree:
+def _delete(t: XTree, gone: set[int]) -> XTree:
     keep = [v for v in range(t.vertices) if v not in gone]
     relabel = {v: i for i, v in enumerate(keep)}
     edges = tuple(
@@ -202,10 +196,6 @@ def _delete(t: XTree, gone: frozenset[int] | set[int]) -> XTree:
         if a not in gone and b not in gone
     )
     return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
-
-
-def delete_branch(t: XTree, br: Branch) -> XTree:
-    return _delete(t, br.vertices)
 
 
 def retract(t: XTree, rng: random.Random | None = None) -> XTree:
@@ -327,16 +317,16 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     return find_foldable_branch(t) is None
 
 
-def endomorphism_oracle(t: XTree, max_edges: int = ORACLE_EDGE_BOUND) -> list[Endomorphism]:
+def endomorphism_oracle(t: XTree) -> list[Endomorphism]:
     """All label/direction-preserving self-maps fixing start and end.
 
     Brute-force validation oracle: the tree is retract-free iff the
     identity is the only idempotent map returned.
     """
     validate(t)
-    if t.edge_count > max_edges:
+    if t.edge_count > ORACLE_EDGE_BOUND:
         raise ValueError(
-            "tree has %d edges; oracle bound is %d" % (t.edge_count, max_edges)
+            "tree has %d edges; oracle bound is %d" % (t.edge_count, ORACLE_EDGE_BOUND)
         )
     adj = undirected_adjacency(t)
     # BFS order from the start so every vertex is constrained by its parent.
@@ -370,66 +360,3 @@ def endomorphism_oracle(t: XTree, max_edges: int = ORACLE_EDGE_BOUND) -> list[En
     extend(0)
     return results
 
-
-def embeddings(small: XTree, big: XTree) -> list[tuple[int, ...]]:
-    """All injective root-fixing morphisms of `small` into `big`."""
-    validate(small)
-    validate(big)
-    if small.start == small.end:
-        if big.start != big.end:
-            return []
-    elif big.start == big.end:
-        return []
-    adj_s = undirected_adjacency(small)
-    adj_b = undirected_adjacency(big)
-    order: list[tuple[int, int, bool, str]] = []
-    seen = {small.start}
-    queue = [small.start]
-    while queue:
-        v = queue.pop(0)
-        for w, out, lab in adj_s[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append((w, v, out, lab))
-                queue.append(w)
-
-    results: list[tuple[int, ...]] = []
-    amap = [-1] * small.vertices
-    amap[small.start] = big.start
-    used = [False] * big.vertices
-    used[big.start] = True
-
-    def extend(i: int) -> None:
-        if i == len(order):
-            if amap[small.end] == big.end:
-                results.append(tuple(amap))
-            return
-        v, par, out, lab = order[i]
-        for w, out2, lab2 in adj_b[amap[par]]:
-            if out2 == out and lab2 == lab and not used[w]:
-                amap[v] = w
-                used[w] = True
-                extend(i + 1)
-                used[w] = False
-        amap[v] = -1
-
-    extend(0)
-    return results
-
-
-def strongly_retracts(t: XTree, path: list[tuple[int, int, str]]) -> bool:
-    """True iff no root-fixing embedded copy of retract(t) meets the path."""
-    validate(t)
-    edge_set = set(t.edges)
-    for i, e in enumerate(path):
-        if tuple(e) not in edge_set:
-            raise ValueError("path edge %r not in tree" % (e,))
-        if i > 0 and path[i - 1][1] != e[0]:
-            raise ValueError("edges do not form a directed path")
-    path_set = {tuple(e) for e in path}
-    rf = retract(t)
-    for amap in embeddings(rf, t):
-        image_edges = {(amap[a], amap[b], lab) for a, b, lab in rf.edges}
-        if image_edges & path_set:
-            return False
-    return True

@@ -1,9 +1,8 @@
 """Terms of the free unary/biunary monoid and their word combinatorics.
 
 Covers parsing and printing of the surface syntax, letter-count length,
-normalization of plus-terms into non-nested words, and the prefix/suffix
-machinery (supp, mp, suff, pref, and the P/Q/R sets) that the identity
-checker consumes.
+normalization of plus-terms into non-nested words, and the suffix
+machinery (suff and the P/Q/R sets) that the identity checker consumes.
 """
 
 from __future__ import annotations
@@ -119,11 +118,11 @@ def parse_term(text: str) -> Term:
         frames[-1][0].append(atom)
 
 
-# markers on fold_term's stack: the arguments of this node are on `values`
+# markers on _fold's stack: the arguments of this node are on `values`
 _PRODUCT, _PLUS, _STAR = object(), object(), object()
 
 
-def fold_term(t: Term, leaf, product, plus, star):
+def _fold(t: Term, leaf, product, plus, star):
     """Combine t bottom-up without recursion.
 
     leaf(node) gives the value of a letter or 1, and product(left,
@@ -188,7 +187,7 @@ def term_to_str(t: Term) -> str:
 
 def term_length(t: Term) -> int:
     """Number of letter occurrences; unary operators add nothing."""
-    return fold_term(t, lambda leaf: int(isinstance(leaf, Letter)), int.__add__, _keep, _keep)
+    return _fold(t, lambda leaf: int(isinstance(leaf, Letter)), int.__add__, _keep, _keep)
 
 
 def letters_of(t: Term) -> set[str]:
@@ -208,12 +207,12 @@ def letters_of(t: Term) -> set[str]:
 
 def dualize_term(t: Term) -> Term:
     """Reverse every product, keep unary nodes; an involution."""
-    return fold_term(t, _keep, lambda left, right: Product(right, left), Plus, Star)
+    return _fold(t, _keep, lambda left, right: Product(right, left), Plus, Star)
 
 
 def swap_unary(t: Term) -> Term:
     """Exchange the two unary operators throughout."""
-    return fold_term(t, _keep, Product, Star, Plus)
+    return _fold(t, _keep, Product, Star, Plus)
 
 
 # ------------------------------------------------------- non-nested words
@@ -264,7 +263,7 @@ def to_nonnested(t: Term) -> NonNestedWord:
     nodes are rejected.
     """
     return NonNestedWord(
-        fold_term(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
+        _fold(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
     )
 
 
@@ -293,29 +292,6 @@ def _reject_star(inner: tuple[Atom, ...]):
     raise NestedTermError("star nodes have no non-nested normal form")
 
 
-def nonnested_to_term(u: NonNestedWord) -> Term:
-    acc: Term = Identity()
-    first = True
-    for a in u.atoms:
-        f: Term
-        if isinstance(a, PlusBlock):
-            inner: Term = Identity()
-            ifirst = True
-            for ch in a.word:
-                inner = Letter(ch) if ifirst else Product(inner, Letter(ch))
-                ifirst = False
-            f = Plus(inner)
-        else:
-            f = Letter(a)
-        acc = f if first else Product(acc, f)
-        first = False
-    return acc
-
-
-def word_length(u: NonNestedWord) -> int:
-    return sum(1 for a in u.atoms if isinstance(a, str))
-
-
 def letter_counts(u: NonNestedWord) -> dict[str, int]:
     """|u|_y per letter y; PlusBlock contents are not counted."""
     counts: dict[str, int] = {}
@@ -331,15 +307,6 @@ def plain_projection(u: NonNestedWord) -> str:
 
 class AtomNotInSupport(ValueError):
     pass
-
-
-def mp(u: NonNestedWord, x: Atom) -> tuple[NonNestedWord, NonNestedWord]:
-    """(mp_u(x), mp'_u(x)): the longest prefix ending in x, with and
-    without its final x."""
-    for i in range(len(u.atoms) - 1, -1, -1):
-        if u.atoms[i] == x:
-            return NonNestedWord(u.atoms[: i + 1]), NonNestedWord(u.atoms[:i])
-    raise AtomNotInSupport("atom not in support: %r" % (x,))
 
 
 def suff(u: NonNestedWord, x: Atom) -> NonNestedWord:
@@ -362,22 +329,6 @@ def suff(u: NonNestedWord, x: Atom) -> NonNestedWord:
     while j > 0 and isinstance(u.atoms[j - 1], PlusBlock):
         j -= 1
     return NonNestedWord(u.atoms[j:])
-
-
-def pref(w: str, x: str) -> str:
-    """Shortest prefix of the plain word w containing x; w itself if absent."""
-    i = w.find(x)
-    return w if i < 0 else w[: i + 1]
-
-
-def anchor_factor(u: NonNestedWord, x: Atom, side: str) -> NonNestedWord:
-    if side == "suffix":
-        return suff(u, x)
-    if side == "prefix":
-        if any(isinstance(a, PlusBlock) for a in u.atoms) or isinstance(x, PlusBlock):
-            raise ValueError("prefix anchor is defined for plain words and letters")
-        return NonNestedWord(tuple(pref(plain_projection(u), x)))
-    raise ValueError("side must be 'suffix' or 'prefix'")
 
 
 def _mp_counts(word: str, x: str) -> dict[str, int] | None:
@@ -421,10 +372,10 @@ def pqr_sets(
     target = _mp_counts(w_block.word, x)
     r_set = set()
     for el in q_set:
-        if len(el.atoms) == 1:
-            k = el.atoms[0]
-            assert isinstance(k, PlusBlock)
-            if _mp_counts(k.word, x) == target:
-                continue
+        # A one-atom element is a block: every element ends in one, and
+        # the ε⁺ element is added only when plain_prefix is non-empty,
+        # so its block has a letter before it.
+        if len(el.atoms) == 1 and _mp_counts(el.atoms[0].word, x) == target:
+            continue
         r_set.add(el)
     return frozenset(p_set), frozenset(q_set), frozenset(r_set)

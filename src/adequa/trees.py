@@ -222,16 +222,6 @@ def theta(t: XTree) -> XTree:
     return XTree(trunk.length + 1, edges, 0, trunk.length)
 
 
-def relabel_tree(t: XTree, perm: dict[int, int]) -> XTree:
-    """Apply a vertex bijection; semantics-preserving by construction."""
-    return XTree(
-        t.vertices,
-        tuple((perm[a], perm[b], lab) for a, b, lab in t.edges),
-        perm[t.start],
-        perm[t.end],
-    )
-
-
 def reverse_tree(t: XTree) -> XTree:
     """Flip every edge and swap the roots (the left/right anti-isomorphism)."""
     return XTree(

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from adequa.cli import main
-from adequa.trees import generator_tree, to_json
+from adequa.growth import generic_left_trees
+from adequa.trees import canonical_code, from_json, generator_tree, to_json
 
 
 def run(capsys, *argv):
@@ -98,6 +99,27 @@ class TestEnumeration:
         )
         obj = json.loads(out)
         assert sum(obj["by_trunk"].values()) == obj["total"] == 7
+
+    def test_left_sphere_is_the_generic_set(self, capsys):
+        for n in range(9):
+            _, out, _ = run(capsys, "sphere", "--variant", "left", "--edges", str(n))
+            trees = [from_json(json.dumps(t)) for t in json.loads(out)["elements"]]
+            printed = [canonical_code(t) for t in trees]
+            assert printed == sorted(canonical_code(t) for t in generic_left_trees(n))
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("sphere", "--variant", "left", "--edges", "31"), "left sphere bound 30"),
+            (("census", "--variant", "left", "--max", "31"), "left sphere bound 30"),
+            (("partitions", "--n", "601"), "partition bound 600"),
+            (("partitions", "--n", "601", "--distinct"), "partition bound 600"),
+        ],
+    )
+    def test_sizes_past_the_caps_rejected(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert bound in err
 
     def test_sphere_idempotents(self, capsys):
         _, out, _ = run(

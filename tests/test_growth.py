@@ -1,6 +1,8 @@
 """Partition numbers, sphere enumeration, zig-zags, growth report."""
 
+import json
 import math
+import os
 import random
 from itertools import combinations, product
 
@@ -15,7 +17,6 @@ from adequa.growth import (
     PUBLISHED_TABLE_SE,
     ZigZag,
     census_from_trees,
-    d_value,
     hardy_ramanujan_estimate,
     in_Z,
     left_sphere,
@@ -26,7 +27,6 @@ from adequa.growth import (
     rooted_tree_level_sequences,
     structural_left_trees,
     sums_with_t_check,
-    tree_to_zigzag,
     two_sided_sphere,
     zigzag_census,
     zigzag_ge,
@@ -34,6 +34,10 @@ from adequa.growth import (
 )
 from adequa.retract import is_retract_free
 from adequa.trees import InvalidTreeError, XTree, canonical_code, validate
+
+BENCH_SPEC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
+)
 
 
 class TestPartitions:
@@ -86,6 +90,15 @@ class TestLeftSpheres:
             assert cen.total == P(n + 1)
             for k in range(n + 1):
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
+
+    def test_caps_cover_targets_and_benchmark(self):
+        # the reproduction targets enumerate left spheres to n = 20, read P
+        # to n = 21 and partition_table(m + t + 2) to 26; the benchmark's
+        # enum workload enumerates to its largest structural size
+        with open(BENCH_SPEC) as fh:
+            sizes = json.load(fh)["workloads"]["enum"]["sizes"]["structural"]
+        assert growth.LEFT_SPHERE_BOUND >= max(20, *sizes)
+        assert growth.PARTITION_BOUND >= 26
 
     def test_capped_subsets_match_filtered_combinations(self):
         # the r-subsets of the trunk distances {0..k} that structural_left_trees
@@ -196,18 +209,6 @@ class TestZigZags:
                 for z in row["members"]:
                     assert is_retract_free(zigzag_tree(z), engine="generic")
 
-    def test_tree_roundtrip(self):
-        z = ZigZag((True, False, True, False, False))
-        assert tree_to_zigzag(zigzag_tree(z)) == z
-
-    def test_broken_path_raises(self, monkeypatch):
-        # with validation bypassed, a path 0-1 plus a detached 2-cycle passes
-        # the degree checks and must stop the walk rather than misdecode
-        monkeypatch.setattr(growth, "validate", lambda t: None)
-        t = XTree(4, ((0, 1, "a"), (2, 3, "a"), (3, 2, "a")), 0, 0)
-        with pytest.raises(ValueError, match="path is broken"):
-            tree_to_zigzag(t)
-
     def test_prefix_dominance_order(self):
         # membership in Z is the prefix away-count dominance against the
         # extremal word with the same height
@@ -220,24 +221,6 @@ class TestZigZags:
             if i > (n - 1) // 2 or z.height != sum(away):
                 continue
             assert in_Z(z, i) == zigzag_ge(z, p_zigzag(n, i))
-
-    def test_d_values(self):
-        z = ZigZag((False, True, False))  # toward, away, toward
-        t = zigzag_tree(z)
-        values = [d_value(t, v) for v in range(t.vertices)]
-        assert max(values) <= len(z.away)
-        assert values[t.start] == 0
-        # idempotent zig-zags return to the start level
-        if t.start == t.end:
-            assert values[t.end] == 0
-
-    def test_d_value_rejects_non_zigzags(self):
-        from adequa.trees import XTree
-
-        y_shaped = XTree(4, ((0, 1, "a"), (0, 2, "a"), (0, 3, "a")), 0, 1)
-        with pytest.raises(ValueError):
-            d_value(y_shaped, 0)
-
 
 class TestSubsetSumIdentity:
     def test_subset_sum_identity_small(self):

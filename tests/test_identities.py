@@ -7,7 +7,7 @@ from collections import OrderedDict
 import pytest
 
 from adequa import identities as I
-from adequa.algebra import Flavor, eval_term, generator, multiply
+from adequa.algebra import Flavor, eval_term, generator
 from adequa.identities import (
     IdentitySpec,
     check_enriched_flad1,
@@ -15,15 +15,11 @@ from adequa.identities import (
     check_fad1_plain,
     check_fladX,
     check_plain,
-    dominance_holds,
-    embed_rank2,
     falsify_by_substitution,
     fad1_witness_element,
     random_monogenic_element,
-    scale_morphism,
-    trunk_plus_length,
 )
-from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
+from adequa.terms import Plus, Product, parse_term, term_length
 
 
 def spec(u: str, v: str) -> IdentitySpec:
@@ -151,21 +147,6 @@ class TestHigherRank:
         # the monogenic rewrite is not a higher-rank identity
         assert not check_fladX(spec("(xy^+z)^+", "(xy)^+(xz)^+")).satisfied
 
-    def test_embed_rank2(self):
-        t = parse_term("xy^+x")
-        image = embed_rank2(t, ["x", "y"])
-        # letters map to distinct two-generator words; evaluation stays lawful
-        assign = {c: generator(c, Flavor.LEFT) for c in "ab"}
-        eval_term(image, assign, Flavor.LEFT)
-
-    def test_embed_rank2_long_word(self):
-        # a 1200-letter word parses to a product nested 1200 deep
-        w = "xyy" * 400
-        image = embed_rank2(parse_term(w), ["x", "y"])
-        words = {"x": "(bb)", "y": "(bab)"}
-        expected = parse_term("".join(words[c] for c in w))
-        assert term_to_str(image) == term_to_str(expected)
-
 
 class TestTwoSided:
     def test_trivial_identities_only(self):
@@ -193,48 +174,6 @@ class TestTwoSided:
     def test_witness_family_distinct(self):
         codes = {fad1_witness_element(n).code for n in range(3, 9)}
         assert len(codes) == 6
-
-
-class TestAuxiliary:
-    def test_dominance_is_the_lp(self):
-        assert dominance_holds((1, 1), [(2, 0), (0, 2)])
-        assert not dominance_holds((1, 1), [(2, 0)])
-
-    def test_scale_morphism_orders(self):
-        psi = {"x": 2, "y": 3}
-        zeta = scale_morphism(psi, 10, ["x", "y"])
-        val = lambda m, w: sum(m[c] for c in w)
-        words = ["".join(p) for L in range(1, 4) for p in itertools.product("xy", repeat=L)]
-        for u in words:
-            for v in words:
-                if val(psi, u) > val(psi, v):
-                    assert val(zeta, u) > val(zeta, v)
-                if val(zeta, u) >= val(zeta, v):
-                    assert val(psi, u) >= val(psi, v)
-                same_counts = sorted(u) == sorted(v)
-                assert (val(zeta, u) == val(zeta, v)) == same_counts
-
-    def test_trunk_plus_length_formula(self):
-        rng = random.Random(47)
-        for _ in range(60):
-            w = "".join(rng.choice("xy") for _ in range(rng.randint(1, 5)))
-            assignment = {
-                c: random_monogenic_element(rng, Flavor.LEFT, 5) for c in set(w)
-            }
-            claimed = trunk_plus_length(w, assignment)
-            acc = None
-            for c in w:
-                acc = assignment[c] if acc is None else multiply(acc, assignment[c])
-            from adequa.algebra import plus_op
-
-            assert claimed == plus_op(acc).edge_count
-
-    def test_trunk_plus_length_example(self):
-        a = generator("a", Flavor.LEFT)
-        from adequa.algebra import plus_op
-
-        a3_plus = plus_op(multiply(multiply(a, a), a))
-        assert trunk_plus_length("xy", {"x": a, "y": a3_plus}) == 4
 
 
 # ------------------------------------------------ falsifier caches

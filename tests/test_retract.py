@@ -12,15 +12,11 @@ from adequa.growth import (
     structural_left_trees,
 )
 from adequa.retract import (
-    branches,
-    delete_branch,
-    embeddings,
     endomorphism_oracle,
     find_foldable_branch,
     is_retract_free,
     left_monogenic_core,
     retract,
-    strongly_retracts,
 )
 from adequa.trees import XTree, canonical_code, generator_tree, validate
 
@@ -28,6 +24,17 @@ from adequa.trees import XTree, canonical_code, generator_tree, validate
 def a_tree(edges, start, end):
     n = 1 + max(max(a, b) for a, b, *_ in edges)
     return XTree(n, tuple((a, b, "a") for a, b, *_ in edges), start, end)
+
+
+def induced(t, keep):
+    """The subtree of t on the vertex set keep, renumbered in order."""
+    relabel = {v: i for i, v in enumerate(sorted(keep))}
+    edges = tuple(
+        (relabel[a], relabel[b], lab)
+        for a, b, lab in t.edges
+        if a in relabel and b in relabel
+    )
+    return XTree(len(relabel), edges, relabel[t.start], relabel[t.end])
 
 
 class TestFolding:
@@ -62,26 +69,14 @@ class TestFolding:
             assert len(validate(r).edges) == len(validate(t).edges)
             assert r.edge_count <= t.edge_count
 
-    def test_branches_cover_non_trunk_edges(self):
-        for t in itertools.islice(oriented_trees(5), 0, None, 13):
-            info = validate(t)
-            brs = branches(t, info)
-            assert len(brs) == t.edge_count - len(info.edges)
-            for br in brs:
-                assert br.anchor not in br.vertices
-                assert br.vertices  # never empty
-                d = delete_branch(t, br)
-                assert d.edge_count == t.edge_count - len(br.vertices)
-                validate(d)
-
     def test_found_branch_keeps_retract(self):
         for t in itertools.islice(oriented_trees(5), 0, None, 7):
             br = find_foldable_branch(t)
             if br is None:
                 assert retract(t) == t
                 continue
-            assert br in branches(t)
-            d = delete_branch(t, br)
+            assert br.anchor not in br.vertices and br.edge in t.edges
+            d = induced(t, set(range(t.vertices)) - br.vertices)
             assert canonical_code(retract(d)) == canonical_code(retract(t))
 
     def test_long_foldable_branch(self):
@@ -126,14 +121,7 @@ def core_of(t):
         (set(e.vertex_map) for e in endomorphism_oracle(t) if e.is_idempotent),
         key=len,
     )
-    keep = sorted(image)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = tuple(
-        (relabel[a], relabel[b], lab)
-        for a, b, lab in t.edges
-        if a in image and b in image
-    )
-    return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
+    return induced(t, image)
 
 
 def core_with_copies(rng, n_edges):
@@ -308,35 +296,3 @@ class TestIdempotentShape:
             before = len(validate(t).edges)
             after = len(validate(retract(t)).edges)
             assert before == after
-
-
-TREE_RIGID = a_tree([(0, 1), (0, 2), (2, 3)], 0, 1)
-TREE_TWIN = a_tree([(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)], 0, 1)
-TREE_SHORT = a_tree([(0, 1), (0, 2)], 0, 1)
-
-
-class TestStronglyRetracts:
-    def test_branch_that_cannot_retract(self):
-        assert not strongly_retracts(
-            TREE_RIGID, [(0, 2, "a"), (2, 3, "a")]
-        )
-
-    def test_branch_erasable_but_not_strongly(self):
-        assert not strongly_retracts(
-            TREE_TWIN, [(0, 2, "a"), (2, 3, "a")]
-        )
-
-    def test_branch_that_strongly_retracts(self):
-        assert strongly_retracts(TREE_SHORT, [(0, 2, "a")])
-
-    def test_path_validation(self):
-        with pytest.raises(ValueError, match="not in tree"):
-            strongly_retracts(TREE_SHORT, [(1, 2, "a")])
-        with pytest.raises(ValueError, match="directed path"):
-            strongly_retracts(TREE_RIGID, [(2, 3, "a"), (0, 2, "a")])
-
-    def test_embeddings_basic(self):
-        maps = embeddings(TREE_SHORT, TREE_TWIN)
-        assert maps  # the retract-free shape embeds into the bigger tree
-        for amap in maps:
-            assert amap[0] == 0 and amap[1] == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequa.algebra import Flavor, eval_term, identity_assignment
+from adequa.algebra import Flavor, eval_term, generator
 from adequa.terms import (
     AtomNotInSupport,
     EMPTY_WORD,
@@ -16,22 +16,17 @@ from adequa.terms import (
     Product,
     Star,
     TermSyntaxError,
-    anchor_factor,
     dualize_term,
     letter_counts,
     letters_of,
-    mp,
-    nonnested_to_term,
     parse_term,
     plain_projection,
     pqr_sets,
-    pref,
     suff,
     swap_unary,
     term_length,
     term_to_str,
     to_nonnested,
-    word_length,
 )
 
 
@@ -136,8 +131,8 @@ class TestNonNested:
         if "^*" in term_to_str(t):
             return
         word = to_nonnested(t)
-        back = nonnested_to_term(word)
-        assign = identity_assignment(letters_of(t) | {"a"}, Flavor.LEFT)
+        back = parse_term(str(word))
+        assign = {x: generator(x, Flavor.LEFT) for x in letters_of(t) | {"a"}}
         assert eval_term(t, assign, Flavor.LEFT) == eval_term(
             back, assign, Flavor.LEFT
         )
@@ -148,7 +143,7 @@ class TestNonNested:
         if "^*" in term_to_str(t):
             return
         word = to_nonnested(t)
-        assert to_nonnested(nonnested_to_term(word)) == word
+        assert to_nonnested(parse_term(str(word))) == word
 
 
 U = to_nonnested(parse_term("a(ab)^+cb^+(bc)^+bab^+ba^+c^+b^+ba"))
@@ -182,14 +177,6 @@ class TestWordCombinatorics:
     def test_projection_and_counts(self):
         assert plain_projection(U) == "acbabba"
         assert letter_counts(U) == {"a": 3, "b": 3, "c": 1}
-        assert word_length(U) == 7
-
-    def test_mp_last_occurrence(self):
-        m, mprime = mp(U, "a")
-        assert str(m) == "a(ab)^+cb^+(bc)^+bab^+ba^+c^+b^+ba"
-        assert str(mprime) == "a(ab)^+cb^+(bc)^+bab^+ba^+c^+b^+b"
-        m, _ = mp(U, PlusBlock("b"))
-        assert str(m) == "a(ab)^+cb^+(bc)^+bab^+ba^+c^+b^+"
 
     def test_suff_examples(self):
         assert str(suff(U, W)) == "b^+(bc)^+bab^+ba^+c^+b^+ba"
@@ -198,20 +185,7 @@ class TestWordCombinatorics:
 
     def test_missing_atom_raises(self):
         with pytest.raises(AtomNotInSupport):
-            mp(U, "z")
-        with pytest.raises(AtomNotInSupport):
             suff(U, PlusBlock("zz"))
-
-    def test_pref(self):
-        assert pref("abcab", "b") == "ab"
-        assert pref("abc", "z") == "abc"
-
-    def test_anchor_factor_sides(self):
-        plain = to_nonnested(parse_term("abcab"))
-        assert str(anchor_factor(plain, "c", "prefix")) == "abc"
-        assert str(anchor_factor(plain, "c", "suffix")) == "cab"
-        with pytest.raises(ValueError):
-            anchor_factor(U, "b", "prefix")
 
     def test_pqr_worked_example(self):
         p, q, r = pqr_sets(U, W, "b")

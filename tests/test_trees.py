@@ -18,13 +18,22 @@ from adequa.trees import (
     from_json,
     generator_tree,
     is_monogenic,
-    relabel_tree,
     reverse_tree,
     theta,
     to_dot,
     to_json,
     validate,
 )
+
+
+def relabel_tree(t: XTree, perm) -> XTree:
+    """Apply a vertex bijection; semantics-preserving by construction."""
+    return XTree(
+        t.vertices,
+        tuple((perm[a], perm[b], lab) for a, b, lab in t.edges),
+        perm[t.start],
+        perm[t.end],
+    )
 
 
 def brute_force_iso(s: XTree, t: XTree) -> bool:
