@@ -9,7 +9,7 @@ count of retract-free zig-zag idempotents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Element, Flavor
@@ -22,81 +22,54 @@ TWO_SIDED_BOUND = 8
 ZIGZAG_BOUND = 18
 PARTITION_BOUND = 600
 
-# the base case is module state so a corrupted-table negative control can
-# patch it without touching the recurrences
-P_BASE = 1
+
+def _check_size(n: int, bound: int, what: str) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > bound:
+        raise ValueError("n=%d exceeds the %s bound %d" % (n, what, bound))
 
 
-@dataclass
-class PartitionTable:
-    """P(n,k): partitions of n into k parts; Q(n,k): into k distinct parts."""
-
-    n_max: int
-    P: dict[tuple[int, int], int] = field(default_factory=dict)
-    Q: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def p_total(self, n: int) -> int:
-        return sum(self.P[(n, k)] for k in range(n + 1)) if n else self.P[(0, 0)]
-
-    def q_total(self, n: int) -> int:
-        return sum(self.Q[(n, k)] for k in range(n + 1)) if n else self.Q[(0, 0)]
+# P_ROWS[n][k] counts the partitions of n into exactly k parts, Q_ROWS[n][k]
+# those into k distinct parts.  Each table grows from its own rows on
+# demand, up to PARTITION_BOUND; a negative control may swap in a corrupted
+# table, since P and Q read these names at call time.
+P_ROWS: list[list[int]] = [[1]]
+Q_ROWS: list[list[int]] = [[1]]
 
 
-def partition_table(n_max: int) -> PartitionTable:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > PARTITION_BOUND:
-        raise ValueError("n=%d exceeds the partition bound %d" % (n_max, PARTITION_BOUND))
-    t = PartitionTable(n_max)
-
-    def p(n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            return 0
-        if (n, k) in t.P:
-            return t.P[(n, k)]
-        if n == 0 and k == 0:
-            v = P_BASE
-        elif n == 0 or k == 0:
-            v = 0
+def _partitions(rows: list[list[int]], n: int, k: int | None, distinct: bool) -> int:
+    """Entry (n, k) of a partition table, or the sum of row n when k is
+    None.  The table first grows to row n by the recurrence
+    P(m,j) = P(m-1,j-1) + P(m-j,j), or Q(m,j) = Q(m-j,j-1) + Q(m-j,j)."""
+    if n < 0:
+        return 0
+    _check_size(n, PARTITION_BOUND, "partition")
+    while len(rows) <= n:
+        m = len(rows)
+        # P(m-j,j) and Q(m-j,j) vanish once j > m - j, Q(m-j,j-1) once
+        # j - 1 > m - j
+        if distinct:
+            row = [0] + [rows[m - j][j - 1] for j in range(1, (m + 1) // 2 + 1)]
+            row += [0] * (m + 1 - len(row))
         else:
-            v = p(n - 1, k - 1) + p(n - k, k)
-        t.P[(n, k)] = v
-        return v
-
-    def q(n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            return 0
-        if (n, k) in t.Q:
-            return t.Q[(n, k)]
-        if n == 0 and k == 0:
-            v = 1
-        elif n == 0 or k == 0:
-            v = 0
-        else:
-            v = q(n - k, k - 1) + q(n - k, k)
-        t.Q[(n, k)] = v
-        return v
-
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            p(n, k)
-            q(n, k)
-    return t
+            row = [0] + rows[m - 1]
+        for j in range(1, m // 2 + 1):
+            row[j] += rows[m - j][j]
+        rows.append(row)
+    if k is None:
+        return sum(rows[n])
+    return rows[n][k] if 0 <= k <= n else 0
 
 
 def P(n: int, k: int | None = None) -> int:
-    """P(n) or P(n,k); small values, recomputed per call for patchability."""
-    if n < 0:
-        return 0
-    t = partition_table(n)
-    return t.p_total(n) if k is None else t.P.get((n, k), 0)
+    """P(n), or P(n,k): the partitions of n into exactly k parts."""
+    return _partitions(P_ROWS, n, k, False)
 
 
 def Q(n: int, k: int | None = None) -> int:
-    if n < 0:
-        return 0
-    t = partition_table(n)
-    return t.q_total(n) if k is None else t.Q.get((n, k), 0)
+    """Q(n), or Q(n,k): the partitions of n into exactly k distinct parts."""
+    return _partitions(Q_ROWS, n, k, True)
 
 
 def partitions_into_distinct_parts(n: int, k: int):
@@ -170,10 +143,7 @@ def structural_left_trees(n: int) -> list[XTree]:
     Y that leave room for r distinct positive excesses are visited, so
     the work grows with the output.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > LEFT_SPHERE_BOUND:
-        raise ValueError("n=%d exceeds the left sphere bound %d" % (n, LEFT_SPHERE_BOUND))
+    _check_size(n, LEFT_SPHERE_BOUND, "left sphere")
     out: list[XTree] = []
     for k in range(n + 1):
         budget = n - k
@@ -260,8 +230,7 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
 
 def generic_left_trees(n: int) -> list[XTree]:
     """All retract-free left a-trees with n edges, by exhaustive search."""
-    if n > GENERIC_LEFT_BOUND:
-        raise ValueError("n=%d exceeds the generic left bound %d" % (n, GENERIC_LEFT_BOUND))
+    _check_size(n, GENERIC_LEFT_BOUND, "generic left")
     seen: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
         edges = tuple(_level_sequence_to_edges(L))
@@ -308,8 +277,7 @@ def oriented_trees(n: int):
 
 def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """All retract-free a-trees with n edges: shapes x orientations x ends."""
-    if n > TWO_SIDED_BOUND:
-        raise ValueError("n=%d exceeds the two-sided bound %d" % (n, TWO_SIDED_BOUND))
+    _check_size(n, TWO_SIDED_BOUND, "two-sided")
     seen: set[bytes] = set()
     free: dict[bytes, XTree] = {}
     for t in oriented_trees(n):
@@ -414,8 +382,6 @@ def sums_with_t_check(m: int, r: int, t: int) -> bool:
     """Both sides of the subset-sum partition identity, compared exactly."""
     if m < 1 or r < 1 or t < 1:
         raise ValueError("m, r, t must be >= 1")
-    table = partition_table(m + t + 2)
-    q = lambda n, k: table.Q.get((n, k), 0) if n >= 0 else 0
 
     def side(rr: int, mm: int, tt: int) -> int:
         # sum over Y subset of [rr] = {0..rr}; [-1] = empty set
@@ -423,7 +389,7 @@ def sums_with_t_check(m: int, r: int, t: int) -> bool:
         idx = list(range(rr + 1)) if rr >= 0 else []
         for size in range(len(idx) + 1):
             for Y in combinations(idx, size):
-                total += q(mm - sum(Y), size + tt)
+                total += Q(mm - sum(Y), size + tt)
         return total
 
     lhs = side(r - 1, m, t)

@@ -27,7 +27,6 @@ was tested, hence the result is retract-free.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -72,19 +71,14 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(
-    t: XTree, trunk: TrunkInfo, rng: random.Random | None = None
-) -> tuple[Adjacency, list[int], list[int]]:
+def _rooted(t: XTree, trunk: TrunkInfo) -> tuple[Adjacency, list[int], list[int]]:
     """Adjacency, parent array and BFS order of the non-trunk vertices.
 
     The BFS starts from every trunk vertex at once, so parent[b] is the
     anchor of the branch headed by b (-1 on the trunk), and every vertex
-    comes after its parent in the order.  An RNG shuffles neighbour order.
+    comes after its parent in the order.
     """
     adj = undirected_adjacency(t)
-    if rng is not None:
-        for nbrs in adj:
-            rng.shuffle(nbrs)
     parent = [-2] * t.vertices  # -2: not reached yet
     for v in trunk.vertices:
         parent[v] = -1
@@ -198,14 +192,9 @@ def _delete(t: XTree, gone: set[int]) -> XTree:
     return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
 
 
-def retract(t: XTree, rng: random.Random | None = None) -> XTree:
-    """The retract-free retract; independent of deletion order.
-
-    An RNG shuffles the order in which sibling branches are visited and
-    candidate images are tried, so isomorphic but differently numbered
-    results may come back.
-    """
-    adj, parent, order = _rooted(t, validate(t), rng)
+def retract(t: XTree) -> XTree:
+    """The retract-free retract; independent of deletion order."""
+    adj, parent, order = _rooted(t, validate(t))
     gone = set(_folds(adj, parent, order))
     if not gone:
         return t

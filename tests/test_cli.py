@@ -114,6 +114,8 @@ class TestEnumeration:
             (("census", "--variant", "left", "--max", "31"), "left sphere bound 30"),
             (("partitions", "--n", "601"), "partition bound 600"),
             (("partitions", "--n", "601", "--distinct"), "partition bound 600"),
+            (("sphere", "--variant", "left", "--edges", "-1"), "n must be nonnegative"),
+            (("sphere", "--variant", "two-sided", "--edges", "-1"), "n must be nonnegative"),
         ],
     )
     def test_sizes_past_the_caps_rejected(self, capsys, argv, bound):

@@ -22,7 +22,6 @@ from adequa.growth import (
     left_sphere,
     oriented_trees,
     p_zigzag,
-    partition_table,
     partitions_into_distinct_parts,
     rooted_tree_level_sequences,
     structural_left_trees,
@@ -47,22 +46,23 @@ class TestPartitions:
         assert [Q(n) for n in range(10)] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8]
 
     def test_recurrence(self):
-        table = partition_table(60)
         for n in range(2, 50):
             for k in range(2, n + 1):
-                assert table.P[(n, k)] == table.P.get((n - 1, k - 1), 0) + table.P.get(
-                    (n - k, k), 0
-                )
-                assert table.Q[(n, k)] == table.Q.get((n - k, k - 1), 0) + table.Q.get(
-                    (n - k, k), 0
-                )
+                assert P(n, k) == P(n - 1, k - 1) + P(n - k, k)
+                assert Q(n, k) == Q(n - k, k - 1) + Q(n - k, k)
 
     def test_cross_law(self):
         # partitions into k parts vs k distinct parts, via the staircase shift
-        table = partition_table(130)
         for n in range(1, 30):
             for k in range(1, 15):
-                assert table.P[(n, k)] == table.Q[(n + math.comb(k, 2), k)]
+                assert P(n, k) == Q(n + math.comb(k, 2), k)
+
+    def test_past_the_bound_rejected(self):
+        for fn in (P, Q):
+            with pytest.raises(ValueError, match="partition bound 600"):
+                fn(growth.PARTITION_BOUND + 1)
+            with pytest.raises(ValueError, match="partition bound 600"):
+                fn(growth.PARTITION_BOUND + 1, 3)
 
     def test_distinct_part_lists(self):
         parts = list(partitions_into_distinct_parts(10, 3))
@@ -71,8 +71,9 @@ class TestPartitions:
         assert len(parts) == Q(10, 3)
 
     def test_base_case_is_patchable(self, monkeypatch):
-        # negative control: corrupting the base case must propagate
-        monkeypatch.setattr(growth, "P_BASE", 0)
+        # negative control: a corrupted base row must propagate to the rows
+        # grown from it
+        monkeypatch.setattr(growth, "P_ROWS", [[0]])
         assert P(5) != 7
 
 
@@ -93,12 +94,17 @@ class TestLeftSpheres:
 
     def test_caps_cover_targets_and_benchmark(self):
         # the reproduction targets enumerate left spheres to n = 20, read P
-        # to n = 21 and partition_table(m + t + 2) to 26; the benchmark's
+        # to n = 21 and Q to n = m + t + 1 = 25; the benchmark's
         # enum workload enumerates to its largest structural size
         with open(BENCH_SPEC) as fh:
             sizes = json.load(fh)["workloads"]["enum"]["sizes"]["structural"]
         assert growth.LEFT_SPHERE_BOUND >= max(20, *sizes)
         assert growth.PARTITION_BOUND >= 26
+
+    def test_negative_sizes_rejected(self):
+        for fn in (structural_left_trees, growth.generic_left_trees, two_sided_sphere):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                fn(-1)
 
     def test_capped_subsets_match_filtered_combinations(self):
         # the r-subsets of the trunk distances {0..k} that structural_left_trees

@@ -37,9 +37,9 @@ def test_only_filter(monkeypatch):
 
 
 def test_negative_control_partition_base(monkeypatch):
-    # corrupting the partition base case must make the trunk-refinement
+    # injecting a corrupted partition table must make the trunk-refinement
     # target fail: partition values are read at call time, not frozen
-    monkeypatch.setattr(growth, "P_BASE", 0)
+    monkeypatch.setattr(growth, "P_ROWS", [[0]])
     ok, detail = reproduce._trunk_refinement()
     assert not ok
     assert "mismatch" in detail
