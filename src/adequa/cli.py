@@ -111,6 +111,12 @@ def _sphere_elements(variant: str, n: int):
     return growth.two_sided_sphere(n)
 
 
+def _census(variant: str, n: int) -> growth.CensusRow:
+    if variant == "left":
+        return growth.census_from_trees(n, growth.structural_left_trees(n))
+    return growth.two_sided_sphere(n)[1]
+
+
 def _cmd_sphere(args) -> int:
     els, census = _sphere_elements(args.variant, args.edges)
     if args.idempotents_only:
@@ -132,7 +138,7 @@ def _cmd_sphere(args) -> int:
 def _cmd_census(args) -> int:
     # largest first, so a size past the enumerator's bound fails before
     # any other work
-    rows = [_sphere_elements(args.variant, n)[1] for n in range(args.max, -1, -1)][::-1]
+    rows = [_census(args.variant, n) for n in range(args.max, -1, -1)][::-1]
     if args.format == "csv":
         print("n,total,k,count_by_trunk,idempotent_count")
         for c in rows:

@@ -228,13 +228,51 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
+def _twin_leaves(t: XTree) -> list[int]:
+    """The leaves of t, other than its start, that have a twin.
+
+    A leaf v != start with its one edge to u has a twin when another
+    edge at u has the same label and the same direction seen from u; let
+    w be that edge's far endpoint.  If v is not the end either, the map
+    sending v to w and fixing every other vertex carries v's edge onto
+    the twin edge and every other edge onto itself, so it is an
+    endomorphism; it fixes both roots, m(m(v)) = m(w) = w makes it
+    idempotent, and it moves v.  A tree with a twin leaf other than its
+    end is therefore not retract-free (Hell & Nesetril, "The core of a
+    graph", 1992: it retracts onto the tree without v).
+    """
+    degree = [0] * t.vertices
+    kinds: dict[tuple[int, bool, str], int] = {}
+    for a, b, lab in t.edges:
+        degree[a] += 1
+        degree[b] += 1
+        kinds[a, True, lab] = kinds.get((a, True, lab), 0) + 1
+        kinds[b, False, lab] = kinds.get((b, False, lab), 0) + 1
+    twins = []
+    for a, b, lab in t.edges:
+        if degree[b] == 1 and b != t.start and kinds[a, True, lab] > 1:
+            twins.append(b)
+        elif degree[a] == 1 and a != t.start and kinds[b, False, lab] > 1:
+            twins.append(a)
+    return twins
+
+
 def generic_left_trees(n: int) -> list[XTree]:
-    """All retract-free left a-trees with n edges, by exhaustive search."""
+    """All retract-free left a-trees with n edges, by exhaustive search.
+
+    The start is vertex 0 whatever the end, so the twin leaves are
+    found once per shape.  A shape with two of them is retract-free for
+    no end and is skipped; a shape with one is tried only with that leaf
+    as its end.
+    """
     _check_size(n, GENERIC_LEFT_BOUND, "generic left")
     seen: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
         edges = tuple(_level_sequence_to_edges(L))
-        for end in range(n + 1):
+        twins = _twin_leaves(XTree(n + 1, edges, 0, 0))
+        if len(twins) > 1:
+            continue
+        for end in twins or range(n + 1):
             t = XTree(n + 1, edges, 0, end)
             if not is_retract_free(t):
                 continue
@@ -276,11 +314,22 @@ def oriented_trees(n: int):
 
 
 def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
-    """All retract-free a-trees with n edges: shapes x orientations x ends."""
+    """All retract-free a-trees with n edges: shapes x orientations x ends.
+
+    A tree with a twin leaf other than its end is not retract-free, and
+    neither is any tree isomorphic to it, so it is dropped before it is
+    coded.
+    """
     _check_size(n, TWO_SIDED_BOUND, "two-sided")
     seen: set[bytes] = set()
     free: dict[bytes, XTree] = {}
+    edges = twins = None
     for t in oriented_trees(n):
+        # the ends of one orientation come in a row, all with start 0
+        if t.edges != edges:
+            edges, twins = t.edges, _twin_leaves(t)
+        if any(v != t.end for v in twins):
+            continue
         code = canonical_code(t)
         if code in seen:
             continue
@@ -345,13 +394,6 @@ def zigzag_ge(t: ZigZag, s: ZigZag) -> bool:
     return True
 
 
-def in_Z(z: ZigZag, i: int) -> bool:
-    n = z.edges
-    if i >= n / 2 or z.height != i:
-        return False
-    return zigzag_ge(z, p_zigzag(n, i))
-
-
 def zigzag_census(n: int) -> dict[int, dict]:
     """Per height i: the total count C(n,i) and the Z(n,i) members."""
     if not (1 <= n <= ZIGZAG_BOUND):
@@ -359,13 +401,14 @@ def zigzag_census(n: int) -> dict[int, dict]:
     out: dict[int, dict] = {}
     max_i = (n - 1) // 2
     for i in range(max_i + 1):
+        least = p_zigzag(n, i)
         members = []
         for positions in combinations(range(n), i):
             away = [False] * n
             for p in positions:
                 away[p] = True
             z = ZigZag(tuple(away))
-            if in_Z(z, i):
+            if zigzag_ge(z, least):
                 members.append(z)
         out[i] = {
             "all_count": math.comb(n, i),
@@ -412,7 +455,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
     """Exact counts next to the reported growth estimates and bounds."""
     rows = []
     for n in range(n_max + 1):
-        _, census = left_sphere(n, strategy="structural")
+        census = census_from_trees(n, structural_left_trees(n))
         binom = math.comb(n - 1, (n - 1) // 2) if n >= 1 else 1
         row = {
             "n": n,

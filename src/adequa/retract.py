@@ -306,11 +306,13 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     return find_foldable_branch(t) is None
 
 
-def endomorphism_oracle(t: XTree) -> list[Endomorphism]:
+def endomorphism_oracle(t: XTree) -> Iterator[Endomorphism]:
     """All label/direction-preserving self-maps fixing start and end.
 
     Brute-force validation oracle: the tree is retract-free iff the
-    identity is the only idempotent map returned.
+    identity is the only idempotent map yielded.  The tree and the edge
+    bound are checked on the call; the maps are generated lazily, so a
+    caller looking for one non-identity idempotent stops at the first.
     """
     validate(t)
     if t.edge_count > ORACLE_EDGE_BOUND:
@@ -330,22 +332,20 @@ def endomorphism_oracle(t: XTree) -> list[Endomorphism]:
                 order.append((w, v, out, lab))
                 queue.append(w)
 
-    results: list[Endomorphism] = []
     amap = [-1] * t.vertices
     amap[t.start] = t.start
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[Endomorphism]:
         if i == len(order):
             if amap[t.end] == t.end:
-                results.append(Endomorphism(tuple(amap)))
+                yield Endomorphism(tuple(amap))
             return
         v, par, out, lab = order[i]
         for w, out2, lab2 in adj[amap[par]]:
             if out2 == out and lab2 == lab:
                 amap[v] = w
-                extend(i + 1)
+                yield from extend(i + 1)
         amap[v] = -1
 
-    extend(0)
-    return results
+    return extend(0)
 

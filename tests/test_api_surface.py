@@ -7,6 +7,8 @@ strips.
 """
 
 import ast
+import importlib.util
+import inspect
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,3 +82,21 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_tracer_targets_exist():
+    # the benchmark's tracer wraps these functions by name; a rename must
+    # fail here, not only in a traced benchmark run
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        "%s.%s" % (mod, name)
+        for mod, names in tracer.TARGETS.items()
+        for name in names
+        if not inspect.isfunction(
+            getattr(importlib.import_module("adequa." + mod), name, None)
+        )
+    ]
+    assert missing == []

@@ -10,7 +10,9 @@ import pytest
 
 import adequa.growth as growth
 from adequa.growth import (
+    GENERIC_LEFT_BOUND,
     _capped_subsets,
+    _twin_leaves,
     P,
     Q,
     PUBLISHED_TABLE_S,
@@ -18,7 +20,6 @@ from adequa.growth import (
     ZigZag,
     census_from_trees,
     hardy_ramanujan_estimate,
-    in_Z,
     left_sphere,
     oriented_trees,
     p_zigzag,
@@ -31,7 +32,7 @@ from adequa.growth import (
     zigzag_ge,
     zigzag_tree,
 )
-from adequa.retract import is_retract_free
+from adequa.retract import endomorphism_oracle, is_retract_free
 from adequa.trees import InvalidTreeError, XTree, canonical_code, validate
 
 BENCH_SPEC = os.path.join(
@@ -118,7 +119,7 @@ class TestLeftSpheres:
                     ]
 
     def test_generic_matches_structural(self):
-        for n in range(9):
+        for n in range(GENERIC_LEFT_BOUND + 1):
             els_g, cen_g = left_sphere(n, "generic")
             els_s, cen_s = left_sphere(n, "structural")
             assert {e.code for e in els_g} == {e.code for e in els_s}
@@ -192,6 +193,35 @@ class TestTwoSidedSpheres:
         for e in els:
             assert is_retract_free(e.tree, engine="generic")
 
+    def test_twin_leaf_trees_are_not_retract_free(self):
+        # the lemma the enumerators prune by: a twin leaf other than the
+        # end folds onto its twin
+        pruned = 0
+        for n in range(6):
+            for t in oriented_trees(n):
+                if any(v != t.end for v in _twin_leaves(t)):
+                    pruned += 1
+                    assert any(
+                        e.is_idempotent and not e.is_identity
+                        for e in endomorphism_oracle(t)
+                    ), t
+        assert pruned > 1000
+
+    def test_matches_unpruned_search(self):
+        for n in range(7):
+            seen = set()
+            free = {}
+            for t in oriented_trees(n):
+                code = canonical_code(t)
+                if code not in seen:
+                    seen.add(code)
+                    if is_retract_free(t, engine="generic"):
+                        free[code] = t
+            trees = [free[c] for c in sorted(free)]
+            els, cen = two_sided_sphere(n)
+            assert [(e.code, e.tree) for e in els] == list(zip(sorted(free), trees))
+            assert cen == census_from_trees(n, trees)
+
 
 class TestZigZags:
     def test_ballot_counts(self):
@@ -220,13 +250,14 @@ class TestZigZags:
         # extremal word with the same height
         rng = random.Random(31)
         n = 9
+        census = zigzag_census(n)
         for _ in range(200):
             away = tuple(rng.random() < 0.4 for _ in range(n))
             z = ZigZag(away)
             i = z.height
             if i > (n - 1) // 2 or z.height != sum(away):
                 continue
-            assert in_Z(z, i) == zigzag_ge(z, p_zigzag(n, i))
+            assert (z in census[i]["members"]) == zigzag_ge(z, p_zigzag(n, i))
 
 class TestSubsetSumIdentity:
     def test_subset_sum_identity_small(self):
