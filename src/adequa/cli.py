@@ -105,31 +105,30 @@ def _cmd_retract(args) -> int:
     return 0
 
 
-def _sphere_elements(variant: str, n: int):
-    if variant == "left":
+def _sphere(variant: str, n: int, elements: bool):
+    """The sphere's census, with its elements in code order (None for a
+    left sphere whose elements are not asked for)."""
+    if variant == "two-sided":
+        return growth.two_sided_sphere(n)
+    if elements:
         return growth.left_sphere(n)
-    return growth.two_sided_sphere(n)
-
-
-def _census(variant: str, n: int) -> growth.CensusRow:
-    if variant == "left":
-        return growth.census_from_trees(n, growth.structural_left_trees(n))
-    return growth.two_sided_sphere(n)[1]
+    return None, growth.census_from_trees(n, growth.structural_left_trees(n))
 
 
 def _cmd_sphere(args) -> int:
-    els, census = _sphere_elements(args.variant, args.edges)
+    els, census = _sphere(args.variant, args.edges, not args.count_only)
+    by_trunk = census.by_trunk
     if args.idempotents_only:
-        els = [e for e in els if e.trunk_length == 0]
-    out: dict = {"edges": args.edges, "total": len(els), "variant": args.variant}
+        by_trunk = {k: v for k, v in by_trunk.items() if k == 0}
+    out: dict = {"edges": args.edges, "variant": args.variant}
+    out["total"] = sum(by_trunk.values())
     if args.by_trunk:
-        by = {}
-        for e in els:
-            by[e.trunk_length] = by.get(e.trunk_length, 0) + 1
-        out["by_trunk"] = {str(k): v for k, v in sorted(by.items())}
+        out["by_trunk"] = {str(k): v for k, v in sorted(by_trunk.items())}
     if not args.count_only:
         out["elements"] = [
-            _tree_obj(e.tree) for e in sorted(els, key=lambda e: e.code)
+            _tree_obj(e.tree)
+            for e in els
+            if e.trunk_length == 0 or not args.idempotents_only
         ]
     _emit(out)
     return 0
@@ -138,7 +137,7 @@ def _cmd_sphere(args) -> int:
 def _cmd_census(args) -> int:
     # largest first, so a size past the enumerator's bound fails before
     # any other work
-    rows = [_census(args.variant, n) for n in range(args.max, -1, -1)][::-1]
+    rows = [_sphere(args.variant, n, False)[1] for n in range(args.max, -1, -1)][::-1]
     if args.format == "csv":
         print("n,total,k,count_by_trunk,idempotent_count")
         for c in rows:

@@ -189,6 +189,14 @@ def _build_left_tree(k: int, branch_by_distance: dict[int, int]) -> XTree:
     return XTree(nv, tuple(edges), 0, k)
 
 
+def left_sphere(n: int) -> tuple[list[Element], CensusRow]:
+    """The structural left sphere as elements in code order, with its census."""
+    trees = structural_left_trees(n)
+    coded = sorted(((canonical_code(t), t) for t in trees), key=lambda ct: ct[0])
+    elements = [Element(t, code, Flavor.LEFT) for code, t in coded]
+    return elements, census_from_trees(n, [t for _, t in coded])
+
+
 # ----------------------------------------------------- generic enumeration
 
 
@@ -257,41 +265,18 @@ def _twin_leaves(t: XTree) -> list[int]:
     return twins
 
 
-def generic_left_trees(n: int) -> list[XTree]:
-    """All retract-free left a-trees with n edges, by exhaustive search.
-
-    The start is vertex 0 whatever the end, so the twin leaves are
-    found once per shape.  A shape with two of them is retract-free for
-    no end and is skipped; a shape with one is tried only with that leaf
-    as its end.
-    """
-    _check_size(n, GENERIC_LEFT_BOUND, "generic left")
-    seen: dict[bytes, XTree] = {}
+def _orientations(n: int, all_masks: bool):
+    """Every shape with n edges rooted at vertex 0, in level-sequence order,
+    under each of its 2**n edge orientations, or with all edges pointing
+    away from the root alone; each as a tree whose end is its start."""
     for L in rooted_tree_level_sequences(n + 1):
-        edges = tuple(_level_sequence_to_edges(L))
-        twins = _twin_leaves(XTree(n + 1, edges, 0, 0))
-        if len(twins) > 1:
-            continue
-        for end in twins or range(n + 1):
-            t = XTree(n + 1, edges, 0, end)
-            if not is_retract_free(t):
-                continue
-            code = canonical_code(t)
-            if code not in seen:
-                seen[code] = t
-    return [seen[c] for c in sorted(seen)]
-
-
-def left_sphere(n: int, strategy: str = "structural") -> tuple[list[Element], CensusRow]:
-    if strategy == "structural":
-        trees = structural_left_trees(n)
-    elif strategy == "generic":
-        trees = generic_left_trees(n)
-    else:
-        raise ValueError("unknown strategy: %r" % strategy)
-    coded = sorted(((canonical_code(t), t) for t in trees), key=lambda ct: ct[0])
-    elements = [Element(t, code, Flavor.LEFT) for code, t in coded]
-    return elements, census_from_trees(n, [t for _, t in coded])
+        base = _level_sequence_to_edges(L)
+        for mask in range(1 << n if all_masks else 1):
+            edges = tuple(
+                (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
+                for i, (a, b, lab) in enumerate(base)
+            )
+            yield XTree(n + 1, edges, 0, 0)
 
 
 def oriented_trees(n: int):
@@ -301,42 +286,45 @@ def oriented_trees(n: int):
     orientations, each end a directed path from the start reaches, in
     ascending order; isomorphic trees recur.
     """
-    for L in rooted_tree_level_sequences(n + 1):
-        base = _level_sequence_to_edges(L)
-        for mask in range(1 << n):
-            edges = tuple(
-                (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
-                for i, (a, b, lab) in enumerate(base)
-            )
-            t = XTree(n + 1, edges, 0, 0)
-            for end in sorted(directed_walk(t)[1]):
-                yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
+    for t in _orientations(n, True):
+        for end in sorted(directed_walk(t)[1]):
+            yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
+
+
+def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
+    """The retract-free trees among the orientations, one per isomorphism
+    class: the first in oriented_trees order, ascending by code.
+
+    A tree with a twin leaf other than its end is not retract-free, and
+    the start is vertex 0 whatever the end, so the twin leaves are found
+    once per orientation: two or more rule out every end, and one is the
+    only end tried.
+    """
+    free: dict[bytes, XTree] = {}
+    for t in _orientations(n, all_masks):
+        twins = _twin_leaves(t)
+        if len(twins) > 1:
+            continue
+        for end in sorted(directed_walk(t)[1]):
+            if twins and end != twins[0]:
+                continue
+            u = t if end == 0 else XTree(n + 1, t.edges, 0, end)
+            if is_retract_free(u):
+                free.setdefault(canonical_code(u), u)
+    return sorted(free.items(), key=lambda ct: ct[0])
+
+
+def generic_left_trees(n: int) -> list[XTree]:
+    """All retract-free left a-trees with n edges, by exhaustive search:
+    every shape with its edges pointing away from the start."""
+    _check_size(n, GENERIC_LEFT_BOUND, "generic left")
+    return [t for _, t in _free_classes(n, False)]
 
 
 def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
-    """All retract-free a-trees with n edges: shapes x orientations x ends.
-
-    A tree with a twin leaf other than its end is not retract-free, and
-    neither is any tree isomorphic to it, so it is dropped before it is
-    coded.
-    """
+    """All retract-free a-trees with n edges: shapes x orientations x ends."""
     _check_size(n, TWO_SIDED_BOUND, "two-sided")
-    seen: set[bytes] = set()
-    free: dict[bytes, XTree] = {}
-    edges = twins = None
-    for t in oriented_trees(n):
-        # the ends of one orientation come in a row, all with start 0
-        if t.edges != edges:
-            edges, twins = t.edges, _twin_leaves(t)
-        if any(v != t.end for v in twins):
-            continue
-        code = canonical_code(t)
-        if code in seen:
-            continue
-        seen.add(code)
-        if is_retract_free(t, engine="generic"):
-            free[code] = t
-    elements = [Element(free[c], c, Flavor.TWO_SIDED) for c in sorted(free)]
+    elements = [Element(t, c, Flavor.TWO_SIDED) for c, t in _free_classes(n, True)]
     return elements, census_from_trees(n, [e.tree for e in elements])
 
 

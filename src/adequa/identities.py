@@ -255,7 +255,7 @@ def monogenic_pool(flavor: Flavor) -> list[Element]:
             els, _ = two_sided_sphere(n)
             pool.extend(els)
         else:
-            els, _ = left_sphere(n, strategy="structural")
+            els, _ = left_sphere(n)
             if flavor is Flavor.LEFT:
                 pool.extend(els)
             else:
@@ -265,11 +265,16 @@ def monogenic_pool(flavor: Flavor) -> list[Element]:
 
 
 def _cached_eval(
-    t: T.Term, text: str, assignment: dict[str, Element], flavor: Flavor
+    t: T.Term,
+    text: str,
+    codes: tuple[tuple[str, bytes], ...],
+    assignment: dict[str, Element],
+    flavor: Flavor,
 ) -> bytes:
     """The code of eval_term's value, memoised on the printed term, which
-    names it uniquely, and the codes of the assignment."""
-    key = (text, flavor, tuple(sorted((k, e.code) for k, e in assignment.items())))
+    names it uniquely, the flavor's value and codes, the assignment's
+    (letter, code) pairs in letter order."""
+    key = (text, flavor.value, codes)
     code = _EVAL_CACHE.get(key)
     if code is None:
         code = _EVAL_CACHE[key] = eval_term(t, assignment, flavor).code
@@ -363,8 +368,10 @@ def falsify_by_substitution(
     lhs_text, rhs_text = term_to_str(spec.lhs), term_to_str(spec.rhs)
 
     def separates(assignment: dict[str, Element]) -> bool:
-        lhs = _cached_eval(spec.lhs, lhs_text, assignment, flavor)
-        return lhs != _cached_eval(spec.rhs, rhs_text, assignment, flavor)
+        # letters is sorted, so this is the assignment's key for both sides
+        codes = tuple([(x, assignment[x].code) for x in letters])
+        lhs = _cached_eval(spec.lhs, lhs_text, codes, assignment, flavor)
+        return lhs != _cached_eval(spec.rhs, rhs_text, codes, assignment, flavor)
 
     pool = monogenic_pool(flavor)
     # order tuples by total edge count so small witnesses come first

@@ -50,19 +50,17 @@ class TargetResult:
 
 def _left_sphere_sizes() -> tuple[bool, str]:
     for n in range(13):
-        _, cen = growth.left_sphere(n, "generic")
-        if cen.total != growth.P(n + 1):
+        if len(growth.generic_left_trees(n)) != growth.P(n + 1):
             return False, "generic mismatch at n=%d" % n
     for n in range(21):
-        _, cen = growth.left_sphere(n, "structural")
-        if cen.total != growth.P(n + 1):
+        if len(growth.structural_left_trees(n)) != growth.P(n + 1):
             return False, "structural mismatch at n=%d" % n
     return True, "left sphere sizes match the partition function to n=20"
 
 
 def _trunk_refinement() -> tuple[bool, str]:
     for n in range(13):
-        _, cen = growth.left_sphere(n, "structural")
+        cen = growth.census_from_trees(n, growth.structural_left_trees(n))
         for k in range(n + 1):
             if cen.by_trunk.get(k, 0) != growth.P(n + 1, k + 1):
                 return False, "mismatch at (n,k)=(%d,%d)" % (n, k)
@@ -70,7 +68,9 @@ def _trunk_refinement() -> tuple[bool, str]:
 
 
 def _first_branch_recursion() -> tuple[bool, str]:
-    census = {n: growth.left_sphere(n, "structural")[1] for n in range(13)}
+    census = {
+        n: growth.census_from_trees(n, growth.structural_left_trees(n)) for n in range(13)
+    }
     for n in range(1, 13):
         for k in range(n):
             for l in range(k + 1):
@@ -89,7 +89,7 @@ def expected_refined_cell_trees() -> list[XTree]:
 
 
 def _refined_cell_check() -> tuple[bool, str]:
-    els, cen = growth.left_sphere(6, "structural")
+    els, cen = growth.left_sphere(6)
     if cen.by_trunk_and_first_branch.get((2, 1), 0) != 2:
         return False, "|S_L(6,2,1)| != 2"
     codes = {e.code for e in els}

@@ -262,8 +262,7 @@ def from_json(text: str) -> XTree:
         if (
             not isinstance(e, list)
             or len(e) != 3
-            or not isinstance(e[0], int)
-            or not isinstance(e[1], int)
+            or any(not isinstance(v, int) or isinstance(v, bool) for v in e[:2])
             or not isinstance(e[2], str)
         ):
             raise InvalidTreeError("malformed JSON at $.edges[%d]" % i)

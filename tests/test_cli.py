@@ -83,6 +83,13 @@ class TestRetract:
         code, _, err = run(capsys, "retract", "--json", "{oops")
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("edge", ["[false,true,\"a\"]", "[0,true,\"a\"]", "[true,1,\"a\"]"])
+    def test_boolean_endpoint_rejected(self, capsys, edge):
+        text = '{"vertices":2,"start":0,"end":1,"edges":[%s]}' % edge
+        code, out, err = run(capsys, "retract", "--json", text)
+        assert code == 2 and out == ""
+        assert "malformed JSON at $.edges[0]" in err
+
 
 class TestEnumeration:
     def test_sphere_count_only(self, capsys):
@@ -99,6 +106,18 @@ class TestEnumeration:
         )
         obj = json.loads(out)
         assert sum(obj["by_trunk"].values()) == obj["total"] == 7
+
+    @pytest.mark.parametrize("variant,n_max", [("left", 10), ("two-sided", 5)])
+    def test_count_only_is_the_full_output_without_elements(self, capsys, variant, n_max):
+        for n in range(n_max + 1):
+            for flags in ([], ["--by-trunk"], ["--idempotents-only"],
+                          ["--by-trunk", "--idempotents-only"]):
+                argv = ["sphere", "--variant", variant, "--edges", str(n), *flags]
+                _, full, _ = run(capsys, *argv)
+                _, counted, _ = run(capsys, *argv, "--count-only")
+                want = json.loads(full)
+                del want["elements"]
+                assert json.loads(counted) == want, (n, flags)
 
     def test_left_sphere_is_the_generic_set(self, capsys):
         for n in range(9):

@@ -19,6 +19,7 @@ from adequa.growth import (
     PUBLISHED_TABLE_SE,
     ZigZag,
     census_from_trees,
+    generic_left_trees,
     hardy_ramanujan_estimate,
     left_sphere,
     oriented_trees,
@@ -33,7 +34,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import endomorphism_oracle, is_retract_free
-from adequa.trees import InvalidTreeError, XTree, canonical_code, validate
+from adequa.trees import InvalidTreeError, XTree, canonical_code, is_left, validate
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -88,7 +89,7 @@ class TestRootedTreeShapes:
 class TestLeftSpheres:
     def test_sphere_equals_partition_function(self):
         for n in range(31):
-            _, cen = left_sphere(n, "structural")
+            _, cen = left_sphere(n)
             assert cen.total == P(n + 1)
             for k in range(n + 1):
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
@@ -120,14 +121,15 @@ class TestLeftSpheres:
 
     def test_generic_matches_structural(self):
         for n in range(GENERIC_LEFT_BOUND + 1):
-            els_g, cen_g = left_sphere(n, "generic")
-            els_s, cen_s = left_sphere(n, "structural")
-            assert {e.code for e in els_g} == {e.code for e in els_s}
+            trees_g = generic_left_trees(n)
+            cen_g = census_from_trees(n, trees_g)
+            els_s, cen_s = left_sphere(n)
+            assert {canonical_code(t) for t in trees_g} == {e.code for e in els_s}
             assert cen_g.by_trunk == cen_s.by_trunk
 
     def test_trunk_refinement(self):
         for n in range(10):
-            _, cen = left_sphere(n, "structural")
+            _, cen = left_sphere(n)
             for k in range(n + 1):
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
 
@@ -138,7 +140,7 @@ class TestLeftSpheres:
             assert is_retract_free(t, engine="generic")
 
     def test_first_branch_recursion(self):
-        census = {n: left_sphere(n, "structural")[1] for n in range(10)}
+        census = {n: left_sphere(n)[1] for n in range(10)}
         for n in range(1, 10):
             for k in range(n):
                 for l in range(k + 1):
@@ -147,7 +149,7 @@ class TestLeftSpheres:
                     ) == census[n - k - 1].by_trunk.get(k - l, 0)
 
     def test_specific_refined_count(self):
-        _, cen = left_sphere(6, "structural")
+        _, cen = left_sphere(6)
         assert cen.by_trunk_and_first_branch.get((2, 1)) == 2
 
 
@@ -208,19 +210,28 @@ class TestTwoSidedSpheres:
         assert pruned > 1000
 
     def test_matches_unpruned_search(self):
-        for n in range(7):
+        def unpruned(n, keep):
             seen = set()
             free = {}
             for t in oriented_trees(n):
+                if not keep(t):
+                    continue
                 code = canonical_code(t)
                 if code not in seen:
                     seen.add(code)
                     if is_retract_free(t, engine="generic"):
                         free[code] = t
-            trees = [free[c] for c in sorted(free)]
+            return [free[c] for c in sorted(free)]
+
+        for n in range(7):
+            trees = unpruned(n, lambda t: True)
             els, cen = two_sided_sphere(n)
-            assert [(e.code, e.tree) for e in els] == list(zip(sorted(free), trees))
+            assert [(e.code, e.tree) for e in els] == [
+                (canonical_code(t), t) for t in trees
+            ]
             assert cen == census_from_trees(n, trees)
+        for n in range(9):
+            assert generic_left_trees(n) == unpruned(n, is_left)
 
 
 class TestZigZags:
