@@ -2,7 +2,8 @@
 
 Elements are stored as retract-free trees with a cached canonical code,
 so equality is code comparison.  Multiplication glues end-to-start and
-retracts; the unary operations relocate a root and retract.  The right
+retracts; the unary operations relocate a root and retract.  A term is
+evaluated by building its unretracted tree and retracting once.  The right
 flavour is driven through the left machinery by the edge-reversing
 anti-isomorphism.
 """
@@ -94,11 +95,6 @@ def generator(label: str, flavor: Flavor) -> Element:
     return make_element(generator_tree(label), flavor)
 
 
-def _require_same_flavor(s: Element, t: Element) -> None:
-    if s.flavor is not t.flavor:
-        raise FlavorError("flavor mismatch: %s vs %s" % (s.flavor, t.flavor))
-
-
 def glue(s: XTree, t: XTree) -> XTree:
     """Glue t to s start-to-end, without retracting."""
     shift = s.vertices
@@ -108,7 +104,8 @@ def glue(s: XTree, t: XTree) -> XTree:
 
 
 def multiply(s: Element, t: Element) -> Element:
-    _require_same_flavor(s, t)
+    if s.flavor is not t.flavor:
+        raise FlavorError("flavor mismatch: %s vs %s" % (s.flavor, t.flavor))
     return make_element(glue(s.tree, t.tree), s.flavor)
 
 
@@ -132,62 +129,81 @@ def star_op(t: Element) -> Element:
     return make_element(moved, t.flavor)
 
 
-def _dual_flavor(f: Flavor) -> Flavor:
-    if f is Flavor.LEFT:
-        return Flavor.RIGHT
-    if f is Flavor.RIGHT:
-        return Flavor.LEFT
-    return Flavor.TWO_SIDED
+_DUAL = {Flavor.LEFT: Flavor.RIGHT, Flavor.RIGHT: Flavor.LEFT, Flavor.TWO_SIDED: Flavor.TWO_SIDED}
 
 
 def reverse_element(t: Element) -> Element:
     """The anti-isomorphism image: flip all edges, swap roots, swap flavor."""
-    return make_element(reverse_tree(t.tree), _dual_flavor(t.flavor))
+    return make_element(reverse_tree(t.tree), _DUAL[t.flavor])
+
+
+# markers on eval_term's stack, each paired with a saved vertex
+_PLUS_END, _STAR_END = object(), object()
 
 
 def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> Element:
     """Structural evaluation: the unique morphism extending the assignment.
 
-    Iterative, so a long word, which parses to a product nested as deep
-    as the word is long, needs no recursion.  Subterms are evaluated left
-    to right and an operator outside the flavor's signature is rejected
-    before its argument is evaluated.
+    A term's value is the retract of its raw tree (Kambites), so the raw
+    tree is built in one iterative pass and retracted once.  The pass
+    threads the current vertex down the term, left to right: a product
+    builds its left factor from it and its right factor from the left
+    factor's end; a letter copies its element's tree with the start on
+    the current vertex and fresh other vertices; 1 and ^+ leave the
+    current vertex as the value's end; ^* builds its argument from a
+    fresh vertex, then identifies the argument's end with the current
+    vertex, which is the value's end.  An operator outside the flavor's
+    signature is rejected before its argument is visited.
     """
-    values: list[Element] = []
-    todo = [(t, False)]  # (subterm, its arguments are on top of `values`)
+    edges: list[tuple[int, int, str]] = []
+    n = 1  # vertices made so far; vertex 0 is the start
+    cur = 0  # where the next subterm starts, and then where it ended
+    same: list[tuple[int, int]] = []  # (e, v): ^* identified e with v
+    todo: list = [t]
     while todo:
-        node, ready = todo.pop()
-        if isinstance(node, terms_mod.Product):
-            if ready:
-                right = values.pop()
-                values[-1] = multiply(values[-1], right)
-            else:
-                todo += ((node, True), (node.right, False), (node.left, False))
-        elif isinstance(node, terms_mod.Letter):
+        node = todo.pop()
+        kind = type(node)
+        if kind is terms_mod.Product:
+            todo += (node.right, node.left)
+        elif kind is terms_mod.Letter:
             try:
                 e = assignment[node.name]
             except KeyError:
                 raise ValueError("unassigned letter: %s" % node.name) from None
             if e.flavor is not flavor:
                 raise FlavorError("assignment flavor mismatch for %s" % node.name)
-            values.append(e)
-        elif isinstance(node, terms_mod.Plus):
-            if ready:
-                values[-1] = plus_op(values[-1])
-            elif flavor is Flavor.RIGHT:
+            s = e.tree.start
+            at = [cur if v == s else n + v - (v > s) for v in range(e.tree.vertices)]
+            edges += [(at[a], at[b], lab) for a, b, lab in e.tree.edges]
+            cur = at[e.tree.end]
+            n += e.tree.vertices - 1
+        elif kind is terms_mod.Plus:
+            if flavor is Flavor.RIGHT:
                 raise FlavorError("plus operator not valid for the right flavor")
-            else:
-                todo += ((node, True), (node.child, False))
-        elif isinstance(node, terms_mod.Star):
-            if ready:
-                values[-1] = star_op(values[-1])
-            elif flavor is Flavor.LEFT:
+            todo += ((_PLUS_END, cur), node.child)
+        elif kind is terms_mod.Star:
+            if flavor is Flavor.LEFT:
                 raise FlavorError("star operator not valid for the left flavor")
-            else:
-                todo += ((node, True), (node.child, False))
-        elif isinstance(node, terms_mod.Identity):
-            values.append(identity_element(flavor))
-        else:
+            todo += ((_STAR_END, cur), node.child)
+            cur = n
+            n += 1
+        elif kind is tuple and node[0] is _PLUS_END:
+            cur = node[1]
+        elif kind is tuple and node[0] is _STAR_END:
+            same.append((cur, node[1]))
+            cur = node[1]
+        elif kind is not terms_mod.Identity:
             raise TypeError("not a term: %r" % (node,))
-    return values[0]
-
+    if type(t) is terms_mod.Letter:  # its value is its element, retracted already
+        return e
+    if same:
+        # ^* identifies its argument's end e with an older vertex v, and e
+        # is never visited again; so v can only be identified later, and
+        # resolving from the last identification reaches every final vertex.
+        rep = list(range(n))
+        for e, v in reversed(same):
+            rep[e] = rep[v]
+        index = {v: i for i, v in enumerate(sorted(set(rep)))}
+        edges = [(index[rep[a]], index[rep[b]], lab) for a, b, lab in edges]
+        n, cur = len(index), index[rep[cur]]
+    return make_element(XTree(n, edges, 0, cur), flavor)

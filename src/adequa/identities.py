@@ -205,11 +205,8 @@ def check_fladX(spec: IdentitySpec) -> CheckResult:
 
 def fad1_witness_element(n: int) -> Element:
     """The separating element (a(a^n)*)^+ a of the two-sided witness family."""
-    a = generator("a", Flavor.TWO_SIDED)
-    power = a
-    for _ in range(n - 1):
-        power = multiply(power, a)
-    return multiply(plus_op(multiply(a, star_op(power))), a)
+    term = parse_term("(a(%s)^*)^+a" % ("a" * n))
+    return eval_term(term, {"a": generator("a", Flavor.TWO_SIDED)}, Flavor.TWO_SIDED)
 
 
 def check_fad1_plain(spec: IdentitySpec) -> CheckResult:

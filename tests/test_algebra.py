@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adequa.algebra import (
     Element,
@@ -19,7 +21,7 @@ from adequa.algebra import (
     star_op,
 )
 from adequa.identities import random_monogenic_element
-from adequa.terms import parse_term
+from adequa.terms import Identity, Letter, Plus, Product, Star, _fold, parse_term
 from adequa.trees import XTree, canonical_code, theta
 
 
@@ -208,3 +210,104 @@ class TestEval:
     def test_flavor_gating_in_eval(self):
         with pytest.raises(FlavorError):
             eval_term(parse_term("x^*"), {"x": generator("x", Flavor.LEFT)}, Flavor.LEFT)
+
+    def test_operator_rejected_before_its_argument(self):
+        # the flavor check comes before the unassigned letter inside
+        with pytest.raises(FlavorError):
+            eval_term(parse_term("(z)^*"), {}, Flavor.LEFT)
+
+    def test_plus_rejected_in_right_flavor(self):
+        with pytest.raises(FlavorError):
+            eval_term(parse_term("x^+"), {"x": generator("x", Flavor.RIGHT)}, Flavor.RIGHT)
+
+
+UNARY = {Flavor.LEFT: (Plus,), Flavor.RIGHT: (Star,), Flavor.TWO_SIDED: (Plus, Star)}
+
+
+def fold_eval(t, assignment, flavor):
+    """The term evaluated one multiply/plus_op/star_op at a time."""
+    one = identity_element(flavor)
+    leaf = lambda node: one if isinstance(node, Identity) else assignment[node.name]
+    return _fold(t, leaf, multiply, plus_op, star_op)
+
+
+@st.composite
+def flavor_terms(draw, flavor, letters, max_letters):
+    """A term with 1 to max_letters leaves, bracketed at random, with a
+    unary operator of the flavor on some of its nodes."""
+    leaves = st.sampled_from([Letter(x) for x in letters * 3] + [Identity()])
+    unary = st.sampled_from((None, None) + UNARY[flavor])
+
+    def build(n):
+        if n == 1:
+            t = draw(leaves)
+        else:
+            k = draw(st.integers(1, n - 1))
+            t = Product(build(k), build(n - k))
+        op = draw(unary)
+        return t if op is None else op(t)
+
+    return build(draw(st.integers(1, max_letters)))
+
+
+@st.composite
+def evaluations(draw):
+    """A flavor, a term on 1 to 3 letters, and an assignment of each letter
+    to a generator or to the value of a small term on a, b, c."""
+    flavor = draw(st.sampled_from(list(Flavor)))
+    letters = "xyz"[: draw(st.integers(1, 3))]
+    gens = {x: generator(x, flavor) for x in "abc"}
+    assignment = {}
+    for x, label in zip(letters, "abc"):
+        if draw(st.booleans()):
+            assignment[x] = gens[label]
+        else:
+            assignment[x] = fold_eval(draw(flavor_terms(flavor, "abc", 4)), gens, flavor)
+    return flavor, draw(flavor_terms(flavor, letters, 40)), assignment
+
+
+def balanced_product(letters):
+    """The word as a balanced product, which the fold multiplies in
+    O(n log n) rather than the O(n^2) of a left-nested word."""
+    level = [Letter(x) for x in letters]
+    while len(level) > 1:
+        pairs = [Product(a, b) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[len(pairs) * 2:]
+    return level[0]
+
+
+class TestEvalMatchesFold:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluations())
+    def test_random_terms(self, case):
+        flavor, t, assignment = case
+        assert eval_term(t, assignment, flavor).code == fold_eval(t, assignment, flavor).code
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_long_words(self, flavor):
+        rng = random.Random(2000)
+        gens = {x: generator(x, flavor) for x in "ab"}
+        # y is not a generator, so the word's tree branches and retracts
+        unary = UNARY[flavor][0]
+        assignment = {
+            "x": gens["a"],
+            "y": fold_eval(Product(unary(Letter("a")), Letter("b")), gens, flavor),
+        }
+        word = "".join(rng.choice("xy") for _ in range(2048))
+        value = eval_term(balanced_product(word), assignment, flavor)
+        assert value.code == fold_eval(balanced_product(word), assignment, flavor).code
+        assert eval_term(parse_term(word), assignment, flavor) == value
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_deep_unary_nests(self, flavor):
+        # ((x y)^op x)^op y)^op ..., 3000 operators deep, in every flavor
+        ops = UNARY[flavor]
+        assignment = {x: generator(x, flavor) for x in "xy"}
+        t = Letter("x")
+        for i in range(3000):
+            op = ops[i % len(ops)]
+            factor = Letter("xy"[i % 2])
+            t = op(Product(t, factor) if op is Plus else Product(factor, t))
+        assert eval_term(t, assignment, flavor).code == fold_eval(t, assignment, flavor).code
+        bare = parse_term("(" * 3000 + "xy" + (")^" + "+*"[ops[-1] is Star]) * 3000)
+        assert eval_term(bare, assignment, flavor).code == fold_eval(bare, assignment, flavor).code

@@ -89,7 +89,7 @@ class TestRootedTreeShapes:
 class TestLeftSpheres:
     def test_sphere_equals_partition_function(self):
         for n in range(31):
-            _, cen = left_sphere(n)
+            cen = census_from_trees(n, structural_left_trees(n))
             assert cen.total == P(n + 1)
             for k in range(n + 1):
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)

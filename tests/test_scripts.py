@@ -27,3 +27,25 @@ def test_growth_report_json():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert [row["n"] for row in report["rows"]] == list(range(7))
+
+
+def test_bench_smoke(tmp_path):
+    out = tmp_path / "BENCH_smoke.json"
+    baseline = ["--baseline", "HEAD"] if os.path.isdir(os.path.join(ROOT, ".git")) else []
+    proc = run_script("bench.py", "--smoke", "--workloads", "arith", "--seeds", "1",
+                      "--seconds", "0.5", "--out", str(out), *baseline)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["python"] and report["machine"]["cpus"]
+    arith = report["workloads"]["arith"]
+    sides = ["change", "baseline"] if baseline else ["change"]
+    for side in sides:
+        assert arith[side]["correct"]
+        assert arith[side]["failed_ratio"]["median"] == 0
+        for name in ("ops_per_s", "op_p50_ms", "op_tail_ms", "setup_s", "peak_rss_mb"):
+            stats = arith[side][name]
+            assert stats["q1"] <= stats["median"] <= stats["q3"]
+        assert len(arith["runs"][side]) == 1
+    if baseline:
+        assert set(report["commits"]) == {"change", "baseline"}
+        assert set(arith["change_wins"]) == set(report["better"])
