@@ -137,23 +137,18 @@ def reverse_element(t: Element) -> Element:
     return make_element(reverse_tree(t.tree), _DUAL[t.flavor])
 
 
-# markers on eval_term's stack, each paired with a saved vertex
-_PLUS_END, _STAR_END = object(), object()
+_END = object()  # on eval_term's stack: (_END, v, star) ends a ^+ or ^* begun at v
 
 
 def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> Element:
     """Structural evaluation: the unique morphism extending the assignment.
 
-    A term's value is the retract of its raw tree (Kambites), so the raw
-    tree is built in one iterative pass and retracted once.  The pass
-    threads the current vertex down the term, left to right: a product
-    builds its left factor from it and its right factor from the left
-    factor's end; a letter copies its element's tree with the start on
-    the current vertex and fresh other vertices; 1 and ^+ leave the
-    current vertex as the value's end; ^* builds its argument from a
-    fresh vertex, then identifies the argument's end with the current
-    vertex, which is the value's end.  An operator outside the flavor's
-    signature is rejected before its argument is visited.
+    A term's value is the retract of its raw tree (Kambites).  One
+    iterative pass builds that tree, threading the current vertex down
+    the term, and it is retracted once.  Only ^* identifies two vertices:
+    its argument's end, built from a fresh vertex, with the current one.
+    An operator outside the flavor's signature is rejected before its
+    argument is visited.
     """
     edges: list[tuple[int, int, str]] = []
     n = 1  # vertices made so far; vertex 0 is the start
@@ -180,26 +175,24 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
         elif kind is terms_mod.Plus:
             if flavor is Flavor.RIGHT:
                 raise FlavorError("plus operator not valid for the right flavor")
-            todo += ((_PLUS_END, cur), node.child)
+            todo += ((_END, cur, False), node.child)
         elif kind is terms_mod.Star:
             if flavor is Flavor.LEFT:
                 raise FlavorError("star operator not valid for the left flavor")
-            todo += ((_STAR_END, cur), node.child)
+            todo += ((_END, cur, True), node.child)
             cur = n
             n += 1
-        elif kind is tuple and node[0] is _PLUS_END:
-            cur = node[1]
-        elif kind is tuple and node[0] is _STAR_END:
-            same.append((cur, node[1]))
+        elif kind is tuple and node[0] is _END:
+            if node[2]:
+                same.append((cur, node[1]))
             cur = node[1]
         elif kind is not terms_mod.Identity:
             raise TypeError("not a term: %r" % (node,))
     if type(t) is terms_mod.Letter:  # its value is its element, retracted already
         return e
     if same:
-        # ^* identifies its argument's end e with an older vertex v, and e
-        # is never visited again; so v can only be identified later, and
-        # resolving from the last identification reaches every final vertex.
+        # e is never visited again once identified with the older v, so v can
+        # only be identified later: resolving from the last one is final.
         rep = list(range(n))
         for e, v in reversed(same):
             rep[e] = rep[v]

@@ -70,10 +70,9 @@ def _eval_in_flavor(term_text: str, flavor: Flavor, assigns: list[str]) -> Eleme
         sub = {x: generator(x, flavor) for x in letters_of(rt)}
         base[letter] = eval_term(rt, sub, flavor)
     term = parse_term(term_text)
-    assignment = dict(base)
     for x in letters_of(term):
-        assignment.setdefault(x, generator(x, flavor))
-    return eval_term(term, assignment, flavor)
+        base.setdefault(x, generator(x, flavor))
+    return eval_term(term, base, flavor)
 
 
 def _cmd_eval(args) -> int:

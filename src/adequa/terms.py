@@ -191,9 +191,18 @@ def term_length(t: Term) -> int:
 
 
 def letters_of(t: Term) -> set[str]:
-    """The letters occurring in t."""
-    leaf = lambda node: {node.name} if isinstance(node, Letter) else set()
-    return _fold(t, leaf, set.union, _keep, _keep)
+    """The letters occurring in t, found without recursion."""
+    found: set[str] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Letter):
+            found.add(node.name)
+        elif isinstance(node, Product):
+            todo += (node.left, node.right)
+        elif isinstance(node, (Plus, Star)):
+            todo.append(node.child)
+    return found
 
 
 def dualize_term(t: Term) -> Term:
