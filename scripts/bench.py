@@ -20,6 +20,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -100,6 +101,9 @@ def main(argv=None):
     ap.add_argument("--baseline", metavar="REV", help="also run this commit, pair by pair")
     ap.add_argument("--smoke", action="store_true", help="tiny input sizes, for a self-test")
     args = ap.parse_args(argv)
+    # exit through the with-blocks below, so that a terminated run stops its
+    # benchmark process and removes its export
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
