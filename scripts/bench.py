@@ -12,7 +12,10 @@ with the same run of REV's own `perfbench/run.py`, taken from a
 alternates from pair to pair.  The file records the machine, the Python
 version, both commits, every run, and per side the median and quartiles
 of each end-to-end metric named in BENCHMARK.json, plus how many pairs
-the working tree won on each metric (ties count for neither side).
+the working tree won on each metric (ties count for neither side) and,
+as `regressions`, the metrics whose working-tree median is worse than
+the baseline median by more than the metric's bound in BENCHMARK.json
+(a fraction of the baseline median; any rise of failed_ratio counts).
 """
 
 import argparse
@@ -92,6 +95,18 @@ def summary(runs, names):
     return out
 
 
+def regressions(entry, better, bound):
+    """Each metric whose change median is worse than the baseline median
+    by more than its bound, with both medians."""
+    out = {}
+    for name, way in better.items():
+        b, c = entry["baseline"][name]["median"], entry["change"][name]["median"]
+        worse = c - b if way == "lower" else b - c
+        if worse > bound[name] * abs(b):
+            out[name] = {"baseline": b, "change": c}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="the JSON file to write")
@@ -106,8 +121,10 @@ def main(argv=None):
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    better["failed_ratio"] = "lower"
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
+    better["failed_ratio"], bound["failed_ratio"] = "lower", 0
 
     try:
         head = git("rev-parse", "HEAD").decode().strip()
@@ -148,6 +165,7 @@ def main(argv=None):
                     )
                     for name, way in better.items()
                 }
+                entry["regressions"] = regressions(entry, better, bound)
             results[workload] = entry
 
     report = {

@@ -106,13 +106,9 @@ class CensusRow:
 def _first_branch_index(t: XTree) -> int | None:
     """Smallest trunk index (from the start) carrying a non-trunk out-edge."""
     trunk = validate(t)
-    trunk_next = {a: b for a, b, _ in trunk.edges}
-    children, _ = directed_walk(t)
-    for i, v in enumerate(trunk.vertices):
-        nxt = trunk_next.get(v)
-        if any(w != nxt for w in children[v]):
-            return i
-    return None
+    index = {v: i for i, v in enumerate(trunk.vertices)}
+    anchors = [a for v, a in enumerate(trunk.parent) if trunk.forward[v] and v not in index]
+    return min((index[a] for a in anchors if a in index), default=None)
 
 
 def census_from_trees(n: int, trees: list[XTree]) -> CensusRow:

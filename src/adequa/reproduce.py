@@ -149,10 +149,10 @@ def _partition_identity() -> tuple[bool, str]:
     return True, "subset-sum partition identity holds for all m,r,t <= 12"
 
 
-def _axiom_suite(rounds: int = 1000, seed: int = 11) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def _axiom_suite() -> tuple[bool, str]:
+    rng = random.Random(11)
     a = generator("a", Flavor.LEFT)
-    for step in range(rounds):
+    for step in range(1000):
         x = random_monogenic_element(rng, Flavor.LEFT, 8)
         y = random_monogenic_element(rng, Flavor.LEFT, 8)
         z = random_monogenic_element(rng, Flavor.LEFT, 8)
@@ -180,7 +180,7 @@ def _axiom_suite(rounds: int = 1000, seed: int = 11) -> tuple[bool, str]:
             return False, "star idempotent commutation fails"
         if star_op(multiply(u, v)) != star_op(multiply(us, v)):
             return False, "(xy)* = (x*y)* fails"
-    return True, "%d randomized axiom rounds passed" % rounds
+    return True, "1000 randomized axiom rounds passed"
 
 
 def _oracle_equivalence() -> tuple[bool, str]:
@@ -210,7 +210,7 @@ def random_term(rng: random.Random, depth: int = 0) -> Term:
     return Product(random_term(rng, depth + 1), random_term(rng, depth + 1))
 
 
-def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, str]:
+def _identity_checker() -> tuple[bool, str]:
     if not check_enriched_flad1(IdentitySpec.parse("xyzxty", "yxzxty")).satisfied:
         return False, "left benchmark identity rejected"
     if not check_enriched_frad1(IdentitySpec.parse("xzytxy", "xzytyx")).satisfied:
@@ -227,9 +227,9 @@ def _identity_checker(random_rounds: int = 1000, seed: int = 5) -> tuple[bool, s
             if verdict != (witness is None):
                 return False, "plain disagreement on %r ~ %r" % (u, v)
     # random enriched sweep
-    rng = random.Random(seed)
+    rng = random.Random(5)
     done = 0
-    while done < random_rounds:
+    while done < 1000:
         u, v = random_term(rng), random_term(rng)
         if term_length(u) > 6 or term_length(v) > 6:
             continue

@@ -15,7 +15,7 @@ the retract-free retract up to isomorphism is a general fact about
 relational structures (Hell & Nesetril, "The core of a graph", 1992),
 so the engine may delete in whatever order is cheapest.
 
-One pass suffices.  Rooting the tree once at its trunk, the branches
+One pass suffices.  Over the rooting `validate` returns, the branches
 are visited leaves first, over one adjacency in which the head of each
 folded branch is marked dead, cutting the branch off.  Deleting a
 branch disjoint from B only shrinks the host that B must map into, so
@@ -71,24 +71,18 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(t: XTree, trunk: TrunkInfo) -> tuple[Adjacency, list[int], list[int]]:
-    """Adjacency, parent array and BFS order of the non-trunk vertices.
+def _rooted(trunk: TrunkInfo) -> tuple[Adjacency, list[int], list[int]]:
+    """Adjacency, parent array and order of the non-trunk vertices.
 
-    The BFS starts from every trunk vertex at once, so parent[b] is the
-    anchor of the branch headed by b (-1 on the trunk), and every vertex
-    comes after its parent in the order.
+    Taken from the rooting at the start: a non-trunk vertex's path to
+    the start enters the trunk at its branch's anchor, so parent[b] is
+    that anchor for the head b of a branch (-1 on the trunk), and every
+    vertex comes after its parent in the order.
     """
-    adj = undirected_adjacency(t)
-    parent = [-2] * t.vertices  # -2: not reached yet
+    parent = trunk.parent.copy()
     for v in trunk.vertices:
         parent[v] = -1
-    queue = list(trunk.vertices)
-    for v in queue:
-        for w, _, _ in adj[v]:
-            if parent[w] == -2:
-                parent[w] = v
-                queue.append(w)
-    return adj, parent, queue[len(trunk.vertices):]
+    return trunk.adj, parent, [v for v in trunk.order if parent[v] >= 0]
 
 
 def _branch(adj: Adjacency, parent: list[int], b: int) -> Branch:
@@ -176,7 +170,7 @@ def find_foldable_branch(t: XTree) -> Branch | None:
 
     Deterministic: the first foldable branch of the leaves-first pass.
     """
-    adj, parent, order = _rooted(t, validate(t))
+    adj, parent, order = _rooted(validate(t))
     b = next(_folds(adj, parent, order), None)
     return None if b is None else _branch(adj, parent, b)
 
@@ -194,7 +188,7 @@ def _delete(t: XTree, gone: set[int]) -> XTree:
 
 def retract(t: XTree) -> XTree:
     """The retract-free retract; independent of deletion order."""
-    adj, parent, order = _rooted(t, validate(t))
+    adj, parent, order = _rooted(validate(t))
     gone = set(_folds(adj, parent, order))
     if not gone:
         return t

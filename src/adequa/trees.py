@@ -41,10 +41,22 @@ class XTree:
 
 @dataclass(frozen=True, slots=True)
 class TrunkInfo:
-    """The unique directed start-to-end path of a valid tree."""
+    """The unique directed start-to-end path of a valid tree, with the
+    rooting at the start that found it.
+
+    `adj` is the tree's `undirected_adjacency`; `parent[v]` is the
+    neighbour of v towards the start (the start is its own parent);
+    `forward[v]` says whether the edge between them is (parent[v], v);
+    `order` is the breadth-first order, each vertex after its parent.
+    The lists are shared by every reader and must not be changed.
+    """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, str], ...]
+    adj: list[list[tuple[int, bool, str]]]
+    parent: list[int]
+    forward: list[bool]
+    order: list[int]
 
     @property
     def length(self) -> int:
@@ -75,7 +87,8 @@ _last: tuple[XTree | None, TrunkInfo | None] = (None, None)
 
 
 def validate(t: XTree) -> TrunkInfo:
-    """Check the tree and trunk invariants; return the trunk on success.
+    """Check the tree and trunk invariants; return the trunk and the
+    rooting on success.
 
     Raises InvalidTreeError("not a tree") on disconnection, bad counts or
     out-of-range indices, and InvalidTreeError("no trunk") when there is
@@ -127,9 +140,8 @@ def validate(t: XTree) -> TrunkInfo:
     path.reverse()
     if not all(forward[b] for b in path[1:]):
         raise InvalidTreeError("no trunk: no directed start-to-end path")
-    info = TrunkInfo(
-        tuple(path), tuple((parent[b], b, label[b]) for b in path[1:])
-    )
+    trunk_edges = tuple((parent[b], b, label[b]) for b in path[1:])
+    info = TrunkInfo(tuple(path), trunk_edges, adj, parent, forward, order)
     _last = (t, info)
     return info
 
@@ -141,34 +153,32 @@ class Classification:
     is_idempotent_shape: bool
 
 
-def directed_walk(t: XTree, forward: bool = True) -> tuple[list[list[int]], list[int]]:
-    """The walk from the start along the edges, or from the end against them.
+def directed_walk(t: XTree) -> tuple[list[list[int]], list[int]]:
+    """The walk from the start along the edges.
 
-    Returns the successor lists in the walk's direction and the vertices
-    reached, each after the one it was reached from.  t must be a valid
-    tree: two edges into one reached vertex would close a cycle, so no
-    vertex is reached twice.  t is left iff the forward walk reaches every
-    vertex, right iff the backward one does.
+    Returns the successor lists and the vertices reached, each after the
+    one it was reached from.  t must be a valid tree: two edges into one
+    reached vertex would close a cycle, so no vertex is reached twice.
     """
     succ: list[list[int]] = [[] for _ in range(t.vertices)]
-    if forward:
-        for src, dst, _ in t.edges:
-            succ[src].append(dst)
-    else:
-        for src, dst, _ in t.edges:
-            succ[dst].append(src)
-    order = [t.start if forward else t.end]
+    for src, dst, _ in t.edges:
+        succ[src].append(dst)
+    order = [t.start]
     for v in order:
         order.extend(succ[v])
     return succ, order
 
 
 def is_left(t: XTree) -> bool:
-    return len(directed_walk(t)[1]) == t.vertices
+    """Does every edge point away from the start?  The start is never forward."""
+    return validate(t).forward.count(True) == t.vertices - 1
 
 
 def is_right(t: XTree) -> bool:
-    return len(directed_walk(t, forward=False)[1]) == t.vertices
+    """Does every edge off the trunk point towards it, so that each vertex
+    reaches the end along the edges?  The trunk is forward after the start."""
+    trunk = validate(t)
+    return trunk.forward.count(True) == trunk.length
 
 
 def classify(t: XTree) -> Classification:
@@ -189,19 +199,12 @@ def canonical_code(t: XTree) -> bytes:
     with its direction relative to the traversal and its label.  Codes
     are equal iff the trees are isomorphic as birooted labelled trees.
     """
-    validate(t)
-    adj = undirected_adjacency(t)
-    parent = [-1] * t.vertices
-    order = [t.start]
-    for v in order:
-        for w, _, _ in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    rooting = validate(t)
+    adj, parent = rooting.adj, rooting.parent
     # Every vertex follows its parent in `order`, so walking it backwards
     # encodes children before parents; a child's code is dropped once used.
     code: dict[int, bytes] = {}
-    for v in reversed(order):
+    for v in reversed(rooting.order):
         parts = sorted(
             (b">" if out else b"<") + lab.encode() + code.pop(w)
             for w, out, lab in adj[v]
@@ -239,7 +242,7 @@ def to_json(t: XTree) -> str:
             "vertices": t.vertices,
             "start": t.start,
             "end": t.end,
-            "edges": [[a, b, lab] for a, b, lab in sorted(t.edges)],
+            "edges": [[a, b, lab] for a, b, lab in t.edges],
         },
         separators=(",", ":"),
     )
@@ -279,7 +282,7 @@ def to_dot(t: XTree) -> str:
     for v in range(t.vertices):
         marks = ("+" if v == t.start else "") + ("×" if v == t.end else "")
         lines.append('  %d [label="%s"];' % (v, marks))
-    for a, b, lab in sorted(t.edges):
+    for a, b, lab in t.edges:
         lines.append('  %d -> %d [label="%s"];' % (a, b, lab))
     lines.append("}")
     return "\n".join(lines)

@@ -63,7 +63,7 @@ def test_criterion_08_partition_identity():
 
 
 def test_criterion_09_axiom_suite():
-    ok, detail = reproduce._axiom_suite(rounds=1000)
+    ok, detail = reproduce._axiom_suite()
     verdict(9, "axiom suite", ok, detail if not ok else "1000 tuples")
 
 
@@ -75,7 +75,7 @@ def test_criterion_10_oracle_equivalence():
 
 
 def test_criterion_11_identity_checker():
-    ok, detail = reproduce._identity_checker(random_rounds=1000)
+    ok, detail = reproduce._identity_checker()
     verdict(11, "identity checker", ok, detail if not ok else "")
 
 

@@ -20,7 +20,15 @@ from adequa.retract import (
     left_monogenic_core,
     retract,
 )
-from adequa.trees import XTree, canonical_code, generator_tree, validate
+from adequa.trees import (
+    XTree,
+    canonical_code,
+    generator_tree,
+    is_left,
+    is_right,
+    undirected_adjacency,
+    validate,
+)
 
 from .test_trees import relabel_tree
 
@@ -181,8 +189,71 @@ def core_with_copies(rng, n_edges):
 
 def folded_heads(t):
     """The heads of the branches that the retraction pass deletes."""
-    adj, parent, order = _rooted(t, validate(t))
+    adj, parent, order = _rooted(validate(t))
     return set(_folds(adj, parent, order))
+
+
+def rooting_sample():
+    """Every tree of oriented_trees(n), n <= 5, with every end, and 300
+    seeded two-label trees with mixed edge directions."""
+    for n in range(6):
+        yield from oriented_trees(n)
+    rng = random.Random(19)
+    for _ in range(300):
+        yield random_tree(rng, rng.randint(1, 12), "ab")
+
+
+def reaches_every_vertex(t, along):
+    """Does the walk from the start along the edges (along=True), or from
+    the end against them, reach every vertex?"""
+    succ = [[] for _ in range(t.vertices)]
+    for a, b, _ in t.edges:
+        (succ[a] if along else succ[b]).append(b if along else a)
+    seen = {t.start if along else t.end}
+    stack = list(seen)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == t.vertices
+
+
+class TestRooting:
+    """The rooting `validate` returns, which canonical_code, the engine
+    and the shape tests read instead of walking the tree again."""
+
+    def test_rooting_contract(self):
+        shapes = set()
+        for t in rooting_sample():
+            r = validate(t)
+            edges = {(a, b) for a, b, _ in t.edges}
+            assert r.adj == undirected_adjacency(t)
+            assert r.order[0] == t.start == r.parent[t.start]
+            assert sorted(r.order) == list(range(t.vertices))
+            position = {v: i for i, v in enumerate(r.order)}
+            for v in range(t.vertices):
+                p = r.parent[v]
+                assert v == t.start or position[p] < position[v]
+                assert v == t.start or (p, v) in edges or (v, p) in edges
+                assert r.forward[v] == ((p, v) in edges)
+            left, right = reaches_every_vertex(t, True), reaches_every_vertex(t, False)
+            assert (is_left(t), is_right(t)) == (left, right)
+            shapes.add((left, right))
+        assert len(shapes) == 4
+
+    def test_rooted_branches_follow_their_parents(self):
+        for t in rooting_sample():
+            trunk = validate(t)
+            before = list(trunk.parent)
+            adj, parent, order = _rooted(trunk)
+            assert adj is trunk.adj and trunk.parent == before
+            assert all(parent[v] == -1 for v in trunk.vertices)
+            assert sorted(order) == sorted(set(range(t.vertices)) - set(trunk.vertices))
+            placed = set(trunk.vertices)
+            for v in order:
+                assert parent[v] in placed and parent[v] == trunk.parent[v]
+                placed.add(v)
 
 
 class TestConfluence:

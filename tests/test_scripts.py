@@ -49,3 +49,6 @@ def test_bench_smoke(tmp_path):
     if baseline:
         assert set(report["commits"]) == {"change", "baseline"}
         assert set(arith["change_wins"]) == set(report["better"])
+        for name, medians in arith["regressions"].items():
+            assert name in report["better"]
+            assert set(medians) == {"baseline", "change"}
