@@ -16,6 +16,9 @@ the working tree won on each metric (ties count for neither side) and,
 as `regressions`, the metrics whose working-tree median is worse than
 the baseline median by more than the metric's bound in BENCHMARK.json
 (a fraction of the baseline median; any rise of failed_ratio counts).
+Each run also records its `attempted` operation count and each side the
+median of those as `operations`, outside the wins and the regressions, so
+that a `peak_rss_mb` rise can be read against the number of operations run.
 """
 
 import argparse
@@ -78,6 +81,7 @@ def run_once(root, workload, seed, seconds, smoke):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
     metrics["failed_ratio"] = result["failed"] / result["attempted"]
+    metrics["attempted"] = result["attempted"]
     metrics["correct"] = result["correct"]
     return metrics
 
@@ -91,6 +95,7 @@ def summary(runs, names):
         else:
             q1 = median = q3 = values[0]
         out[name] = {"median": median, "q1": q1, "q3": q3}
+    out["operations"] = statistics.median(r["attempted"] for r in runs)
     out["correct"] = all(r["correct"] for r in runs)
     return out
 

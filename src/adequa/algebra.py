@@ -87,8 +87,15 @@ def make_element(tree: XTree, flavor: Flavor) -> Element:
     return Element(tree, canonical_code(tree), flavor)
 
 
+_IDENTITIES: dict[Flavor, Element] = {}
+
+
 def identity_element(flavor: Flavor) -> Element:
-    return make_element(EPSILON, flavor)
+    """The flavor's identity, built on first use and shared afterwards."""
+    e = _IDENTITIES.get(flavor)
+    if e is None:
+        e = _IDENTITIES[flavor] = make_element(EPSILON, flavor)
+    return e
 
 
 def generator(label: str, flavor: Flavor) -> Element:

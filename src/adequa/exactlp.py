@@ -1,8 +1,13 @@
-"""Exact rational linear feasibility via a small two-phase simplex.
+"""Exact convex dominance, decided by two shortcuts or a small simplex.
 
-Dimensions in this package are tiny (a handful of letters, a few dozen
-candidate vectors), so a dense tableau with Fractions and Bland's rule
-is fast and exact.
+`convex_dominates` first answers the two cases that need no tableau, on
+the raw inputs: some candidate is at least the target in every coordinate
+(True: that candidate with weight 1), or some target coordinate exceeds
+that coordinate of every candidate (False: no convex combination passes
+the maximum).  Only the rest, where a genuine mixture decides, builds the
+phase-1 LP over Fractions.  Dimensions in this package are tiny (a
+handful of letters, a few dozen candidate vectors), so a dense tableau
+with Bland's rule is fast and exact.
 """
 
 from __future__ import annotations
@@ -76,13 +81,20 @@ def convex_dominates(target, candidates) -> bool:
     target and candidates are sequences of numbers over a common index
     set; empty candidate set gives False.
     """
-    cands = [list(map(Fraction, c)) for c in candidates]
-    tgt = list(map(Fraction, target))
+    cands = [tuple(c) for c in candidates]
     if not cands:
         return False
+    tgt = tuple(target)
     d = len(tgt)
     if any(len(c) != d for c in cands):
         raise ValueError("dimension mismatch")
+    # ints and Fractions compare exactly, so both shortcuts are exact
+    if any(all(cj >= tj for cj, tj in zip(c, tgt)) for c in cands):
+        return True
+    if any(all(tj > c[j] for c in cands) for j, tj in enumerate(tgt)):
+        return False
+    cands = [list(map(Fraction, c)) for c in cands]
+    tgt = list(map(Fraction, tgt))
     k = len(cands)
     # variables: lambda_1..k, slack s_1..d
     # sum lambda = 1; sum lambda_p v_p[j] - s_j = target[j]

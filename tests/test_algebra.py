@@ -40,6 +40,18 @@ class TestBasics:
         assert multiply(e, a) == a == multiply(a, e)
         assert e.trunk_length == 0
 
+    def test_identity_element_built_once(self, monkeypatch):
+        from adequa import trees
+
+        for flavor in Flavor:
+            e = identity_element(flavor)
+            assert e.flavor is flavor and e.edge_count == 0
+            # another tree in validate's memo, then no full check may run
+            trees.validate(trees.generator_tree("a"))
+            with monkeypatch.context() as m:
+                m.setattr(trees, "undirected_adjacency", None)
+                assert identity_element(flavor) is e
+
     def test_generator_shape(self):
         a = generator("a", Flavor.TWO_SIDED)
         assert a.edge_count == 1 and a.trunk_length == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequa.exactlp import convex_dominates
+from adequa.exactlp import _simplex_phase1, convex_dominates
 
 
 def brute_force_dominates(target, candidates, denom=12):
@@ -47,10 +47,70 @@ class TestBasics:
         with pytest.raises(ValueError):
             convex_dominates((1,), [(1, 2)])
 
+    def test_dimension_checked_before_shortcuts(self):
+        import pytest
+
+        # the first candidate dominates, but the second has the wrong length
+        with pytest.raises(ValueError):
+            convex_dominates((1, 1), [(2, 2), (1,)])
+
     def test_fractional_inputs(self):
         assert convex_dominates(
             (Fraction(1, 2), Fraction(1, 2)), [(1, 0), (0, 1)]
         )
+
+
+def reference_dominates(target, candidates):
+    """The phase-1 LP of convex dominance, solved with no shortcut."""
+    k, d = len(candidates), len(target)
+    A = [[Fraction(1)] * k + [Fraction(0)] * d]
+    b = [Fraction(1)]
+    for j in range(d):
+        row = [Fraction(c[j]) for c in candidates] + [Fraction(0)] * d
+        row[k + j] = Fraction(-1)
+        A.append(row)
+        b.append(Fraction(target[j]))
+    return _simplex_phase1(A, b)
+
+
+class TestAgainstSimplex:
+    def test_seeded_sweep(self, monkeypatch):
+        # every d = 1..4 and k = 1..8, int and Fraction entries; each way a
+        # call can be decided must occur often enough to stay covered, and
+        # only a genuine mixture may build the LP
+        from adequa import exactlp
+
+        lp_calls = []
+
+        def counted_phase1(A, b):
+            lp_calls.append(1)
+            return _simplex_phase1(A, b)
+
+        monkeypatch.setattr(exactlp, "_simplex_phase1", counted_phase1)
+        rng = random.Random(31)
+        cases = {"dominates": 0, "out of reach": 0, "mixture": 0}
+        for d in range(1, 5):
+            for k in range(1, 9):
+                for trial in range(40):
+                    if trial % 2:
+                        entry = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                    else:
+                        entry = lambda: rng.randint(-3, 3)
+                    target = tuple(entry() for _ in range(d))
+                    cands = [tuple(entry() for _ in range(d)) for _ in range(k)]
+                    want = reference_dominates(target, cands)
+                    del lp_calls[:]
+                    assert convex_dominates(target, cands) == want
+                    if any(all(c[j] >= target[j] for j in range(d)) for c in cands):
+                        cases["dominates"] += 1
+                        assert want and not lp_calls
+                    elif any(all(target[j] > c[j] for c in cands) for j in range(d)):
+                        cases["out of reach"] += 1
+                        assert not want and not lp_calls
+                    else:
+                        cases["mixture"] += 1
+                        assert lp_calls == [1]
+        assert min(cases.values()) >= 50, cases
 
 
 class TestAgainstBruteForce:

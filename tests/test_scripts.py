@@ -46,9 +46,11 @@ def test_bench_smoke(tmp_path):
             stats = arith[side][name]
             assert stats["q1"] <= stats["median"] <= stats["q3"]
         assert len(arith["runs"][side]) == 1
+        assert arith[side]["operations"] == arith["runs"][side][0]["attempted"] > 0
     if baseline:
         assert set(report["commits"]) == {"change", "baseline"}
         assert set(arith["change_wins"]) == set(report["better"])
+        assert "operations" not in report["better"]
         for name, medians in arith["regressions"].items():
             assert name in report["better"]
             assert set(medians) == {"baseline", "change"}
