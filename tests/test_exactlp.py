@@ -46,11 +46,8 @@ class TestBasics:
 
         with pytest.raises(ValueError):
             convex_dominates((1,), [(1, 2)])
-
-    def test_dimension_checked_before_shortcuts(self):
-        import pytest
-
-        # the first candidate dominates, but the second has the wrong length
+        # checked before the shortcuts: the first candidate dominates, but
+        # the second has the wrong length
         with pytest.raises(ValueError):
             convex_dominates((1, 1), [(2, 2), (1,)])
 
