@@ -6,10 +6,14 @@ disagreement between the structural decision procedure and brute-force
 search for a separating assignment.
 
 Usage: python3 scripts/identity_sweep.py [--rounds N] [--budget B] [--seed S]
+
+Exits 0 when the two agree on every identity, 1 when they disagree on
+any, and 2 on a usage error, such as a budget below 1.
 """
 
 import argparse
 import random
+import sys
 
 from adequa.algebra import Flavor
 from adequa.identities import (
@@ -21,10 +25,19 @@ from adequa.reproduce import random_term
 from adequa.terms import term_length, term_to_str
 
 
-def main() -> None:
+def budget(text: str) -> int:
+    # a budget below 1 tries no assignment, so every rejected identity
+    # would read as a disagreement
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rounds", type=int, default=500)
-    ap.add_argument("--budget", type=int, default=500)
+    ap.add_argument("--budget", type=budget, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -49,7 +62,8 @@ def main() -> None:
         "%d identities checked: %d satisfied, %d disagreements"
         % (done, satisfied, disagreements)
     )
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

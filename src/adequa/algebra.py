@@ -3,9 +3,9 @@
 Elements are stored as retract-free trees with a cached canonical code,
 so equality is code comparison.  Multiplication glues end-to-start and
 retracts; the unary operations relocate a root and retract.  A term is
-evaluated by building its unretracted tree and retracting once.  The right
-flavour is driven through the left machinery by the edge-reversing
-anti-isomorphism.
+evaluated by building its unretracted tree and retracting once.  Every
+flavour shares one path: `retract` chooses its engine, and
+`canonical_code` codes the result.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import enum
 from dataclasses import dataclass
 
 from . import terms as terms_mod
-from .retract import left_monogenic_core, retract
+from .retract import retract
 from .trees import (
     EPSILON,
     XTree,
     canonical_code,
     generator_tree,
     is_left,
-    is_monogenic,
     is_right,
     reverse_tree,
     validate,
@@ -66,19 +65,12 @@ class Element:
 
 
 def make_element(tree: XTree, flavor: Flavor) -> Element:
-    """Retract eagerly and check the flavor's tree-shape invariant.
+    """Retract eagerly, check the flavor's tree-shape invariant, and code.
 
-    The input is validated here.  A monogenic left tree is retracted and
-    coded in one height walk; any other tree, including a non-left one
-    that may retract to a left one, goes through the generic engine.  A
-    left (right) element must then reach every vertex from its start
-    along the edges (from its end against them).
+    `retract` validates the input and picks its engine.  A left (right)
+    element must then reach every vertex from its start along the edges
+    (from its end against them).  `canonical_code` gives the code.
     """
-    trunk = validate(tree)
-    if flavor is Flavor.LEFT and is_monogenic(tree):
-        core = left_monogenic_core(tree, trunk)
-        if core is not None:
-            return Element(core[0], core[1], flavor)
     tree = retract(tree)
     if flavor is Flavor.LEFT and not is_left(tree):
         raise FlavorError("tree is not a left tree")

@@ -437,6 +437,7 @@ PUBLISHED_TABLE_SE = [1, 2, 3, 6, 11, 28]
 
 def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
     """Exact counts next to the reported growth estimates and bounds."""
+    _check_size(n_max, LEFT_SPHERE_BOUND, "left sphere")  # before any row is built
     rows = []
     for n in range(n_max + 1):
         census = census_from_trees(n, structural_left_trees(n))

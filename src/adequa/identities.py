@@ -88,7 +88,9 @@ def _condition_iii(
 ) -> str | None:
     """None when condition (iii) holds for u against v, else a tag."""
     v_blocks = {a for a in v.atoms if isinstance(a, PlusBlock)}
-    for w_block in {a for a in u.atoms if isinstance(a, PlusBlock)}:
+    # u's blocks in atom order, so the reported block never depends on
+    # the string-hash seed
+    for w_block in dict.fromkeys(a for a in u.atoms if isinstance(a, PlusBlock)):
         s_u = suff(u, w_block)
         s_u_counts = _word_counts_vector(s_u, alphabet)
         for x in sorted(set(w_block.word)):

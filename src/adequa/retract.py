@@ -23,6 +23,11 @@ a branch found rigid stays rigid; and every branch inside B is settled
 before B is tested, so B's pattern never changes after its test.  A
 branch of the final tree that folded there would have folded when it
 was tested, hence the result is retract-free.
+
+Monogenic left trees, the trees of the left growth count, skip the
+morphism search: one height walk finds what they keep.  Which engine
+folds a tree is private to this module; callers see `retract` and
+`is_retract_free` only.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from typing import Iterator
 from .trees import (
     XTree,
     TrunkInfo,
-    directed_walk,
     is_monogenic,
     undirected_adjacency,
     validate,
@@ -42,19 +46,6 @@ from .trees import (
 ORACLE_EDGE_BOUND = 8
 
 Adjacency = list[list[tuple[int, bool, str]]]
-
-
-@dataclass(frozen=True)
-class Branch:
-    """A deletable unit: a non-trunk edge plus the subtree hanging off it.
-
-    `vertices` is the vertex set of the hanging subtree (anchor excluded);
-    the trunk lies entirely outside it.
-    """
-
-    anchor: int
-    edge: tuple[int, int, str]
-    vertices: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -83,21 +74,6 @@ def _rooted(trunk: TrunkInfo) -> tuple[Adjacency, list[int], list[int]]:
     for v in trunk.vertices:
         parent[v] = -1
     return trunk.adj, parent, [v for v in trunk.order if parent[v] >= 0]
-
-
-def _branch(adj: Adjacency, parent: list[int], b: int) -> Branch:
-    """The branch headed by b."""
-    a = parent[b]
-    inside = {b}
-    stack = [b]
-    while stack:
-        v = stack.pop()
-        for w, _, _ in adj[v]:
-            if w != parent[v]:
-                inside.add(w)
-                stack.append(w)
-    _, out, lab = next(e for e in adj[b] if e[0] == a)
-    return Branch(a, (b, a, lab) if out else (a, b, lab), frozenset(inside))
 
 
 def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
@@ -165,14 +141,15 @@ def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]
             yield b
 
 
-def find_foldable_branch(t: XTree) -> Branch | None:
-    """A branch mapping into the rest of the tree, or None if retract-free.
+def find_foldable_branch(t: XTree) -> int | None:
+    """The head of a branch mapping into the rest of the tree, or None if
+    retract-free.
 
     Deterministic: the first foldable branch of the leaves-first pass.
+    The head may be vertex 0, so test the result against None.
     """
     adj, parent, order = _rooted(validate(t))
-    b = next(_folds(adj, parent, order), None)
-    return None if b is None else _branch(adj, parent, b)
+    return next(_folds(adj, parent, order), None)
 
 
 def _delete(t: XTree, gone: set[int]) -> XTree:
@@ -186,117 +163,77 @@ def _delete(t: XTree, gone: set[int]) -> XTree:
     return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
 
 
-def retract(t: XTree) -> XTree:
-    """The retract-free retract; independent of deletion order."""
-    adj, parent, order = _rooted(validate(t))
-    gone = set(_folds(adj, parent, order))
-    if not gone:
-        return t
-    for v in order:  # parents come first, so each dead head takes its subtree
-        if parent[v] in gone:
-            gone.add(v)
-    return _delete(t, gone)
-
-
-def _heights(children: list[list[int]], order: list[int]) -> list[int]:
-    """Subtree heights of an out-tree, given an order with every vertex
-    after its parent."""
-    height = [0] * len(children)
-    for v in reversed(order):  # children before parents
-        for c in children[v]:
-            if height[c] >= height[v]:
-                height[v] = height[c] + 1
-    return height
-
-
-def _left_monogenic_retract_free(t: XTree, trunk: TrunkInfo) -> bool | None:
-    """Retract-freeness of a monogenic left tree; None if t is not left.
+def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
+    """The vertices the retract of a monogenic left tree keeps, from one
+    height walk; None if t is not left.
 
     In a monogenic out-tree a branch folds at its anchor iff some sibling
-    subtree is at least as high, so the tree is retract-free iff every
-    vertex has at most one non-trunk child, higher than its trunk child.
+    subtree is at least as high.  So the retract is the trunk plus, at
+    each trunk vertex, a bare path as high as its highest side child,
+    kept only when strictly higher than the trunk child (at the end,
+    whenever there is a side child).  Ties go to the first highest child,
+    as in the leaves-first pass, so `_delete` builds the same tree.
     """
-    children, order = directed_walk(t)
-    if len(order) != t.vertices:
+    if trunk.forward.count(True) != t.vertices - 1:
         return None
-    forks = [(a, b) for a, b, _ in trunk.edges if len(children[a]) > 1]
-    # An out-tree with L leaves forks L - 1 times, counted with
-    # multiplicity, so this says that only trunk vertices other than the
-    # end fork, each into its trunk child and one side child.
-    if children.count([]) != len(forks) + 1 or any(len(children[a]) > 2 for a, _ in forks):
-        return False
-    height = _heights(children, order)
-    for a, b in forks:
-        kids = children[a]
-        if height[kids[1] if kids[0] == b else kids[0]] <= height[b]:
-            return False
-    return True
-
-
-def left_monogenic_core(t: XTree, trunk: TrunkInfo) -> tuple[XTree, bytes] | None:
-    """The retract of a monogenic left tree and its canonical code, from
-    one height walk; None if t is not left.
-
-    By the height rule of `_left_monogenic_retract_free`, the retract is
-    the trunk plus, at each trunk vertex, a bare path as high as its
-    highest side child, kept only when strictly higher than the trunk
-    child (at the end, whenever there is a side child).  The code is
-    built bottom-up along the trunk and is byte-identical to
-    `canonical_code` of the retract.  Returns t itself when nothing
-    folds; otherwise the kept vertices keep their relative order, and
-    ties go to the first highest child, which gives the tree `retract`
-    returns.
-    """
-    children, order = directed_walk(t)
-    if len(order) != t.vertices:
-        return None
-    height = _heights(children, order)
-    arrow = b">" + (t.edges[0][2].encode() if t.edges else b"")
-    paths = [b"()"]  # paths[h]: the code of a vertex heading a bare h-edge path
+    adj, parent = trunk.adj, trunk.parent
+    height = [0] * t.vertices
+    highest = [-1] * t.vertices  # the first highest child
+    # Children come before parents and siblings last to first, so of the
+    # children of equal height the first is seen last and kept.
+    for v in reversed(trunk.order[1:]):
+        p = parent[v]
+        if height[v] >= height[p] - 1:
+            height[p] = height[v] + 1
+            highest[p] = v
     kept = list(trunk.vertices)
-    code = b""
     tc = -1  # the trunk child of v; none at the end
     for v in reversed(trunk.vertices):
-        # The end flag, then the child codes in sorted order, as in
-        # canonical_code.
-        body = b"E" if tc < 0 else arrow + code
         side = -1
-        for c in children[v]:
-            if c != tc and (side < 0 or height[c] > height[side]):
+        for c, out, _ in adj[v]:
+            if out and c != tc and (side < 0 or height[c] > height[side]):
                 side = c
         if side >= 0 and (tc < 0 or height[side] > height[tc]):
-            h = height[side]
-            while len(paths) <= h:
-                paths.append(b"(" + arrow + paths[-1] + b")")
-            branch = arrow + paths[h]
-            body = branch + body if tc >= 0 and branch < body else body + branch
-            while True:
+            while side >= 0:
                 kept.append(side)
-                if not children[side]:
-                    break
-                side = max(children[side], key=height.__getitem__)
-        code = b"(" + body + b")"
+                side = highest[side]
         tc = v
-    if len(kept) == t.vertices:
-        return t, code
-    return _delete(t, set(range(t.vertices)).difference(kept)), code
+    return kept
+
+
+def retract(t: XTree) -> XTree:
+    """The retract-free retract; independent of deletion order.
+
+    A monogenic left tree is retracted by the height rule of
+    `_left_monogenic_kept`; any other tree by the leaves-first pass.
+    """
+    trunk = validate(t)
+    kept = _left_monogenic_kept(t, trunk) if is_monogenic(t) else None
+    if kept is not None:
+        gone = set(range(t.vertices)).difference(kept)
+    else:
+        adj, parent, order = _rooted(trunk)
+        gone = set(_folds(adj, parent, order))
+        for v in order:  # parents come first, so each dead head takes its subtree
+            if parent[v] in gone:
+                gone.add(v)
+    return _delete(t, gone) if gone else t
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     """True iff the tree admits no non-trivial retraction.
 
-    engine="auto" answers monogenic left trees by a height-comparison
-    fast path (cross-validated against the generic engine) and sends the
-    rest, found non-left by the same walk, to the morphism search that
-    engine="generic" always runs.
+    engine="auto" answers monogenic left trees by the height rule of
+    `_left_monogenic_kept`, without building the retract, and sends the
+    rest to the morphism search that engine="generic" always runs.
     """
     trunk = validate(t)
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
     if engine == "auto" and is_monogenic(t):
-        free = _left_monogenic_retract_free(t, trunk)
-        if free is not None:
-            return free
+        kept = _left_monogenic_kept(t, trunk)
+        if kept is not None:
+            return len(kept) == t.vertices
     return find_foldable_branch(t) is None
 
 

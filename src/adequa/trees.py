@@ -200,18 +200,19 @@ def canonical_code(t: XTree) -> bytes:
     are equal iff the trees are isomorphic as birooted labelled trees.
     """
     rooting = validate(t)
-    adj, parent = rooting.adj, rooting.parent
+    adj, parent, end = rooting.adj, rooting.parent, t.end
     # Every vertex follows its parent in `order`, so walking it backwards
     # encodes children before parents; a child's code is dropped once used.
     code: dict[int, bytes] = {}
     for v in reversed(rooting.order):
-        parts = sorted(
+        p = parent[v]
+        parts = [
             (b">" if out else b"<") + lab.encode() + code.pop(w)
             for w, out, lab in adj[v]
-            if w != parent[v]
-        )
-        flag = b"E" if v == t.end else b""
-        code[v] = b"(" + flag + b"".join(parts) + b")"
+            if w != p
+        ]
+        parts.sort()
+        code[v] = (b"(E" if v == end else b"(") + b"".join(parts) + b")"
     return code[t.start]
 
 

@@ -1,12 +1,27 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from adequa.cli import main
 from adequa.growth import generic_left_trees
 from adequa.trees import canonical_code, from_json, generator_tree, to_json
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_with_hash_seed(seed, *argv):
+    """Run the CLI in a fresh interpreter under PYTHONHASHSEED=seed."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
+    return subprocess.run(
+        [sys.executable, "-m", "adequa.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
 
 
 def run(capsys, *argv):
@@ -282,3 +297,36 @@ class TestPlumbing:
         ]
         code, out, _ = run(capsys, "reproduce-paper", "--only", "algebra")
         assert code == 1 and out.splitlines()[-1] == "0/1 targets passed"
+
+
+class TestByteDeterminism:
+    """stdout is the same bytes whatever the string-hash seed."""
+
+    # two labels, mixed directions, and two copies of one branch, one of
+    # which folds
+    FOLDING_TREE = (
+        '{"vertices":7,"start":0,"end":1,"edges":'
+        '[[0,1,"a"],[0,2,"a"],[2,3,"b"],[0,4,"a"],[4,5,"b"],[6,0,"b"]]}'
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--flavor", "fad", "(xy)^+(yx)^*x"),
+        ("equal", "--flavor", "flad", "x^+x", "x"),
+        ("retract", "--json", FOLDING_TREE),
+        ("sphere", "--variant", "two-sided", "--edges", "3"),
+        ("census", "--variant", "two-sided", "--max", "3"),
+        ("identity", "--monoid", "fad1", "xy", "yx"),
+        ("identity", "--monoid", "flad1", "--enriched", "x^+^+(xy)^+y", "y"),
+    ], ids=["eval", "equal", "retract", "sphere", "census", "identity-fad1",
+            "identity-flad1"])
+    def test_same_bytes_under_two_hash_seeds(self, argv):
+        first, second = (run_with_hash_seed(seed, *argv) for seed in (0, 1))
+        assert first.returncode in (0, 1), first.stderr
+        assert first.stdout and first.stdout == second.stdout
+        assert first.returncode == second.returncode
+
+    def test_identity_reports_the_first_failing_block(self):
+        # u's plus blocks are tried in atom order: x before xy
+        proc = run_with_hash_seed(0, "identity", "--monoid", "flad1", "--enriched",
+                                  "x^+^+(xy)^+y", "y")
+        assert json.loads(proc.stdout)["failing_condition"] == "iiia/b: block x letter x"

@@ -13,11 +13,11 @@ from adequa.growth import (
 )
 from adequa.retract import (
     _folds,
+    _left_monogenic_kept,
     _rooted,
     endomorphism_oracle,
     find_foldable_branch,
     is_retract_free,
-    left_monogenic_core,
     retract,
 )
 from adequa.trees import (
@@ -31,6 +31,26 @@ from adequa.trees import (
 )
 
 from .test_trees import relabel_tree
+
+
+def below(t, b):
+    """b and every vertex whose path to the start passes through b."""
+    r = validate(t)
+    inside = {b}
+    for v in r.order:
+        if r.parent[v] in inside and v != t.start:
+            inside.add(v)
+    return inside
+
+
+def assert_found_head_keeps_retract(t):
+    b = find_foldable_branch(t)
+    if b is None:
+        assert retract(t) == t
+        return
+    assert b not in validate(t).vertices, t
+    d = induced(t, set(range(t.vertices)) - below(t, b))
+    assert canonical_code(retract(d)) == canonical_code(retract(t)), t
 
 
 def a_tree(edges, start, end):
@@ -83,13 +103,7 @@ class TestFolding:
 
     def test_found_branch_keeps_retract(self):
         for t in itertools.islice(oriented_trees(5), 0, None, 7):
-            br = find_foldable_branch(t)
-            if br is None:
-                assert retract(t) == t
-                continue
-            assert br.anchor not in br.vertices and br.edge in t.edges
-            d = induced(t, set(range(t.vertices)) - br.vertices)
-            assert canonical_code(retract(d)) == canonical_code(retract(t))
+            assert_found_head_keeps_retract(t)
 
     def test_long_foldable_branch(self):
         # a 250-edge a-branch at the start of a 300-edge a-trunk folds away
@@ -344,21 +358,34 @@ class TestFastPath:
             is_retract_free(generator_tree("a"), engine="nope")
 
 
-def assert_core_matches_generic(t):
-    core, code = left_monogenic_core(t, validate(t))
-    assert code == canonical_code(retract(t)), t
-    assert canonical_code(core) == code, t
-    return core
+def generic_retract(t):
+    """The retract by the leaves-first pass, whatever the tree: every
+    folded head is deleted with the subtree below it."""
+    gone = set()
+    for b in folded_heads(t):
+        gone |= below(t, b)
+    return induced(t, set(range(t.vertices)) - gone)
+
+
+def assert_kernel_matches_generic(t):
+    r = retract(t)
+    assert r == generic_retract(t), t
+    assert is_retract_free(t) == is_retract_free(t, engine="generic"), t
+    assert_found_head_keeps_retract(t)
+    return r
 
 
 class TestMonogenicLeftCore:
+    """`retract` and `is_retract_free` answer monogenic left trees by the
+    height rule; the leaves-first pass stays their arbiter."""
+
     def test_matches_generic_on_all_small_left_trees(self):
         # every monogenic left tree <= 8 edges: each rooted shape, each end
         for n in range(9):
             for L in rooted_tree_level_sequences(n + 1):
                 edges = tuple(_level_sequence_to_edges(L))
                 for end in range(n + 1):
-                    assert_core_matches_generic(XTree(n + 1, edges, 0, end))
+                    assert_kernel_matches_generic(XTree(n + 1, edges, 0, end))
 
     def test_matches_generic_on_large_random_left_trees(self):
         rng = random.Random(41)
@@ -366,16 +393,16 @@ class TestMonogenicLeftCore:
             n = rng.randint(50, 300)
             reach = 3 if i % 2 else n  # deep, path-like trees and bushy ones
             edges = tuple((rng.randrange(max(0, v - reach), v), v, "a") for v in range(1, n + 1))
-            core = assert_core_matches_generic(XTree(n + 1, edges, 0, rng.randrange(n + 1)))
+            core = assert_kernel_matches_generic(XTree(n + 1, edges, 0, rng.randrange(n + 1)))
             assert is_retract_free(core, engine="generic")
 
     def test_returns_input_when_nothing_folds(self):
         for t in structural_left_trees(8):
-            assert left_monogenic_core(t, validate(t))[0] is t
+            assert retract(t) is t
 
     def test_none_for_non_left_tree(self):
         t = a_tree([(0, 1), (1, 2), (3, 1)], 0, 2)
-        assert left_monogenic_core(t, validate(t)) is None
+        assert _left_monogenic_kept(t, validate(t)) is None
 
 
 class TestIdempotentShape:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -20,6 +22,26 @@ def test_identity_sweep():
     proc = run_script("identity_sweep.py", "--rounds", "20", "--budget", "50")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("0 disagreements")
+
+
+def test_identity_sweep_disagreement_exits_one():
+    # one assignment per identity cannot separate most rejected identities
+    proc = run_script("identity_sweep.py", "--rounds", "10", "--budget", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert "DISAGREEMENT" in proc.stdout
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_identity_sweep_rejects_budget_below_one(budget):
+    proc = run_script("identity_sweep.py", "--rounds", "1", "--budget", budget)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "at least 1" in proc.stderr
+
+
+def test_growth_report_past_the_bound_is_a_usage_error():
+    proc = run_script("growth_report.py", "--max", "31")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: n=31 exceeds the left sphere bound 30\n"
 
 
 def test_growth_report_json():
