@@ -232,47 +232,73 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _twin_leaves(t: XTree) -> list[int]:
-    """The leaves of t, other than its start, that have a twin.
+def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
+    """The orientations of shape L with at most one twin leaf, ascending,
+    each with its twin leaf (-1 for none).
 
-    A leaf v != start with its one edge to u has a twin when another
-    edge at u has the same label and the same direction seen from u; let
-    w be that edge's far endpoint.  If v is not the end either, the map
-    sending v to w and fixing every other vertex carries v's edge onto
-    the twin edge and every other edge onto itself, so it is an
-    endomorphism; it fixes both roots, m(m(v)) = m(w) = w makes it
-    idempotent, and it moves v.  A tree with a twin leaf other than its
-    end is therefore not retract-free (Hell & Nesetril, "The core of a
-    graph", 1992: it retracts onto the tree without v).
+    Bit i of a mask points edge i of `_level_sequence_to_edges(L)`, which
+    joins vertex i + 1 to its parent, towards the root; without all_masks
+    only mask 0, every edge away from the root, is tried.
+
+    A twin leaf is a leaf v, not the start (vertex 0), whose edge to its
+    neighbour u has a twin at u: another edge with the same label and the
+    same direction seen from u; let w be its far endpoint.  If v is not
+    the end either, the map sending v to w and fixing every other vertex
+    carries v's edge onto the twin edge and every other edge onto itself,
+    so it is an endomorphism; it fixes both roots, m(m(v)) = m(w) = w
+    makes it idempotent, and it moves v.  A tree with a twin leaf other
+    than its end is therefore not retract-free (Hell & Nesetril, "The
+    core of a graph", 1992: it retracts onto the tree without v), and one
+    with two twin leaves is retract-free for no end.
+
+    Every edge is labelled a, so whether a leaf child of u is a twin
+    depends on the directions of u's edges alone.  The vertices are
+    visited parents first, choosing the directions of each one's child
+    edges once the edge to its own parent is fixed, and a choice is
+    dropped as soon as it makes a second twin leaf.
     """
-    degree = [0] * t.vertices
-    kinds: dict[tuple[int, bool, str], int] = {}
-    for a, b, lab in t.edges:
-        degree[a] += 1
-        degree[b] += 1
-        kinds[a, True, lab] = kinds.get((a, True, lab), 0) + 1
-        kinds[b, False, lab] = kinds.get((b, False, lab), 0) + 1
-    twins = []
-    for a, b, lab in t.edges:
-        if degree[b] == 1 and b != t.start and kinds[a, True, lab] > 1:
-            twins.append(b)
-        elif degree[a] == 1 and a != t.start and kinds[b, False, lab] > 1:
-            twins.append(a)
-    return twins
+    children: list[list[int]] = [[] for _ in L]
+    for a, b, _ in _level_sequence_to_edges(L):
+        children[a].append(b)
+    states = [(0, -1)]  # (the mask so far, its twin leaf)
+    for u, kids in enumerate(children):
+        if not kids:
+            continue
+        # For each direction of the edge from u's parent (u's bit set:
+        # out of u), the child flips (bit j: kids[j]'s edge into u) that
+        # leave at most one twin leaf among u's children.
+        choices: list[list[tuple[int, int]]] = [[], []]
+        for up_out in (0, 1) if u else (0,):
+            for flips in range(1 << len(kids)) if all_masks else (0,):
+                # u's edges in each direction, the one to its parent included
+                into = flips.bit_count() + (u > 0 and not up_out)
+                out = len(kids) + (u > 0) - into
+                bits, twins = 0, []
+                for j, c in enumerate(kids):
+                    flipped = (flips >> j) & 1
+                    bits |= flipped << (c - 1)
+                    if not children[c] and (into if flipped else out) > 1:
+                        twins.append(c)
+                if len(twins) < 2:
+                    choices[up_out].append((bits, twins[0] if twins else -1))
+        states = [
+            (mask | bits, max(twin, more))
+            for mask, twin in states
+            for bits, more in choices[u > 0 and (mask >> (u - 1)) & 1]
+            if twin < 0 or more < 0
+        ]
+    states.sort()
+    return states
 
 
-def _orientations(n: int, all_masks: bool):
-    """Every shape with n edges rooted at vertex 0, in level-sequence order,
-    under each of its 2**n edge orientations, or with all edges pointing
-    away from the root alone; each as a tree whose end is its start."""
-    for L in rooted_tree_level_sequences(n + 1):
-        base = _level_sequence_to_edges(L)
-        for mask in range(1 << n if all_masks else 1):
-            edges = tuple(
-                (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
-                for i, (a, b, lab) in enumerate(base)
-            )
-            yield XTree(n + 1, edges, 0, 0)
+def _orient(base: list[tuple[int, int, str]], mask: int) -> XTree:
+    """The shape's edges with edge i reversed where bit i of mask is set,
+    with start and end at vertex 0."""
+    edges = tuple(
+        (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
+        for i, (a, b, lab) in enumerate(base)
+    )
+    return XTree(len(base) + 1, edges, 0, 0)
 
 
 def oriented_trees(n: int):
@@ -282,31 +308,35 @@ def oriented_trees(n: int):
     orientations, each end a directed path from the start reaches, in
     ascending order; isomorphic trees recur.
     """
-    for t in _orientations(n, True):
-        for end in sorted(directed_walk(t)[1]):
-            yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
+    for L in rooted_tree_level_sequences(n + 1):
+        base = _level_sequence_to_edges(L)
+        for mask in range(1 << n):
+            t = _orient(base, mask)
+            for end in sorted(directed_walk(t)[1]):
+                yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
 
 
 def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
     """The retract-free trees among the orientations, one per isomorphism
     class: the first in oriented_trees order, ascending by code.
 
-    A tree with a twin leaf other than its end is not retract-free, and
-    the start is vertex 0 whatever the end, so the twin leaves are found
-    once per orientation: two or more rule out every end, and one is the
-    only end tried.
+    Only the orientations `_twin_free_masks` yields are built, in
+    ascending order, so the first tree of each class is the one the
+    unpruned order meets first.  An orientation with a twin leaf tries
+    only that leaf as its end, since the start is vertex 0 whatever the
+    end; one without tries every end.
     """
     free: dict[bytes, XTree] = {}
-    for t in _orientations(n, all_masks):
-        twins = _twin_leaves(t)
-        if len(twins) > 1:
-            continue
-        for end in sorted(directed_walk(t)[1]):
-            if twins and end != twins[0]:
-                continue
-            u = t if end == 0 else XTree(n + 1, t.edges, 0, end)
-            if is_retract_free(u):
-                free.setdefault(canonical_code(u), u)
+    for L in rooted_tree_level_sequences(n + 1):
+        base = _level_sequence_to_edges(L)
+        for mask, twin in _twin_free_masks(L, all_masks):
+            t = _orient(base, mask)
+            for end in sorted(directed_walk(t)[1]):
+                if twin >= 0 and end != twin:
+                    continue
+                u = t if end == 0 else XTree(n + 1, t.edges, 0, end)
+                if is_retract_free(u):
+                    free.setdefault(canonical_code(u), u)
     return sorted(free.items(), key=lambda ct: ct[0])
 
 

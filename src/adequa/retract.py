@@ -24,6 +24,15 @@ before B is tested, so B's pattern never changes after its test.  A
 branch of the final tree that folded there would have folded when it
 was tested, hence the result is retract-free.
 
+Most branches are settled without a search.  The kind of an edge at a
+vertex is its label with its direction seen from that vertex.  A
+morphism fixing the anchor a sends the branch's edge a-b to an edge at a
+of the same kind, and since the host avoids b, to another one.  So a
+branch whose kind occurs once among its anchor's alive edges is rigid,
+and the pass searches only where a kind repeats at its anchor, keeping
+a count per anchor and kind that drops as heads die.  The test is the
+first step of the search itself, so the branches that fold are the same.
+
 Monogenic left trees, the trees of the left growth count, skip the
 morphism search: one height walk finds what they keep.  Which engine
 folds a tree is private to this module; callers see `retract` and
@@ -132,12 +141,26 @@ def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]
     """The heads of the branches that fold, leaves first.
 
     Each head is marked dead as its branch folds, which cuts the whole
-    branch from the tree the later tests see.
+    branch from the tree the later tests see and takes one edge of its
+    kind off its anchor.  A branch is searched only when its kind occurs
+    at least twice among its anchor's alive edges.
     """
     alive = [True] * len(adj)
+    # count[a, out, lab]: anchor a's alive edges of that kind; kind[b]:
+    # the kind of b's edge, seen from its anchor
+    count: dict[tuple[int, bool, str], int] = {}
+    kind: list[tuple[int, bool, str] | None] = [None] * len(adj)
+    for a in {parent[b] for b in order}:
+        for w, out, lab in adj[a]:
+            key = (a, out, lab)
+            count[key] = count.get(key, 0) + 1
+            if parent[w] == a:
+                kind[w] = key
     for b in reversed(order):
-        if hom_exists(adj, parent, alive, b):
+        key = kind[b]
+        if count[key] > 1 and hom_exists(adj, parent, alive, b):
             alive[b] = False
+            count[key] -= 1
             yield b
 
 

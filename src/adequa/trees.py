@@ -10,7 +10,7 @@ decided through :func:`canonical_code`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class InvalidTreeError(ValueError):
@@ -23,13 +23,18 @@ class XTree:
 
     Vertices are 0..vertices-1; edges are (src, dst, label) triples.
     Edge order is normalised (sorted) so structurally equal trees with
-    the same indexing compare equal.
+    the same indexing compare equal.  `rooting` is set by the first
+    successful `validate`; it is not part of the tree's value, so `==`,
+    `hash` and `repr` ignore it.
     """
 
     vertices: int
     edges: tuple[tuple[int, int, str], ...]
     start: int
     end: int
+    rooting: TrunkInfo | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))
@@ -48,7 +53,8 @@ class TrunkInfo:
     neighbour of v towards the start (the start is its own parent);
     `forward[v]` says whether the edge between them is (parent[v], v);
     `order` is the breadth-first order, each vertex after its parent.
-    The lists are shared by every reader and must not be changed.
+    It is computed once per tree object and kept on the tree, so the
+    lists are shared by every reader and must not be changed.
     """
 
     vertices: tuple[int, ...]
@@ -80,25 +86,18 @@ def undirected_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
     return adj
 
 
-# The last tree validated and its trunk, as one tuple so no reader pairs
-# a tree with another's trunk.  Repeated checks of a tree come back to
-# back on the same object, so one entry catches them and keeps no other.
-_last: tuple[XTree | None, TrunkInfo | None] = (None, None)
-
-
 def validate(t: XTree) -> TrunkInfo:
     """Check the tree and trunk invariants; return the trunk and the
     rooting on success.
 
     Raises InvalidTreeError("not a tree") on disconnection, bad counts or
     out-of-range indices, and InvalidTreeError("no trunk") when there is
-    no directed start-to-end path.  Only a success is remembered, so an
-    invalid tree raises on every call.
+    no directed start-to-end path.  A success is stored in the tree's
+    `rooting`, which later calls return without checking again; a
+    failure is not stored, so an invalid tree raises on every call.
     """
-    global _last
-    last_t, last_info = _last
-    if last_t is t:
-        return last_info
+    if t.rooting is not None:
+        return t.rooting
     n = t.vertices
     if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")
@@ -142,7 +141,7 @@ def validate(t: XTree) -> TrunkInfo:
         raise InvalidTreeError("no trunk: no directed start-to-end path")
     trunk_edges = tuple((parent[b], b, label[b]) for b in path[1:])
     info = TrunkInfo(tuple(path), trunk_edges, adj, parent, forward, order)
-    _last = (t, info)
+    object.__setattr__(t, "rooting", info)
     return info
 
 

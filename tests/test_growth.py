@@ -12,7 +12,9 @@ import adequa.growth as growth
 from adequa.growth import (
     GENERIC_LEFT_BOUND,
     _capped_subsets,
-    _twin_leaves,
+    _level_sequence_to_edges,
+    _orient,
+    _twin_free_masks,
     P,
     Q,
     PUBLISHED_TABLE_S,
@@ -39,6 +41,35 @@ from adequa.trees import InvalidTreeError, XTree, canonical_code, is_left, valid
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
 )
+
+
+def _twin_leaves(t: XTree) -> list[int]:
+    """The leaves of t, other than its start, that have a twin.
+
+    A leaf v != start with its one edge to u has a twin when another
+    edge at u has the same label and the same direction seen from u; let
+    w be that edge's far endpoint.  If v is not the end either, the map
+    sending v to w and fixing every other vertex carries v's edge onto
+    the twin edge and every other edge onto itself, so it is an
+    endomorphism; it fixes both roots, m(m(v)) = m(w) = w makes it
+    idempotent, and it moves v.  A tree with a twin leaf other than its
+    end is therefore not retract-free (Hell & Nesetril, "The core of a
+    graph", 1992: it retracts onto the tree without v).
+    """
+    degree = [0] * t.vertices
+    kinds: dict[tuple[int, bool, str], int] = {}
+    for a, b, lab in t.edges:
+        degree[a] += 1
+        degree[b] += 1
+        kinds[a, True, lab] = kinds.get((a, True, lab), 0) + 1
+        kinds[b, False, lab] = kinds.get((b, False, lab), 0) + 1
+    twins = []
+    for a, b, lab in t.edges:
+        if degree[b] == 1 and b != t.start and kinds[a, True, lab] > 1:
+            twins.append(b)
+        elif degree[a] == 1 and a != t.start and kinds[b, False, lab] > 1:
+            twins.append(a)
+    return twins
 
 
 class TestPartitions:
@@ -208,6 +239,25 @@ class TestTwoSidedSpheres:
                         for e in endomorphism_oracle(t)
                     ), t
         assert pruned > 1000
+
+    def test_generator_keeps_the_masks_with_at_most_one_twin_leaf(self):
+        # the per-shape generator against the whole-tree scan: the same
+        # masks, ascending, each with its one twin leaf or -1
+        for n in range(7):
+            for L in rooted_tree_level_sequences(n + 1):
+                base = _level_sequence_to_edges(L)
+                for all_masks in (True, False):
+                    want = []
+                    for mask in range(1 << n if all_masks else 1):
+                        twins = _twin_leaves(_orient(base, mask))
+                        if len(twins) < 2:
+                            want.append((mask, twins[0] if twins else -1))
+                    assert _twin_free_masks(L, all_masks) == want, (L, all_masks)
+
+    def test_counts_past_the_published_table(self):
+        for n, total, idempotents in ((7, 465, 170), (8, 1215, 439)):
+            _, cen = two_sided_sphere(n)
+            assert (cen.total, cen.idempotent_count) == (total, idempotents)
 
     def test_matches_unpruned_search(self):
         def unpruned(n, keep):

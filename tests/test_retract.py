@@ -1,7 +1,9 @@
 """Retraction engine: folding, confluence, oracle agreement, fast path."""
 
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from adequa.retract import (
     _rooted,
     endomorphism_oracle,
     find_foldable_branch,
+    hom_exists,
     is_retract_free,
     retract,
 )
@@ -31,6 +34,10 @@ from adequa.trees import (
 )
 
 from .test_trees import relabel_tree
+
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
 
 
 def below(t, b):
@@ -268,6 +275,84 @@ class TestRooting:
             for v in order:
                 assert parent[v] in placed and parent[v] == trunk.parent[v]
                 placed.add(v)
+
+
+def searched_folds(t):
+    """The heads the leaves-first pass deletes when every branch is
+    searched, whatever the kinds at its anchor."""
+    adj, parent, order = _rooted(validate(t))
+    alive = [True] * len(adj)
+    heads = []
+    for b in reversed(order):
+        if hom_exists(adj, parent, alive, b):
+            alive[b] = False
+            heads.append(b)
+    return heads
+
+
+def kind_sample():
+    """Every tree of oriented_trees(n), n <= 6, with every end; 3000 seeded
+    trees with two or three labels, mixed edge directions and scrambled
+    vertex numbers; and 20 of the benchmark's large trees."""
+    for n in range(7):
+        yield from oriented_trees(n)
+    rng = random.Random(29)
+    for i in range(3000):
+        t = random_tree(rng, rng.randint(1, 14), "ab" if i % 2 else "abc")
+        perm = list(range(t.vertices))
+        rng.shuffle(perm)
+        yield relabel_tree(t, perm)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    rng = random.Random(7)
+    sizes = [150, 240, 375, 590, 935]
+    for i in range(20):
+        yield workloads.big_tree(rng, sizes[i % len(sizes)])[0]
+
+
+class TestKindFilter:
+    """`_folds` searches a branch only when its kind (direction seen from
+    the anchor, and label) occurs twice among its anchor's alive edges."""
+
+    def test_same_folds_as_searching_every_branch(self):
+        for t in kind_sample():
+            adj, parent, order = _rooted(validate(t))
+            assert list(_folds(adj, parent, order)) == searched_folds(t), t
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The heads `hom_exists` is called on, in call order."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return hom_exists(*args)
+
+        monkeypatch.setattr("adequa.retract.hom_exists", counted)
+        return calls
+
+    def test_distinct_kinds_make_no_search(self, searches):
+        # a directed a-path hanging off the start: one edge in and one out
+        # at each vertex; and a tree whose edges all carry distinct labels
+        t = random_tree(random.Random(31), 200, "a")
+        edges = tuple((a, b, "e%d" % i) for i, (a, b, _) in enumerate(t.edges))
+        distinct = XTree(t.vertices, edges, t.start, t.end)
+        path = XTree(301, tuple((i, i + 1, "a") for i in range(300)), 0, 0)
+        for t in (path, distinct):
+            assert validate(t).length < t.edge_count
+            assert is_retract_free(t, engine="generic")
+            assert retract(t) is t
+        assert searches == []
+
+    def test_a_dead_head_leaves_its_kind_count(self, searches):
+        # three a-leaves out of the start: the last two tested fold, and the
+        # first, with no a-edge left beside it, is not searched
+        t = XTree(5, ((0, 1, "b"), (0, 2, "a"), (0, 3, "a"), (0, 4, "a")), 0, 1)
+        assert folded_heads(t) == {3, 4}
+        assert searches == [4, 3]
 
 
 class TestConfluence:

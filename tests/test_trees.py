@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+import adequa.trees
 from adequa.growth import oriented_trees
 from adequa.trees import (
     EPSILON,
@@ -88,6 +89,32 @@ class TestValidation:
         for _ in range(3):
             with pytest.raises(InvalidTreeError, match="no trunk"):
                 validate(t)
+        assert t.rooting is None
+
+    def test_each_tree_is_checked_once(self, monkeypatch):
+        # t, another tree, t again: the second check of t reads its rooting
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return adjacency(t)
+
+        adjacency = adequa.trees.undirected_adjacency
+        monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
+        t = XTree(3, ((0, 1, "a"), (1, 2, "b")), 0, 2)
+        other = XTree(3, ((0, 1, "a"), (0, 2, "a")), 0, 1)
+        first = validate(t)
+        validate(other)
+        assert validate(t) is first is t.rooting
+        assert walks == [t, other]
+
+    def test_rooting_is_not_part_of_the_value(self):
+        for t in itertools.islice(oriented_trees(4), 0, None, 3):
+            twin = XTree(t.vertices, t.edges, t.start, t.end)
+            before = (repr(t), hash(t))
+            validate(t)
+            assert t.rooting is not None and twin.rooting is None
+            assert t == twin and (repr(t), hash(t)) == before == (repr(twin), hash(twin))
 
     def test_memo_returns_each_trees_own_trunk(self):
         chain = ((0, 1, "a"), (1, 2, "a"))
