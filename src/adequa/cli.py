@@ -111,7 +111,7 @@ def _sphere(variant: str, n: int, elements: bool):
         return growth.two_sided_sphere(n)
     if elements:
         return growth.left_sphere(n)
-    return None, growth.census_from_trees(n, growth.structural_left_trees(n))
+    return None, growth.left_census(n)
 
 
 def _cmd_sphere(args) -> int:
@@ -134,6 +134,8 @@ def _cmd_sphere(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.max < 0:
+        raise ValueError("n must be nonnegative")
     # largest first, so a size past the enumerator's bound fails before
     # any other work
     rows = [_sphere(args.variant, n, False)[1] for n in range(args.max, -1, -1)][::-1]
@@ -165,17 +167,10 @@ def _cmd_census(args) -> int:
 
 def _cmd_partitions(args) -> int:
     fn = growth.Q if args.distinct else growth.P
-    if args.k is None:
-        _emit({"n": args.n, "distinct": args.distinct, "value": fn(args.n)})
-    else:
-        _emit(
-            {
-                "n": args.n,
-                "k": args.k,
-                "distinct": args.distinct,
-                "value": fn(args.n, args.k),
-            }
-        )
+    out = {"n": args.n, "distinct": args.distinct, "value": fn(args.n, args.k)}
+    if args.k is not None:
+        out["k"] = args.k
+    _emit(out)
     return 0
 
 
@@ -223,6 +218,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    if args.budget < 1:  # no assignment tried would read as "not falsified"
+        raise ValueError("budget must be at least 1")
     spec = IdentitySpec.parse(args.lhs, args.rhs)
     flavor = Flavor.LEFT if args.monoid == "flad1" else Flavor.RIGHT
     witness = falsify_by_substitution(spec, flavor, budget=args.budget)

@@ -9,12 +9,13 @@ count of retract-free zig-zag idempotents.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Element, Flavor
 from .retract import is_retract_free
-from .trees import XTree, canonical_code, directed_walk, validate
+from .trees import XTree, _with_end, canonical_code, validate
 
 GENERIC_LEFT_BOUND = 12
 LEFT_SPHERE_BOUND = 30
@@ -111,36 +112,44 @@ def _first_branch_index(t: XTree) -> int | None:
     return min((index[a] for a in anchors if a in index), default=None)
 
 
+def _census(n: int, rows) -> CensusRow:
+    """The census of n-edge trees from (trunk length, first branch) pairs."""
+    rows = list(rows)
+    by_trunk = dict(Counter(k for k, _ in rows))
+    by_kl = dict(Counter(kl for kl in rows if kl[1] is not None))
+    return CensusRow(n, len(rows), by_trunk, by_kl, by_trunk.get(0, 0))
+
+
 def census_from_trees(n: int, trees: list[XTree]) -> CensusRow:
-    by_trunk: dict[int, int] = {}
-    by_kl: dict[tuple[int, int], int] = {}
-    idem = 0
-    for t in trees:
-        k = validate(t).length
-        by_trunk[k] = by_trunk.get(k, 0) + 1
-        if k == 0:
-            idem += 1
-        l = _first_branch_index(t)
-        if l is not None:
-            by_kl[(k, l)] = by_kl.get((k, l), 0) + 1
-    return CensusRow(n, len(trees), by_trunk, by_kl, idem)
+    """The census read from the trees themselves, each validated."""
+    return _census(n, ((validate(t).length, _first_branch_index(t)) for t in trees))
 
 
 # -------------------------------------------------- structural left sphere
 
 
 def structural_left_trees(n: int) -> list[XTree]:
-    """All retract-free left a-trees with n edges, built directly.
+    """All retract-free left a-trees with n edges, built directly."""
+    return [t for _, _, t in _left_rows(n)]
+
+
+def left_census(n: int) -> CensusRow:
+    """The structural left sphere's census, read from its construction."""
+    return _census(n, ((k, l) for k, l, _ in _left_rows(n)))
+
+
+def _left_rows(n: int):
+    """Each structural left tree with n edges as (k, l, tree).
 
     For trunk length k, a tree is determined by the set Y of distances
     from the end carrying a branch and, per branch, its excess length
     over that distance; retract-freeness forces the excesses to be
     distinct, positive, and increasing with the distance.  Only the sets
     Y that leave room for r distinct positive excesses are visited, so
-    the work grows with the output.
+    the work grows with the output.  The first branch hangs off trunk
+    vertex l = k - max(Y), and l is None when Y is empty.
     """
     _check_size(n, LEFT_SPHERE_BOUND, "left sphere")
-    out: list[XTree] = []
     for k in range(n + 1):
         budget = n - k
         for r in range(0, k + 2):
@@ -148,11 +157,11 @@ def structural_left_trees(n: int) -> list[XTree]:
             # need at least 1 + 2 + ... + r edges
             cap = budget - r * (r + 1) // 2
             for Y in _capped_subsets(k + 1, r, cap):
+                l = k - Y[-1] if Y else None
                 for tau in partitions_into_distinct_parts(budget - sum(Y), r):
                     # tau descending; match to Y descending
                     lengths = {y: y + tau[j] for j, y in enumerate(reversed(Y))}
-                    out.append(_build_left_tree(k, lengths))
-    return out
+                    yield k, l, _build_left_tree(k, lengths)
 
 
 def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
@@ -187,10 +196,10 @@ def _build_left_tree(k: int, branch_by_distance: dict[int, int]) -> XTree:
 
 def left_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """The structural left sphere as elements in code order, with its census."""
-    trees = structural_left_trees(n)
-    coded = sorted(((canonical_code(t), t) for t in trees), key=lambda ct: ct[0])
+    rows = list(_left_rows(n))
+    coded = sorted(((canonical_code(t), t) for _, _, t in rows), key=lambda ct: ct[0])
     elements = [Element(t, code, Flavor.LEFT) for code, t in coded]
-    return elements, census_from_trees(n, [t for _, t in coded])
+    return elements, _census(n, ((k, l) for k, l, _ in rows))
 
 
 # ----------------------------------------------------- generic enumeration
@@ -291,14 +300,20 @@ def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
     return states
 
 
-def _orient(base: list[tuple[int, int, str]], mask: int) -> XTree:
-    """The shape's edges with edge i reversed where bit i of mask is set,
-    with start and end at vertex 0."""
-    edges = tuple(
-        (b, a, lab) if (mask >> i) & 1 else (a, b, lab)
-        for i, (a, b, lab) in enumerate(base)
-    )
-    return XTree(len(base) + 1, edges, 0, 0)
+def _oriented_ends(base: list[tuple[int, int, str]], mask: int, twin: int = -1):
+    """The shape with edge i, which joins vertex i + 1 to its parent,
+    reversed where bit i of mask is set, started at vertex 0, at each end
+    the start reaches, ascending, or at `twin` alone if twin >= 0.  The
+    tree is built and validated once, if some end is left."""
+    reach, edges = [True], []
+    for i, (a, b, lab) in enumerate(base):
+        up = (mask >> i) & 1
+        reach.append(reach[a] and not up)
+        edges.append((b, a, lab) if up else (a, b, lab))
+    ends = [v for v, r in enumerate(reach) if r and twin in (-1, v)]
+    if ends:
+        t = XTree(len(reach), edges, 0, 0)
+        yield from (_with_end(t, end) for end in ends)
 
 
 def oriented_trees(n: int):
@@ -306,14 +321,12 @@ def oriented_trees(n: int):
 
     Each shape in level-sequence order, each of its 2**n edge
     orientations, each end a directed path from the start reaches, in
-    ascending order; isomorphic trees recur.
+    ascending order, sharing one rooting; isomorphic trees recur.
     """
     for L in rooted_tree_level_sequences(n + 1):
         base = _level_sequence_to_edges(L)
         for mask in range(1 << n):
-            t = _orient(base, mask)
-            for end in sorted(directed_walk(t)[1]):
-                yield t if end == 0 else XTree(n + 1, t.edges, 0, end)
+            yield from _oriented_ends(base, mask)
 
 
 def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
@@ -324,17 +337,14 @@ def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
     ascending order, so the first tree of each class is the one the
     unpruned order meets first.  An orientation with a twin leaf tries
     only that leaf as its end, since the start is vertex 0 whatever the
-    end; one without tries every end.
+    end; one without tries every end.  Each orientation with an end to
+    try is validated once, and its ends share that rooting.
     """
     free: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
         base = _level_sequence_to_edges(L)
         for mask, twin in _twin_free_masks(L, all_masks):
-            t = _orient(base, mask)
-            for end in sorted(directed_walk(t)[1]):
-                if twin >= 0 and end != twin:
-                    continue
-                u = t if end == 0 else XTree(n + 1, t.edges, 0, end)
+            for u in _oriented_ends(base, mask, twin):
                 if is_retract_free(u):
                     free.setdefault(canonical_code(u), u)
     return sorted(free.items(), key=lambda ct: ct[0])
@@ -470,7 +480,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
     _check_size(n_max, LEFT_SPHERE_BOUND, "left sphere")  # before any row is built
     rows = []
     for n in range(n_max + 1):
-        census = census_from_trees(n, structural_left_trees(n))
+        census = left_census(n)
         binom = math.comb(n - 1, (n - 1) // 2) if n >= 1 else 1
         row = {
             "n": n,

@@ -60,7 +60,7 @@ def _left_sphere_sizes() -> tuple[bool, str]:
 
 def _trunk_refinement() -> tuple[bool, str]:
     for n in range(13):
-        cen = growth.census_from_trees(n, growth.structural_left_trees(n))
+        cen = growth.left_census(n)
         for k in range(n + 1):
             if cen.by_trunk.get(k, 0) != growth.P(n + 1, k + 1):
                 return False, "mismatch at (n,k)=(%d,%d)" % (n, k)
@@ -68,9 +68,7 @@ def _trunk_refinement() -> tuple[bool, str]:
 
 
 def _first_branch_recursion() -> tuple[bool, str]:
-    census = {
-        n: growth.census_from_trees(n, growth.structural_left_trees(n)) for n in range(13)
-    }
+    census = {n: growth.left_census(n) for n in range(13)}
     for n in range(1, 13):
         for k in range(n):
             for l in range(k + 1):

@@ -10,7 +10,7 @@ decided through :func:`canonical_code`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class InvalidTreeError(ValueError):
@@ -23,9 +23,9 @@ class XTree:
 
     Vertices are 0..vertices-1; edges are (src, dst, label) triples.
     Edge order is normalised (sorted) so structurally equal trees with
-    the same indexing compare equal.  `rooting` is set by the first
-    successful `validate`; it is not part of the tree's value, so `==`,
-    `hash` and `repr` ignore it.
+    the same indexing compare equal.  `rooting` is set by `validate` or
+    `_with_end`; it is not part of the tree's value, so `==`, `hash` and
+    `repr` ignore it.
     """
 
     vertices: int
@@ -86,6 +86,10 @@ def undirected_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
     return adj
 
 
+# bytes that delimit labels in canonical_code or end a quoted DOT label
+_RESERVED = frozenset('()<>"\\')
+
+
 def validate(t: XTree) -> TrunkInfo:
     """Check the tree and trunk invariants; return the trunk and the
     rooting on success.
@@ -95,6 +99,8 @@ def validate(t: XTree) -> TrunkInfo:
     no directed start-to-end path.  A success is stored in the tree's
     `rooting`, which later calls return without checking again; a
     failure is not stored, so an invalid tree raises on every call.
+    `_with_end` is the one other writer of `rooting`.  Labels may not
+    contain the bytes that delimit them in `canonical_code` or `to_dot`.
     """
     if t.rooting is not None:
         return t.rooting
@@ -112,6 +118,8 @@ def validate(t: XTree) -> TrunkInfo:
             raise InvalidTreeError("not a tree: edge endpoint out of range")
         if not (isinstance(lab, str) and lab):
             raise InvalidTreeError("not a tree: empty edge label")
+        if not _RESERVED.isdisjoint(lab):
+            raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
 
     # BFS from the start; each vertex records its parent and the direction
     # and label of the edge it was reached by.
@@ -145,27 +153,33 @@ def validate(t: XTree) -> TrunkInfo:
     return info
 
 
+def _with_end(t: XTree, end: int) -> XTree:
+    """t with its end moved to `end`, sharing t's rooting at the start.
+    The new trunk is the parent path from `end`; InvalidTreeError("no
+    trunk") unless each edge on it points away from the start."""
+    r = validate(t)
+    if end == t.end:
+        return t
+    path = [end]
+    while path[-1] != t.start:
+        if not r.forward[path[-1]]:
+            raise InvalidTreeError("no trunk: no directed start-to-end path")
+        path.append(r.parent[path[-1]])
+    path.reverse()
+    # b's edge to its parent a is the one entry for a in adj[b]
+    edges = tuple(
+        (a, b, lab) for a, b in zip(path, path[1:]) for w, _, lab in r.adj[b] if w == a
+    )
+    u = XTree(t.vertices, t.edges, t.start, end)
+    object.__setattr__(u, "rooting", replace(r, vertices=tuple(path), edges=edges))
+    return u
+
+
 @dataclass(frozen=True)
 class Classification:
     is_left: bool
     is_right: bool
     is_idempotent_shape: bool
-
-
-def directed_walk(t: XTree) -> tuple[list[list[int]], list[int]]:
-    """The walk from the start along the edges.
-
-    Returns the successor lists and the vertices reached, each after the
-    one it was reached from.  t must be a valid tree: two edges into one
-    reached vertex would close a cycle, so no vertex is reached twice.
-    """
-    succ: list[list[int]] = [[] for _ in range(t.vertices)]
-    for src, dst, _ in t.edges:
-        succ[src].append(dst)
-    order = [t.start]
-    for v in order:
-        order.extend(succ[v])
-    return succ, order
 
 
 def is_left(t: XTree) -> bool:

@@ -98,6 +98,12 @@ class TestRetract:
         code, _, err = run(capsys, "retract", "--json", "{oops")
         assert code == 2 and "malformed" in err
 
+    def test_dot_breaking_label_rejected(self, capsys):
+        text = '{"vertices":2,"start":0,"end":0,"edges":[[0,1,"a\\"b"]]}'
+        code, out, err = run(capsys, "retract", "--json", text, "--format", "dot")
+        assert code == 2 and out == ""
+        assert "bad edge label" in err
+
     @pytest.mark.parametrize("edge", ["[false,true,\"a\"]", "[0,true,\"a\"]", "[true,1,\"a\"]"])
     def test_boolean_endpoint_rejected(self, capsys, edge):
         text = '{"vertices":2,"start":0,"end":1,"edges":[%s]}' % edge
@@ -150,6 +156,8 @@ class TestEnumeration:
             (("partitions", "--n", "601", "--distinct"), "partition bound 600"),
             (("sphere", "--variant", "left", "--edges", "-1"), "n must be nonnegative"),
             (("sphere", "--variant", "two-sided", "--edges", "-1"), "n must be nonnegative"),
+            (("census", "--variant", "left", "--max", "-1"), "n must be nonnegative"),
+            (("census", "--variant", "two-sided", "--max", "-1"), "n must be nonnegative"),
         ],
     )
     def test_sizes_past_the_caps_rejected(self, capsys, argv, bound):
@@ -231,6 +239,15 @@ class TestIdentity:
             capsys, "falsify", "--monoid", "flad1", "--budget", "200", "x^+x", "x"
         )
         assert code == 0 and json.loads(out)["witness"] is None
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_falsify_budget_below_one_rejected(self, capsys, budget):
+        # a search that tries nothing must not print "not falsified"
+        code, out, err = run(
+            capsys, "falsify", "--monoid", "flad1", "--budget", budget, "xy", "yx"
+        )
+        assert code == 2 and out == ""
+        assert "budget must be at least 1" in err
 
 
 class TestLongTerms:

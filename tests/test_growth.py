@@ -12,8 +12,9 @@ import adequa.growth as growth
 from adequa.growth import (
     GENERIC_LEFT_BOUND,
     _capped_subsets,
+    _free_classes,
     _level_sequence_to_edges,
-    _orient,
+    _oriented_ends,
     _twin_free_masks,
     P,
     Q,
@@ -23,6 +24,7 @@ from adequa.growth import (
     census_from_trees,
     generic_left_trees,
     hardy_ramanujan_estimate,
+    left_census,
     left_sphere,
     oriented_trees,
     p_zigzag,
@@ -36,6 +38,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import endomorphism_oracle, is_retract_free
+import adequa.trees
 from adequa.trees import InvalidTreeError, XTree, canonical_code, is_left, validate
 
 BENCH_SPEC = os.path.join(
@@ -117,13 +120,34 @@ class TestRootedTreeShapes:
         assert got == [1, 1, 2, 4, 9, 20, 48, 115]
 
 
+def count_full_validations(monkeypatch) -> list:
+    """Record every tree `validate` builds an adjacency for."""
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return adjacency(t)
+
+    adjacency = adequa.trees.undirected_adjacency
+    monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
+    return walked
+
+
 class TestLeftSpheres:
     def test_sphere_equals_partition_function(self):
         for n in range(31):
-            cen = census_from_trees(n, structural_left_trees(n))
+            cen = left_census(n)
             assert cen.total == P(n + 1)
             for k in range(n + 1):
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
+
+    def test_census_from_construction_matches_validated_census(self, monkeypatch):
+        walked = count_full_validations(monkeypatch)
+        for n in range(31):
+            cen = left_census(n)
+            assert walked == []
+            assert cen == census_from_trees(n, structural_left_trees(n))
+            walked.clear()
 
     def test_caps_cover_targets_and_benchmark(self):
         # the reproduction targets enumerate left spheres to n = 20, read P
@@ -209,6 +233,33 @@ class TestTwoSidedSpheres:
                 validate(t)
             assert {canonical_code(t) for t in got} == brute
 
+    def test_derived_rootings_equal_fresh_validation(self):
+        trees = [t for n in range(7) for t in oriented_trees(n)]
+        trees += [t for n in range(9) for _, t in _free_classes(n, True)]
+        for t in trees:
+            assert t.rooting is not None
+            assert t.rooting == validate(XTree(t.vertices, t.edges, t.start, t.end))
+
+    def test_two_sided_validates_each_tested_orientation_once(self, monkeypatch):
+        # an orientation is tested when it has no twin leaf, or its twin
+        # leaf is an end the start reaches
+        tested = 0
+        for L in rooted_tree_level_sequences(9):
+            base = _level_sequence_to_edges(L)
+            for mask, twin in _twin_free_masks(L, True):
+                edges = [
+                    (b, a, lab) if mask >> i & 1 else (a, b, lab)
+                    for i, (a, b, lab) in enumerate(base)
+                ]
+                try:
+                    validate(XTree(9, edges, 0, max(twin, 0)))
+                    tested += 1
+                except InvalidTreeError:
+                    pass
+        walked = count_full_validations(monkeypatch)
+        two_sided_sphere(8)
+        assert len(walked) == tested == 2389
+
     def test_published_table(self):
         for n in range(6):
             _, cen = two_sided_sphere(n)
@@ -249,7 +300,7 @@ class TestTwoSidedSpheres:
                 for all_masks in (True, False):
                     want = []
                     for mask in range(1 << n if all_masks else 1):
-                        twins = _twin_leaves(_orient(base, mask))
+                        twins = _twin_leaves(next(_oriented_ends(base, mask)))
                         if len(twins) < 2:
                             want.append((mask, twins[0] if twins else -1))
                     assert _twin_free_masks(L, all_masks) == want, (L, all_masks)

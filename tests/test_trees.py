@@ -9,11 +9,13 @@ import weakref
 import pytest
 
 import adequa.trees
+from adequa.algebra import Flavor, make_element
 from adequa.growth import oriented_trees
 from adequa.trees import (
     EPSILON,
     InvalidTreeError,
     XTree,
+    _with_end,
     canonical_code,
     classify,
     from_json,
@@ -83,6 +85,30 @@ class TestValidation:
             validate(XTree(2, ((0, 5, "a"),), 0, 1))
         with pytest.raises(InvalidTreeError):
             validate(XTree(2, ((0, 1, "a"),), 0, 7))
+
+    @pytest.mark.parametrize("char", list('()<>"\\'))
+    def test_reserved_label_bytes_rejected(self, char):
+        t = XTree(2, ((0, 1, "a%sb" % char),), 0, 1)
+        with pytest.raises(InvalidTreeError, match="bad edge label"):
+            validate(t)
+
+    def test_labels_cannot_forge_a_code(self):
+        # "a()>b" once wrote the same code bytes as two sibling edges a, b
+        pair = XTree(3, ((0, 1, "a"), (0, 2, "b")), 0, 0)
+        forged = XTree(2, ((0, 1, "a()>b"),), 0, 0)
+        assert canonical_code(pair) == b"(E>a()>b())"
+        with pytest.raises(InvalidTreeError):
+            make_element(forged, Flavor.TWO_SIDED)
+
+    def test_moved_end_shares_the_rooting(self):
+        t = XTree(4, ((0, 1, "a"), (1, 2, "b"), (3, 1, "c")), 0, 0)
+        assert _with_end(t, 0) is t
+        u = _with_end(t, 2)
+        assert u == XTree(4, t.edges, 0, 2)
+        assert u.rooting == validate(XTree(4, t.edges, 0, 2))
+        assert u.rooting.adj is t.rooting.adj and u.rooting.order is t.rooting.order
+        with pytest.raises(InvalidTreeError, match="no trunk"):
+            _with_end(t, 3)
 
     def test_invalid_tree_raises_on_every_call(self):
         t = XTree(3, ((0, 1, "a"), (2, 1, "a")), 0, 2)
