@@ -12,17 +12,10 @@ any, and 2 on a usage error, such as a budget below 1.
 """
 
 import argparse
-import random
 import sys
 
-from adequa.algebra import Flavor
-from adequa.identities import (
-    IdentitySpec,
-    check_enriched_flad1,
-    falsify_by_substitution,
-)
-from adequa.reproduce import random_term
-from adequa.terms import term_length, term_to_str
+from adequa.reproduce import enriched_sweep
+from adequa.terms import term_to_str
 
 
 def budget(text: str) -> int:
@@ -41,16 +34,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
     done = satisfied = disagreements = 0
-    while done < args.rounds:
-        u, v = random_term(rng), random_term(rng)
-        if term_length(u) > 6 or term_length(v) > 6:
-            continue
-        spec = IdentitySpec(u, v)
-        verdict = check_enriched_flad1(spec).satisfied
-        witness = falsify_by_substitution(spec, Flavor.LEFT, budget=args.budget)
-        if verdict != (witness is None):
+    for u, v, verdict, agrees in enriched_sweep(args.seed, args.rounds, args.budget):
+        if not agrees:
             disagreements += 1
             print(
                 "DISAGREEMENT: %s ~ %s (checker=%s)"

@@ -18,6 +18,7 @@ from .retract import retract
 from .trees import (
     EPSILON,
     XTree,
+    _with_end,
     canonical_code,
     generator_tree,
     is_left,
@@ -109,11 +110,11 @@ def multiply(s: Element, t: Element) -> Element:
 
 
 def plus_op(t: Element) -> Element:
-    """Move the end marker to the start vertex, then retract."""
+    """Move the end marker to the start vertex, sharing the operand's
+    rooting at the start, then retract."""
     if t.flavor is Flavor.RIGHT:
         raise FlavorError("plus is not in the right-adequate signature")
-    moved = XTree(t.tree.vertices, t.tree.edges, t.tree.start, t.tree.start)
-    return make_element(moved, t.flavor)
+    return make_element(_with_end(t.tree, t.tree.start), t.flavor)
 
 
 def star_op(t: Element) -> Element:

@@ -305,13 +305,12 @@ def _oriented_ends(base: list[tuple[int, int, str]], mask: int, twin: int = -1):
     reversed where bit i of mask is set, started at vertex 0, at each end
     the start reaches, ascending, or at `twin` alone if twin >= 0.  The
     tree is built and validated once, if some end is left."""
-    reach, edges = [True], []
-    for i, (a, b, lab) in enumerate(base):
-        up = (mask >> i) & 1
-        reach.append(reach[a] and not up)
-        edges.append((b, a, lab) if up else (a, b, lab))
+    reach = [True]
+    for i, (a, _, _) in enumerate(base):
+        reach.append(reach[a] and not (mask >> i) & 1)
     ends = [v for v, r in enumerate(reach) if r and twin in (-1, v)]
     if ends:
+        edges = [(e[1], e[0], e[2]) if (mask >> i) & 1 else e for i, e in enumerate(base)]
         t = XTree(len(reach), edges, 0, 0)
         yield from (_with_end(t, end) for end in ends)
 

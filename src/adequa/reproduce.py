@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import growth
 from .algebra import (
@@ -198,14 +199,31 @@ def _oracle_equivalence() -> tuple[bool, str]:
     return True, "engine and endomorphism oracle agree on %d trees" % len(seen)
 
 
-def random_term(rng: random.Random, depth: int = 0) -> Term:
+def _random_term(rng: random.Random, depth: int = 0) -> Term:
     """A random term on x, y built from products and plus, at most 4 deep."""
     r = rng.random()
     if r < 0.35 or depth > 3:
         return Letter(rng.choice("xy"))
     if r < 0.55:
-        return Plus(random_term(rng, depth + 1))
-    return Product(random_term(rng, depth + 1), random_term(rng, depth + 1))
+        return Plus(_random_term(rng, depth + 1))
+    return Product(_random_term(rng, depth + 1), _random_term(rng, depth + 1))
+
+
+def enriched_sweep(seed: int, rounds: int, budget: int) -> Iterator[tuple[Term, Term, bool, bool]]:
+    """`rounds` random enriched identities u ~ v on x, y, sides of length
+    at most 6, from `random.Random(seed)`: each with the left checker's
+    verdict and whether the falsifier at `budget` agrees with it."""
+    rng = random.Random(seed)
+    done = 0
+    while done < rounds:
+        u, v = _random_term(rng), _random_term(rng)
+        if term_length(u) > 6 or term_length(v) > 6:
+            continue
+        spec = IdentitySpec(u, v)
+        verdict = check_enriched_flad1(spec).satisfied
+        witness = falsify_by_substitution(spec, Flavor.LEFT, budget=budget)
+        yield u, v, verdict, verdict == (witness is None)
+        done += 1
 
 
 def _identity_checker() -> tuple[bool, str]:
@@ -224,19 +242,8 @@ def _identity_checker() -> tuple[bool, str]:
             witness = falsify_by_substitution(spec, Flavor.LEFT, budget=500)
             if verdict != (witness is None):
                 return False, "plain disagreement on %r ~ %r" % (u, v)
-    # random enriched sweep
-    rng = random.Random(5)
-    done = 0
-    while done < 1000:
-        u, v = random_term(rng), random_term(rng)
-        if term_length(u) > 6 or term_length(v) > 6:
-            continue
-        spec = IdentitySpec(u, v)
-        verdict = check_enriched_flad1(spec).satisfied
-        witness = falsify_by_substitution(spec, Flavor.LEFT, budget=500)
-        if verdict != (witness is None):
-            return False, "enriched disagreement"
-        done += 1
+    if not all(agrees for *_, agrees in enriched_sweep(5, 1000, 500)):
+        return False, "enriched disagreement"
     # two-sided plain triviality with the separating witness family
     assign = {"x": fad1_witness_element(7), "y": fad1_witness_element(8)}
     words5 = [""] + [

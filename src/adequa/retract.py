@@ -71,18 +71,20 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(trunk: TrunkInfo) -> tuple[Adjacency, list[int], list[int]]:
+def _rooted(t: XTree) -> tuple[Adjacency, list[int], list[int]]:
     """Adjacency, parent array and order of the non-trunk vertices.
 
-    Taken from the rooting at the start: a non-trunk vertex's path to
-    the start enters the trunk at its branch's anchor, so parent[b] is
-    that anchor for the head b of a branch (-1 on the trunk), and every
-    vertex comes after its parent in the order.
+    The adjacency is built here, for the leaves-first pass alone; the
+    rest is taken from the rooting at the start: a non-trunk vertex's
+    path to the start enters the trunk at its branch's anchor, so
+    parent[b] is that anchor for the head b of a branch (-1 on the
+    trunk), and every vertex comes after its parent in the order.
     """
+    trunk = validate(t)
     parent = trunk.parent.copy()
     for v in trunk.vertices:
         parent[v] = -1
-    return trunk.adj, parent, [v for v in trunk.order if parent[v] >= 0]
+    return undirected_adjacency(t), parent, [v for v in trunk.order if parent[v] >= 0]
 
 
 def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
@@ -171,7 +173,7 @@ def find_foldable_branch(t: XTree) -> int | None:
     Deterministic: the first foldable branch of the leaves-first pass.
     The head may be vertex 0, so test the result against None.
     """
-    adj, parent, order = _rooted(validate(t))
+    adj, parent, order = _rooted(t)
     return next(_folds(adj, parent, order), None)
 
 
@@ -199,23 +201,22 @@ def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
     """
     if trunk.forward.count(True) != t.vertices - 1:
         return None
-    adj, parent = trunk.adj, trunk.parent
+    parent = trunk.parent
     height = [0] * t.vertices
-    highest = [-1] * t.vertices  # the first highest child
+    highest = [-1] * t.vertices  # the first highest child off the trunk
+    on_trunk = set(trunk.vertices)
     # Children come before parents and siblings last to first, so of the
     # children of equal height the first is seen last and kept.
     for v in reversed(trunk.order[1:]):
         p = parent[v]
-        if height[v] >= height[p] - 1:
+        if height[v] >= height[p]:
             height[p] = height[v] + 1
+        if v not in on_trunk and (highest[p] < 0 or height[v] >= height[highest[p]]):
             highest[p] = v
     kept = list(trunk.vertices)
     tc = -1  # the trunk child of v; none at the end
     for v in reversed(trunk.vertices):
-        side = -1
-        for c, out, _ in adj[v]:
-            if out and c != tc and (side < 0 or height[c] > height[side]):
-                side = c
+        side = highest[v]
         if side >= 0 and (tc < 0 or height[side] > height[tc]):
             while side >= 0:
                 kept.append(side)
@@ -235,7 +236,7 @@ def retract(t: XTree) -> XTree:
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:
-        adj, parent, order = _rooted(trunk)
+        adj, parent, order = _rooted(t)
         gone = set(_folds(adj, parent, order))
         for v in order:  # parents come first, so each dead head takes its subtree
             if parent[v] in gone:

@@ -10,7 +10,7 @@ decided through :func:`canonical_code`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class InvalidTreeError(ValueError):
@@ -49,19 +49,19 @@ class TrunkInfo:
     """The unique directed start-to-end path of a valid tree, with the
     rooting at the start that found it.
 
-    `adj` is the tree's `undirected_adjacency`; `parent[v]` is the
-    neighbour of v towards the start (the start is its own parent);
-    `forward[v]` says whether the edge between them is (parent[v], v);
-    `order` is the breadth-first order, each vertex after its parent.
-    It is computed once per tree object and kept on the tree, so the
+    The rooting is flat per-vertex arrays: `parent[v]` is v's neighbour
+    towards the start (the start is its own parent), `forward[v]` says
+    whether their edge is (parent[v], v), `label[v]` is its label ("" at
+    the start), and `order` is breadth-first, each vertex after its
+    parent.  It is computed once per tree object and kept on it, so the
     lists are shared by every reader and must not be changed.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, str], ...]
-    adj: list[list[tuple[int, bool, str]]]
     parent: list[int]
     forward: list[bool]
+    label: list[str]
     order: list[int]
 
     @property
@@ -138,40 +138,35 @@ def validate(t: XTree) -> TrunkInfo:
                 order.append(w)
     if len(order) != n:
         raise InvalidTreeError("not a tree: graph is disconnected")
-
-    # The undirected start->end path is unique; the trunk exists iff every
-    # edge along it is oriented forward.
-    path = [t.end]
-    while path[-1] != t.start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    if not all(forward[b] for b in path[1:]):
-        raise InvalidTreeError("no trunk: no directed start-to-end path")
-    trunk_edges = tuple((parent[b], b, label[b]) for b in path[1:])
-    info = TrunkInfo(tuple(path), trunk_edges, adj, parent, forward, order)
+    info = _trunk(t.start, t.end, parent, forward, label, order)
     object.__setattr__(t, "rooting", info)
     return info
 
 
-def _with_end(t: XTree, end: int) -> XTree:
-    """t with its end moved to `end`, sharing t's rooting at the start.
-    The new trunk is the parent path from `end`; InvalidTreeError("no
+def _trunk(
+    start: int, end: int, parent: list[int], forward: list[bool], label: list[str], order: list[int]
+) -> TrunkInfo:
+    """The rooting with the trunk from start to `end`.  The undirected
+    path, read up the parent array, is unique; InvalidTreeError("no
     trunk") unless each edge on it points away from the start."""
+    path = [end]
+    while path[-1] != start:
+        if not forward[path[-1]]:
+            raise InvalidTreeError("no trunk: no directed start-to-end path")
+        path.append(parent[path[-1]])
+    path.reverse()
+    edges = tuple((parent[b], b, label[b]) for b in path[1:])
+    return TrunkInfo(tuple(path), edges, parent, forward, label, order)
+
+
+def _with_end(t: XTree, end: int) -> XTree:
+    """t with its end moved to `end`, sharing t's rooting at the start;
+    the new trunk and its errors are `_trunk`'s."""
     r = validate(t)
     if end == t.end:
         return t
-    path = [end]
-    while path[-1] != t.start:
-        if not r.forward[path[-1]]:
-            raise InvalidTreeError("no trunk: no directed start-to-end path")
-        path.append(r.parent[path[-1]])
-    path.reverse()
-    # b's edge to its parent a is the one entry for a in adj[b]
-    edges = tuple(
-        (a, b, lab) for a, b in zip(path, path[1:]) for w, _, lab in r.adj[b] if w == a
-    )
     u = XTree(t.vertices, t.edges, t.start, end)
-    object.__setattr__(u, "rooting", replace(r, vertices=tuple(path), edges=edges))
+    object.__setattr__(u, "rooting", _trunk(t.start, end, r.parent, r.forward, r.label, r.order))
     return u
 
 
@@ -212,21 +207,18 @@ def canonical_code(t: XTree) -> bytes:
     with its direction relative to the traversal and its label.  Codes
     are equal iff the trees are isomorphic as birooted labelled trees.
     """
-    rooting = validate(t)
-    adj, parent, end = rooting.adj, rooting.parent, t.end
-    # Every vertex follows its parent in `order`, so walking it backwards
-    # encodes children before parents; a child's code is dropped once used.
-    code: dict[int, bytes] = {}
-    for v in reversed(rooting.order):
-        p = parent[v]
-        parts = [
-            (b">" if out else b"<") + lab.encode() + code.pop(w)
-            for w, out, lab in adj[v]
-            if w != p
-        ]
-        parts.sort()
-        code[v] = (b"(E" if v == end else b"(") + b"".join(parts) + b")"
-    return code[t.start]
+    r = validate(t)
+    parent, forward, label, end = r.parent, r.forward, r.label, t.end
+    # Walking `order` backwards finishes children before parents; each
+    # vertex hands its code, with its edge's direction and label, to its
+    # parent.  The start, last and its own parent, hands it to itself.
+    parts: list[list[bytes]] = [[] for _ in parent]
+    for v in reversed(r.order):
+        ps = parts[v]
+        ps.sort()
+        code = (b"(E" if v == end else b"(") + b"".join(ps) + b")"
+        parts[parent[v]].append((b">" if forward[v] else b"<") + label[v].encode() + code)
+    return code
 
 
 def theta(t: XTree) -> XTree:

@@ -52,6 +52,31 @@ class TestBasics:
                 m.setattr(trees, "undirected_adjacency", None)
                 assert identity_element(flavor) is e
 
+    def test_plus_shares_the_operands_rooting(self, monkeypatch):
+        # the moved tree takes the operand's rooting at the start, so a
+        # full check runs only on a result the retraction folded
+        from adequa import trees
+
+        rng = random.Random(17)
+        ops = [
+            random_monogenic_element(rng, flavor, 8)
+            for flavor in (Flavor.LEFT, Flavor.TWO_SIDED)
+            for _ in range(100)
+        ]
+        walked = []
+
+        def counted(t):
+            walked.append(t)
+            return adjacency(t)
+
+        adjacency = trees.undirected_adjacency
+        monkeypatch.setattr(trees, "undirected_adjacency", counted)
+        results = [plus_op(e) for e in ops]
+        folded = sum(r.edge_count < e.edge_count for e, r in zip(ops, results))
+        assert len(walked) == folded < len(ops)
+        moved = [XTree(e.tree.vertices, e.tree.edges, e.tree.start, e.tree.start) for e in ops]
+        assert results == [make_element(t, e.flavor) for t, e in zip(moved, ops)]
+
     def test_generator_shape(self):
         a = generator("a", Flavor.TWO_SIDED)
         assert a.edge_count == 1 and a.trunk_length == 1

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
@@ -39,7 +40,7 @@ from adequa.growth import (
 )
 from adequa.retract import endomorphism_oracle, is_retract_free
 import adequa.trees
-from adequa.trees import InvalidTreeError, XTree, canonical_code, is_left, validate
+from adequa.trees import InvalidTreeError, TrunkInfo, XTree, canonical_code, is_left, validate
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -236,9 +237,13 @@ class TestTwoSidedSpheres:
     def test_derived_rootings_equal_fresh_validation(self):
         trees = [t for n in range(7) for t in oriented_trees(n)]
         trees += [t for n in range(9) for _, t in _free_classes(n, True)]
+        names = [f.name for f in fields(TrunkInfo)]
+        assert "label" in names
         for t in trees:
             assert t.rooting is not None
-            assert t.rooting == validate(XTree(t.vertices, t.edges, t.start, t.end))
+            fresh = validate(XTree(t.vertices, t.edges, t.start, t.end))
+            for name in names:
+                assert getattr(t.rooting, name) == getattr(fresh, name), (name, t)
 
     def test_two_sided_validates_each_tested_orientation_once(self, monkeypatch):
         # an orientation is tested when it has no twin leaf, or its twin

@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -24,6 +25,7 @@ from adequa.retract import (
     retract,
 )
 from adequa.trees import (
+    TrunkInfo,
     XTree,
     canonical_code,
     generator_tree,
@@ -210,7 +212,7 @@ def core_with_copies(rng, n_edges):
 
 def folded_heads(t):
     """The heads of the branches that the retraction pass deletes."""
-    adj, parent, order = _rooted(validate(t))
+    adj, parent, order = _rooted(t)
     return set(_folds(adj, parent, order))
 
 
@@ -249,7 +251,9 @@ class TestRooting:
         for t in rooting_sample():
             r = validate(t)
             edges = {(a, b) for a, b, _ in t.edges}
-            assert r.adj == undirected_adjacency(t)
+            labels = {}
+            for a, b, lab in t.edges:
+                labels[a, b] = labels[b, a] = lab
             assert r.order[0] == t.start == r.parent[t.start]
             assert sorted(r.order) == list(range(t.vertices))
             position = {v: i for i, v in enumerate(r.order)}
@@ -258,17 +262,32 @@ class TestRooting:
                 assert v == t.start or position[p] < position[v]
                 assert v == t.start or (p, v) in edges or (v, p) in edges
                 assert r.forward[v] == ((p, v) in edges)
+                assert r.label[v] == ("" if v == t.start else labels[p, v])
             left, right = reaches_every_vertex(t, True), reaches_every_vertex(t, False)
             assert (is_left(t), is_right(t)) == (left, right)
             shapes.add((left, right))
         assert len(shapes) == 4
 
+    def test_rooting_is_flat(self):
+        # a kept rooting holds per-vertex arrays of scalars and the trunk's
+        # own edge triples, nothing the garbage collector must walk into
+        for t in rooting_sample():
+            r = validate(t)
+            for f in fields(TrunkInfo):
+                value = getattr(r, f.name)
+                assert isinstance(value, (tuple, list)), f.name
+                items = [x for e in value for x in e] if f.name == "edges" else value
+                assert all(type(x) in (int, bool, str) for x in items), f.name
+                if f.name in ("parent", "forward", "label", "order"):
+                    assert len(value) == t.vertices, f.name
+            assert all(len(e) == 3 for e in r.edges) and len(r.edges) == r.length
+
     def test_rooted_branches_follow_their_parents(self):
         for t in rooting_sample():
             trunk = validate(t)
             before = list(trunk.parent)
-            adj, parent, order = _rooted(trunk)
-            assert adj is trunk.adj and trunk.parent == before
+            adj, parent, order = _rooted(t)
+            assert adj == undirected_adjacency(t) and trunk.parent == before
             assert all(parent[v] == -1 for v in trunk.vertices)
             assert sorted(order) == sorted(set(range(t.vertices)) - set(trunk.vertices))
             placed = set(trunk.vertices)
@@ -280,7 +299,7 @@ class TestRooting:
 def searched_folds(t):
     """The heads the leaves-first pass deletes when every branch is
     searched, whatever the kinds at its anchor."""
-    adj, parent, order = _rooted(validate(t))
+    adj, parent, order = _rooted(t)
     alive = [True] * len(adj)
     heads = []
     for b in reversed(order):
@@ -319,7 +338,7 @@ class TestKindFilter:
 
     def test_same_folds_as_searching_every_branch(self):
         for t in kind_sample():
-            adj, parent, order = _rooted(validate(t))
+            adj, parent, order = _rooted(t)
             assert list(_folds(adj, parent, order)) == searched_folds(t), t
 
     @pytest.fixture

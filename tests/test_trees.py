@@ -106,7 +106,8 @@ class TestValidation:
         u = _with_end(t, 2)
         assert u == XTree(4, t.edges, 0, 2)
         assert u.rooting == validate(XTree(4, t.edges, 0, 2))
-        assert u.rooting.adj is t.rooting.adj and u.rooting.order is t.rooting.order
+        shared = ("parent", "forward", "label", "order")
+        assert all(getattr(u.rooting, f) is getattr(t.rooting, f) for f in shared)
         with pytest.raises(InvalidTreeError, match="no trunk"):
             _with_end(t, 3)
 
