@@ -15,7 +15,9 @@ of each end-to-end metric named in BENCHMARK.json, plus how many pairs
 the working tree won on each metric (ties count for neither side) and,
 as `regressions`, the metrics whose working-tree median is worse than
 the baseline median by more than the metric's bound in BENCHMARK.json
-(a fraction of the baseline median; any rise of failed_ratio counts).
+(a fraction of the baseline median; any rise of failed_ratio counts),
+and `correct` when a working-tree run gave a wrong answer and no
+baseline run did.
 Each run also records its `attempted` operation count and each side the
 median of those as `operations`, outside the wins and the regressions, so
 that a `peak_rss_mb` rise can be read against the number of operations run.
@@ -102,13 +104,16 @@ def summary(runs, names):
 
 def regressions(entry, better, bound):
     """Each metric whose change median is worse than the baseline median
-    by more than its bound, with both medians."""
+    by more than its bound, with both medians, and `correct` when some
+    change run answered wrongly and no baseline run did."""
     out = {}
     for name, way in better.items():
         b, c = entry["baseline"][name]["median"], entry["change"][name]["median"]
         worse = c - b if way == "lower" else b - c
         if worse > bound[name] * abs(b):
             out[name] = {"baseline": b, "change": c}
+    if entry["baseline"]["correct"] and not entry["change"]["correct"]:
+        out["correct"] = {"baseline": True, "change": False}
     return out
 
 

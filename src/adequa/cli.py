@@ -64,7 +64,7 @@ def _eval_in_flavor(term_text: str, flavor: Flavor, assigns: list[str]) -> Eleme
             raise ValueError("bad --assign %r; expected letter=TERM" % spec)
         letter, _, rhs = spec.partition("=")
         letter = letter.strip()
-        if len(letter) != 1 or not letter.isalpha():
+        if len(letter) != 1 or not "a" <= letter <= "z":
             raise ValueError("bad --assign letter %r" % letter)
         rt = parse_term(rhs)
         sub = {x: generator(x, flavor) for x in letters_of(rt)}
@@ -187,7 +187,7 @@ def _cmd_zigzag(args) -> int:
                 "height": i,
                 "all_count": row["all_count"],
                 "retract_free_count": row["Z_count"],
-                "members": ["".join("a" if x else "t" for x in z.away) for z in row["members"]],
+                "members": ["".join("a" if x else "t" for x in z) for z in row["members"]],
             }
         )
     _emit({"edges": args.edges, "rows": rows})

@@ -241,13 +241,13 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
-    """The orientations of shape L with at most one twin leaf, ascending,
-    each with its twin leaf (-1 for none).
+def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[tuple[int, int]]:
+    """The orientations of the shape with edges `base` that have at most
+    one twin leaf, ascending, each with its twin leaf (-1 for none).
 
-    Bit i of a mask points edge i of `_level_sequence_to_edges(L)`, which
-    joins vertex i + 1 to its parent, towards the root; without all_masks
-    only mask 0, every edge away from the root, is tried.
+    Bit i of a mask points edge i of `base`, which joins vertex i + 1 to
+    its parent, towards the root; without all_masks only mask 0, every
+    edge away from the root, is tried.
 
     A twin leaf is a leaf v, not the start (vertex 0), whose edge to its
     neighbour u has a twin at u: another edge with the same label and the
@@ -266,8 +266,8 @@ def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
     edges once the edge to its own parent is fixed, and a choice is
     dropped as soon as it makes a second twin leaf.
     """
-    children: list[list[int]] = [[] for _ in L]
-    for a, b, _ in _level_sequence_to_edges(L):
+    children: list[list[int]] = [[] for _ in range(len(base) + 1)]
+    for a, b, _ in base:
         children[a].append(b)
     states = [(0, -1)]  # (the mask so far, its twin leaf)
     for u, kids in enumerate(children):
@@ -342,7 +342,7 @@ def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
     free: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
         base = _level_sequence_to_edges(L)
-        for mask, twin in _twin_free_masks(L, all_masks):
+        for mask, twin in _twin_free_masks(base, all_masks):
             for u in _oriented_ends(base, mask, twin):
                 if is_retract_free(u):
                     free.setdefault(canonical_code(u), u)
@@ -366,34 +366,16 @@ def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
 # ------------------------------------------------------------------ zig-zags
 
 
-@dataclass(frozen=True)
-class ZigZag:
-    """A non-branching idempotent a-tree as an orientation word.
-
-    away[i] is True when the i-th path edge (counted from the common
-    start/end extremity) points away from the start.
-    """
-
-    away: tuple[bool, ...]
-
-    @property
-    def edges(self) -> int:
-        return len(self.away)
-
-    @property
-    def height(self) -> int:
-        return sum(self.away)
+def zigzag_tree(z: tuple[bool, ...]) -> XTree:
+    """The zig-zag with orientation word z: a non-branching idempotent
+    a-tree whose i-th path edge, counted from the common start/end
+    extremity, points away from the start when z[i] is True.  The
+    height of z is sum(z)."""
+    edges = tuple((i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z))
+    return XTree(len(z) + 1, edges, 0, 0)
 
 
-def zigzag_tree(z: ZigZag) -> XTree:
-    n = z.edges
-    edges = tuple(
-        (i, i + 1, "a") if z.away[i] else (i + 1, i, "a") for i in range(n)
-    )
-    return XTree(n + 1, edges, 0, 0)
-
-
-def p_zigzag(n: int, i: int) -> ZigZag:
+def p_zigzag(n: int, i: int) -> tuple[bool, ...]:
     """The minimal member of Z(n,i)."""
     if not (0 <= i < n / 2):
         raise ValueError("need 0 <= i < n/2")
@@ -401,15 +383,15 @@ def p_zigzag(n: int, i: int) -> ZigZag:
     for j in range(2 * i):
         word.append(j % 2 == 0)
     word.append(False)
-    return ZigZag(tuple(word))
+    return tuple(word)
 
 
-def zigzag_ge(t: ZigZag, s: ZigZag) -> bool:
+def zigzag_ge(t: tuple[bool, ...], s: tuple[bool, ...]) -> bool:
     """Prefix dominance of away-counts."""
-    if t.edges != s.edges:
+    if len(t) != len(s):
         raise ValueError("length mismatch")
     ct = cs = 0
-    for at, as_ in zip(t.away, s.away):
+    for at, as_ in zip(t, s):
         ct += at
         cs += as_
         if ct < cs:
@@ -430,7 +412,7 @@ def zigzag_census(n: int) -> dict[int, dict]:
             away = [False] * n
             for p in positions:
                 away[p] = True
-            z = ZigZag(tuple(away))
+            z = tuple(away)
             if zigzag_ge(z, least):
                 members.append(z)
         out[i] = {
@@ -492,11 +474,16 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
             _, tcensus = two_sided_sphere(n)
             row["two_sided_sphere"] = tcensus.total
             row["two_sided_idempotents"] = tcensus.idempotent_count
-            row["verified_by_published_table"] = n < len(PUBLISHED_TABLE_S)
             if row["two_sided_idempotents"] < binom:
                 raise RuntimeError(
                     "idempotent count below the binomial bound at n=%d" % n
                 )
+            row["verified_by_published_table"] = n < len(PUBLISHED_TABLE_S)
+            if row["verified_by_published_table"] and (
+                tcensus.total != PUBLISHED_TABLE_S[n]
+                or tcensus.idempotent_count != PUBLISHED_TABLE_SE[n]
+            ):
+                raise RuntimeError("two-sided counts differ from the published table at n=%d" % n)
         rows.append(row)
     report = {
         "rank": rank,

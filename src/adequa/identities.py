@@ -32,14 +32,14 @@ from .growth import left_sphere, two_sided_sphere
 from .terms import (
     NonNestedWord,
     PlusBlock,
-    dualize_term,
     letter_counts,
     letters_of,
     parse_term,
     plain_projection,
     pqr_sets,
+    prefix_through_last,
+    reverse_term,
     suff,
-    swap_unary,
     term_to_str,
     to_nonnested,
 )
@@ -73,16 +73,6 @@ def _counts_vector(word: str, alphabet: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(word.count(y) for y in alphabet)
 
 
-def _word_counts_vector(u: NonNestedWord, alphabet) -> tuple[int, ...]:
-    c = letter_counts(u)
-    return tuple(c.get(y, 0) for y in alphabet)
-
-
-def _mp_plain(word: str, x: str) -> str | None:
-    i = word.rfind(x)
-    return None if i < 0 else word[: i + 1]
-
-
 def _condition_iii(
     u: NonNestedWord, v: NonNestedWord, alphabet: tuple[str, ...]
 ) -> str | None:
@@ -92,16 +82,15 @@ def _condition_iii(
     # the string-hash seed
     for w_block in dict.fromkeys(a for a in u.atoms if isinstance(a, PlusBlock)):
         s_u = suff(u, w_block)
-        s_u_counts = _word_counts_vector(s_u, alphabet)
+        s_u_counts = _counts_vector(plain_projection(s_u), alphabet)
         for x in sorted(set(w_block.word)):
-            mw = _mp_plain(w_block.word, x)
-            target = _counts_vector(mw, alphabet)
+            target = _counts_vector(prefix_through_last(w_block.word, x), alphabet)
             # (a): convex dominance over the R-set
             _, _, r_set = pqr_sets(u, w_block, x)
             candidates = []
             for el in r_set:
                 pk = plain_projection(el) + el.atoms[-1].word
-                mpk = _mp_plain(pk, x)
+                mpk = prefix_through_last(pk, x)
                 if mpk is not None:
                     candidates.append(_counts_vector(mpk, alphabet))
             if convex_dominates(target, candidates):
@@ -109,10 +98,10 @@ def _condition_iii(
             # (b): a matching block on the other side
             ok = False
             for h in v_blocks:
-                mh = _mp_plain(h.word, x)
+                mh = prefix_through_last(h.word, x)
                 if mh is None or _counts_vector(mh, alphabet) != target:
                     continue
-                if _word_counts_vector(suff(v, h), alphabet) == s_u_counts:
+                if _counts_vector(plain_projection(suff(v, h)), alphabet) == s_u_counts:
                     ok = True
                     break
             if not ok:
@@ -132,17 +121,17 @@ def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
         if cu.get(y, 0) != cv.get(y, 0):
             return CheckResult(False, "i")
     # (ii) per letter: a covering block in the anchored suffix, or equal
-    # suffix letter counts on both sides
+    # suffix letter counts on both sides; by (i) both have the same letters
     for side_u, side_v, tag in ((u, v, "ii"), (v, u, "ii-dual")):
-        for x in sorted(letter_counts(side_u)):
+        for x in sorted(cu):
             s = suff(side_u, x)
             if any(
                 isinstance(a, PlusBlock) and x in a.word for a in s.atoms
             ):
                 continue
-            if x in letter_counts(side_v) and _word_counts_vector(
-                s, alphabet
-            ) == _word_counts_vector(suff(side_v, x), alphabet):
+            if _counts_vector(plain_projection(s), alphabet) == _counts_vector(
+                plain_projection(suff(side_v, x)), alphabet
+            ):
                 continue
             return CheckResult(False, tag + "a/b")
     # (iii) and its dual (iv)
@@ -157,8 +146,7 @@ def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
 
 def check_enriched_frad1(spec: IdentitySpec) -> CheckResult:
     """Right-signature identities, via the anti-isomorphism."""
-    flip = lambda t: swap_unary(dualize_term(t))
-    return check_enriched_flad1(IdentitySpec(flip(spec.lhs), flip(spec.rhs)))
+    return check_enriched_flad1(IdentitySpec(reverse_term(spec.lhs), reverse_term(spec.rhs)))
 
 
 def _require_plain(t: T.Term) -> str:

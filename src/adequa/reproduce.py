@@ -232,9 +232,7 @@ def _identity_checker() -> tuple[bool, str]:
     if not check_enriched_frad1(IdentitySpec.parse("xzytxy", "xzytyx")).satisfied:
         return False, "right benchmark identity rejected"
     # plain sweep, sides of length <= 4 on two letters
-    words = [""] + [
-        "".join(p) for L in range(1, 5) for p in itertools.product("xy", repeat=L)
-    ]
+    words = _words(4)
     for u in words:
         for v in words:
             spec = IdentitySpec.parse(u or "1", v or "1")
@@ -246,9 +244,7 @@ def _identity_checker() -> tuple[bool, str]:
         return False, "enriched disagreement"
     # two-sided plain triviality with the separating witness family
     assign = {"x": fad1_witness_element(7), "y": fad1_witness_element(8)}
-    words5 = [""] + [
-        "".join(p) for L in range(1, 6) for p in itertools.product("xy", repeat=L)
-    ]
+    words5 = _words(5)
     cache = {
         w: eval_term(parse_term(w or "1"), assign, Flavor.TWO_SIDED).code for w in words5
     }
@@ -263,27 +259,19 @@ def _identity_checker() -> tuple[bool, str]:
     return True, "checker agrees with the falsifier and the two-sided witnesses"
 
 
+def _words(max_len: int) -> list[str]:
+    """The words on {x,y} of length at most max_len, shortest first."""
+    return ["".join(p) for k in range(max_len + 1) for p in itertools.product("xy", repeat=k)]
+
+
 def _enriched_corpus():
-    """Non-nested left terms with at most 3 letter occurrences on {x,y}."""
-    blocks = [""]
-    for L in range(1, 4):
-        blocks += ["".join(w) for w in itertools.product("xy", repeat=L)]
-    atoms = ["x", "y"] + ["(%s)^+" % b if b else "1^+" for b in blocks]
-    length = lambda s: sum(1 for c in s if c in "xy")
-    corpus = ["1"]
-    frontier = [""]
-    seqs = {""}
-    for _ in range(3):
-        new = []
-        for base in frontier:
-            for at in atoms:
-                cand = base + at
-                if length(cand) <= 3 and cand not in seqs:
-                    seqs.add(cand)
-                    new.append(cand)
-        frontier = new
-    corpus += sorted(s for s in seqs if s)
-    return [parse_term(s) for s in corpus]
+    """Non-nested left terms of at most 3 atoms and at most 3 letter
+    occurrences on {x,y}: 1, then the rest in string order."""
+    atoms = ["x", "y"] + ["(%s)^+" % b if b else "1^+" for b in _words(3)]
+    seqs = (
+        "".join(p) for k in range(1, 4) for p in itertools.product(atoms, repeat=k)
+    )
+    return [parse_term(s) for s in ["1"] + sorted(s for s in seqs if s.count("x") + s.count("y") <= 3)]
 
 
 def _fladX_checking() -> tuple[bool, str]:

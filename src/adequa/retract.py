@@ -47,6 +47,7 @@ from typing import Iterator
 from .trees import (
     XTree,
     TrunkInfo,
+    _walk,
     is_monogenic,
     undirected_adjacency,
     validate,
@@ -74,17 +75,22 @@ class Endomorphism:
 def _rooted(t: XTree) -> tuple[Adjacency, list[int], list[int]]:
     """Adjacency, parent array and order of the non-trunk vertices.
 
-    The adjacency is built here, for the leaves-first pass alone; the
-    rest is taken from the rooting at the start: a non-trunk vertex's
-    path to the start enters the trunk at its branch's anchor, so
-    parent[b] is that anchor for the head b of a branch (-1 on the
-    trunk), and every vertex comes after its parent in the order.
+    The adjacency is for the leaves-first pass alone: the walk of a tree
+    not yet validated builds it, and it is built here only when the
+    rooting is already known.  The rest is taken from the rooting at the
+    start: a non-trunk vertex's path to the start enters the trunk at its
+    branch's anchor, so parent[b] is that anchor for the head b of a
+    branch (-1 on the trunk), and every vertex comes after its parent in
+    the order.
     """
-    trunk = validate(t)
+    if t.rooting is None:
+        trunk, adj = _walk(t)
+    else:
+        trunk, adj = t.rooting, undirected_adjacency(t)
     parent = trunk.parent.copy()
     for v in trunk.vertices:
         parent[v] = -1
-    return undirected_adjacency(t), parent, [v for v in trunk.order if parent[v] >= 0]
+    return adj, parent, [v for v in trunk.order if parent[v] >= 0]
 
 
 def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
@@ -229,10 +235,10 @@ def retract(t: XTree) -> XTree:
     """The retract-free retract; independent of deletion order.
 
     A monogenic left tree is retracted by the height rule of
-    `_left_monogenic_kept`; any other tree by the leaves-first pass.
+    `_left_monogenic_kept`; any other tree by the leaves-first pass,
+    which validates the tree while it builds its adjacency.
     """
-    trunk = validate(t)
-    kept = _left_monogenic_kept(t, trunk) if is_monogenic(t) else None
+    kept = _left_monogenic_kept(t, validate(t)) if is_monogenic(t) else None
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:

@@ -205,14 +205,10 @@ def letters_of(t: Term) -> set[str]:
     return found
 
 
-def dualize_term(t: Term) -> Term:
-    """Reverse every product, keep unary nodes; an involution."""
-    return _fold(t, _keep, lambda left, right: Product(right, left), Plus, Star)
-
-
-def swap_unary(t: Term) -> Term:
-    """Exchange the two unary operators throughout."""
-    return _fold(t, _keep, Product, Star, Plus)
+def reverse_term(t: Term) -> Term:
+    """The left/right anti-isomorphism: reverse every product and exchange
+    ^+ with ^*; an involution."""
+    return _fold(t, _keep, lambda left, right: Product(right, left), Star, Plus)
 
 
 # ------------------------------------------------------- non-nested words
@@ -331,15 +327,11 @@ def suff(u: NonNestedWord, x: Atom) -> NonNestedWord:
     return NonNestedWord(u.atoms[j:])
 
 
-def _mp_counts(word: str, x: str) -> dict[str, int] | None:
-    # letter counts of mp_word(x); None when x does not occur
+def prefix_through_last(word: str, x: str) -> str | None:
+    """The prefix of word up to and including its last x; None when x
+    does not occur."""
     i = word.rfind(x)
-    if i < 0:
-        return None
-    counts: dict[str, int] = {}
-    for ch in word[: i + 1]:
-        counts[ch] = counts.get(ch, 0) + 1
-    return counts
+    return None if i < 0 else word[: i + 1]
 
 
 def pqr_sets(
@@ -369,13 +361,14 @@ def pqr_sets(
     q_set = set(p_set)
     if x in plain_prefix:
         q_set.add(NonNestedWord(tuple(plain_prefix) + (PlusBlock(""),)))
-    target = _mp_counts(w_block.word, x)
+    target = sorted(prefix_through_last(w_block.word, x))
     r_set = set()
     for el in q_set:
-        # A one-atom element is a block: every element ends in one, and
-        # the ε⁺ element is added only when plain_prefix is non-empty,
-        # so its block has a letter before it.
-        if len(el.atoms) == 1 and _mp_counts(el.atoms[0].word, x) == target:
+        # A one-atom element is a block of P, so its word contains x:
+        # every element ends in a block, and the ε⁺ element is added only
+        # when plain_prefix is non-empty, so its block has a letter before
+        # it.  The two prefixes are compared as multisets of letters.
+        if len(el.atoms) == 1 and sorted(prefix_through_last(el.atoms[0].word, x)) == target:
             continue
         r_set.add(el)
     return frozenset(p_set), frozenset(q_set), frozenset(r_set)

@@ -104,6 +104,13 @@ def validate(t: XTree) -> TrunkInfo:
     """
     if t.rooting is not None:
         return t.rooting
+    return _walk(t)[0]
+
+
+def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]]]:
+    """The checks and walk of `validate`, run even when `rooting` is set;
+    stores the rooting and returns it with the adjacency the walk built,
+    for a caller that needs both."""
     n = t.vertices
     if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")
@@ -140,7 +147,7 @@ def validate(t: XTree) -> TrunkInfo:
         raise InvalidTreeError("not a tree: graph is disconnected")
     info = _trunk(t.start, t.end, parent, forward, label, order)
     object.__setattr__(t, "rooting", info)
-    return info
+    return info, adj
 
 
 def _trunk(

@@ -45,6 +45,14 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["edges"] == 2
 
+    @pytest.mark.parametrize("letter", ["X", "é", "1", "xy", ""])
+    def test_assign_letter_outside_the_grammar_rejected(self, capsys, letter):
+        code, out, err = run(
+            capsys, "eval", "--flavor", "flad", "--assign", letter + "=y", "x"
+        )
+        assert code == 2 and out == ""
+        assert "bad --assign letter" in err
+
     def test_eval_dot(self, capsys):
         code, out, _ = run(capsys, "eval", "--flavor", "fad", "--format", "dot", "a")
         assert code == 0 and out.startswith("digraph")

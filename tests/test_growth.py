@@ -21,7 +21,6 @@ from adequa.growth import (
     Q,
     PUBLISHED_TABLE_S,
     PUBLISHED_TABLE_SE,
-    ZigZag,
     census_from_trees,
     generic_left_trees,
     hardy_ramanujan_estimate,
@@ -251,7 +250,7 @@ class TestTwoSidedSpheres:
         tested = 0
         for L in rooted_tree_level_sequences(9):
             base = _level_sequence_to_edges(L)
-            for mask, twin in _twin_free_masks(L, True):
+            for mask, twin in _twin_free_masks(base, True):
                 edges = [
                     (b, a, lab) if mask >> i & 1 else (a, b, lab)
                     for i, (a, b, lab) in enumerate(base)
@@ -308,7 +307,7 @@ class TestTwoSidedSpheres:
                         twins = _twin_leaves(next(_oriented_ends(base, mask)))
                         if len(twins) < 2:
                             want.append((mask, twins[0] if twins else -1))
-                    assert _twin_free_masks(L, all_masks) == want, (L, all_masks)
+                    assert _twin_free_masks(base, all_masks) == want, (L, all_masks)
 
     def test_counts_past_the_published_table(self):
         for n, total, idempotents in ((7, 465, 170), (8, 1215, 439)):
@@ -369,12 +368,20 @@ class TestZigZags:
         n = 9
         census = zigzag_census(n)
         for _ in range(200):
-            away = tuple(rng.random() < 0.4 for _ in range(n))
-            z = ZigZag(away)
-            i = z.height
-            if i > (n - 1) // 2 or z.height != sum(away):
+            z = tuple(rng.random() < 0.4 for _ in range(n))
+            i = sum(z)
+            if i > (n - 1) // 2:
                 continue
             assert (z in census[i]["members"]) == zigzag_ge(z, p_zigzag(n, i))
+
+    def test_members_are_orientation_words(self):
+        members = zigzag_census(5)[1]["members"]
+        assert members[0] == (True, False, False, False, False)
+        assert p_zigzag(5, 1) == (False, False, True, False, False) == members[-1]
+        t = zigzag_tree((True, False))
+        assert (t.vertices, t.edges, t.start, t.end) == (3, ((0, 1, "a"), (2, 1, "a")), 0, 0)
+        with pytest.raises(ValueError):
+            zigzag_ge((True,), (True, False))
 
 class TestSubsetSumIdentity:
     def test_subset_sum_identity_small(self):
@@ -407,6 +414,14 @@ class TestReport:
         monkeypatch.setattr(growth, "two_sided_sphere", short)
         with pytest.raises(RuntimeError, match="below the binomial bound at n=0"):
             growth.growth_report(2, two_sided_max=2)
+
+    def test_report_checks_the_published_table(self, monkeypatch):
+        rows = growth.growth_report(6, two_sided_max=6)["rows"]
+        assert [r["verified_by_published_table"] for r in rows] == [True] * 6 + [False]
+        monkeypatch.setattr(growth, "PUBLISHED_TABLE_S", [9] * 6)
+        monkeypatch.setattr(growth, "PUBLISHED_TABLE_SE", [9] * 6)
+        with pytest.raises(RuntimeError, match="differ from the published table at n=0"):
+            growth.growth_report(3, two_sided_max=3)
 
     def test_report_higher_rank(self):
         rep = growth.growth_report(4, rank=2, two_sided_max=0)

@@ -288,12 +288,42 @@ class TestRooting:
             before = list(trunk.parent)
             adj, parent, order = _rooted(t)
             assert adj == undirected_adjacency(t) and trunk.parent == before
+            # a fresh copy is validated by the walk that builds its adjacency
+            fresh = XTree(t.vertices, t.edges, t.start, t.end)
+            assert _rooted(fresh) == (adj, parent, order) and fresh.rooting == trunk
             assert all(parent[v] == -1 for v in trunk.vertices)
             assert sorted(order) == sorted(set(range(t.vertices)) - set(trunk.vertices))
             placed = set(trunk.vertices)
             for v in order:
                 assert parent[v] in placed and parent[v] == trunk.parent[v]
                 placed.add(v)
+
+
+    def test_generic_retract_builds_the_adjacency_once(self, monkeypatch):
+        import adequa.retract
+        import adequa.trees
+
+        built = []
+        adjacency = adequa.trees.undirected_adjacency
+
+        def counted(t):
+            built.append(t)
+            return adjacency(t)
+
+        monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
+        monkeypatch.setattr(adequa.retract, "undirected_adjacency", counted)
+        rng = random.Random(23)
+        for _ in range(50):
+            t = random_tree(rng, rng.randint(2, 12), "ab")
+            if len({lab for _, _, lab in t.edges}) < 2:
+                continue
+            built.clear()
+            retract(t)
+            assert built == [t]
+        # a second retract of the now validated tree builds it once more
+        built.clear()
+        retract(t)
+        assert built == [t]
 
 
 def searched_folds(t):

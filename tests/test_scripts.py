@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the package in src/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -76,3 +77,21 @@ def test_bench_smoke(tmp_path):
         for name, medians in arith["regressions"].items():
             assert name in report["better"]
             assert set(medians) == {"baseline", "change"}
+
+
+def test_bench_regressions_list_an_incorrect_change():
+    path = os.path.join(ROOT, "scripts", "bench.py")
+    spec = importlib.util.spec_from_file_location("bench_script", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    better, bound = {"ops_per_s": "higher"}, {"ops_per_s": 0.25}
+
+    def entry(baseline_correct, change_correct):
+        side = lambda correct: {"ops_per_s": {"median": 100.0}, "correct": correct}
+        return {"baseline": side(baseline_correct), "change": side(change_correct)}
+
+    assert bench.regressions(entry(True, False), better, bound) == {
+        "correct": {"baseline": True, "change": False}
+    }
+    for sides in ((True, True), (False, False), (False, True)):
+        assert bench.regressions(entry(*sides), better, bound) == {}

@@ -16,14 +16,14 @@ from adequa.terms import (
     Product,
     Star,
     TermSyntaxError,
-    dualize_term,
+    _fold,
     letter_counts,
     letters_of,
     parse_term,
     plain_projection,
     pqr_sets,
+    reverse_term,
     suff,
-    swap_unary,
     term_length,
     term_to_str,
     to_nonnested,
@@ -93,16 +93,20 @@ class TestGrammar:
 
 class TestDuality:
     @given(terms_strategy())
-    def test_dualize_involution(self, t):
-        assert dualize_term(dualize_term(t)) == t
+    def test_reverse_involution(self, t):
+        assert reverse_term(reverse_term(t)) == t
 
     @given(terms_strategy())
-    def test_swap_unary_involution(self, t):
-        assert swap_unary(swap_unary(t)) == t
+    def test_reverse_is_dualize_then_swap(self, t):
+        # the two folds reverse_term replaced, composed: reverse every
+        # product keeping the unary nodes, then exchange ^+ and ^*
+        keep = lambda x: x
+        dualized = _fold(t, keep, lambda left, right: Product(right, left), Plus, Star)
+        assert reverse_term(t) == _fold(dualized, keep, Product, Star, Plus)
 
-    def test_dualize_reverses_products(self):
-        assert dualize_term(parse_term("ab^+c")) == Product(
-            Letter("c"), Product(Plus(Letter("b")), Letter("a"))
+    def test_reverse_reverses_products_and_swaps_unary(self):
+        assert reverse_term(parse_term("ab^+c")) == Product(
+            Letter("c"), Product(Star(Letter("b")), Letter("a"))
         )
 
 
