@@ -117,23 +117,29 @@ def regressions(entry, better, bound):
     return out
 
 
-def main(argv=None):
+def build_parser(benchmark):
+    """The options; --workloads defaults to every workload `benchmark`
+    (BENCHMARK.json's contents) declares."""
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="the JSON file to write")
-    ap.add_argument("--workloads", nargs="+", default=["arith", "bigtree", "enum", "identities"])
+    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in benchmark["workloads"]])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 104729])
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--baseline", metavar="REV", help="also run this commit, pair by pair")
     ap.add_argument("--smoke", action="store_true", help="tiny input sizes, for a self-test")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    args = build_parser(benchmark).parse_args(argv)
     # exit through the with-blocks below, so that a terminated run stops its
     # benchmark process and removes its export
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    better = {m["name"]: m["better"] for m in end_to_end}
-    bound = {m["name"]: m["bound"] for m in end_to_end}
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     better["failed_ratio"], bound["failed_ratio"] = "lower", 0
 
     try:

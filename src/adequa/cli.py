@@ -2,9 +2,11 @@
 
 Every verdict printed here is computed through the library API; exit
 code 0 means success, 1 means a negative verdict (identity not
-satisfied, elements not equal, a reproduction target failed), 2 means a
-usage or input error, 3 means an internal error (a bug, not a verdict).
-JSON output uses sorted keys so identical invocations are byte-identical.
+satisfied, elements not equal, a reproduction target failed, a growth
+count off its published value, checker and falsifier in disagreement),
+2 means a usage or input error, 3 means an internal error (a bug, not a
+verdict).  JSON output uses sorted keys so identical invocations are
+byte-identical; `growth-report --json` alone is indented, for reading.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import traceback
 
 from . import growth
-from .algebra import Element, Flavor, FlavorError, eval_term, generator
+from .algebra import Element, Flavor, eval_term, generator
 from .identities import (
     IdentitySpec,
     check_enriched_flad1,
@@ -25,10 +27,10 @@ from .identities import (
     check_plain,
     falsify_by_substitution,
 )
-from .reproduce import run_targets
+from .reproduce import enriched_sweep, run_targets
 from .retract import retract
-from .terms import TermSyntaxError, letters_of, parse_term
-from .trees import InvalidTreeError, from_json, to_dot, to_json
+from .terms import letters_of, parse_term, term_to_str
+from .trees import from_json, to_dot, to_json
 
 FLAVORS = {"flad": Flavor.LEFT, "frad": Flavor.RIGHT, "fad": Flavor.TWO_SIDED}
 
@@ -218,8 +220,6 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    if args.budget < 1:  # no assignment tried would read as "not falsified"
-        raise ValueError("budget must be at least 1")
     spec = IdentitySpec.parse(args.lhs, args.rhs)
     flavor = Flavor.LEFT if args.monoid == "flad1" else Flavor.RIGHT
     witness = falsify_by_substitution(spec, flavor, budget=args.budget)
@@ -240,6 +240,39 @@ def _cmd_reproduce(args) -> int:
         "%d/%d targets passed" % (len(results) - failed, len(results))
     )
     return 0 if failed == 0 else 1
+
+
+def _cmd_growth_report(args) -> int:
+    report = growth.growth_report(args.max, rank=args.rank, two_sided_max=args.two_sided_max)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0
+    print("growth rate lower bound base:", report["growth_rate_lower_bound_base"])
+    print("%3s %12s %12s %16s %8s" % ("n", "left sphere", "P(n+1)", "HR estimate", "binom"))
+    for row in report["rows"]:
+        line = "%3d %12d %12d %16.1f %8d" % (
+            row["n"],
+            row["left_sphere"],
+            row["partition_value"],
+            row["hardy_ramanujan_estimate"],
+            row["idempotent_binomial_bound"],
+        )
+        if "two_sided_sphere" in row:
+            line += "   S=%d S_E=%d" % (row["two_sided_sphere"], row["two_sided_idempotents"])
+        print(line)
+    return 0
+
+
+def _cmd_identity_sweep(args) -> int:
+    done = satisfied = disagreements = 0
+    for u, v, verdict, agrees in enriched_sweep(args.seed, args.rounds, args.budget):
+        if not agrees:
+            disagreements += 1
+            print("DISAGREEMENT: %s ~ %s (checker=%s)" % (term_to_str(u), term_to_str(v), verdict))
+        satisfied += verdict
+        done += 1
+    print("%d identities checked: %d satisfied, %d disagreements" % (done, satisfied, disagreements))
+    return 1 if disagreements else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,6 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("reproduce-paper", help="re-derive the published results")
     q.add_argument("--only", choices=["growth", "identities", "algebra"], default=None)
     q.set_defaults(fn=_cmd_reproduce)
+
+    q = sub.add_parser("growth-report", help="exact sphere sizes next to the asymptotic estimates")
+    q.add_argument("--max", type=int, default=14)
+    q.add_argument("--rank", type=int, default=1)
+    q.add_argument("--two-sided-max", type=int, default=5)
+    q.add_argument("--json", action="store_true", help="dump the raw report")
+    q.set_defaults(fn=_cmd_growth_report)
+
+    q = sub.add_parser("identity-sweep", help="check the identity checker against the falsifier")
+    q.add_argument("--rounds", type=int, default=500)
+    q.add_argument("--budget", type=int, default=500)
+    q.add_argument("--seed", type=int, default=0)
+    q.set_defaults(fn=_cmd_identity_sweep)
     return p
 
 
@@ -322,13 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (
-        TermSyntaxError,
-        InvalidTreeError,
-        FlavorError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except growth.ReportCheckError as exc:  # a published count not reproduced
+        print("check failed: %s" % exc, file=sys.stderr)
+        return 1
+    except ValueError as exc:  # bad input; the package's input errors subclass it
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

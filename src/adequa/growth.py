@@ -456,9 +456,17 @@ PUBLISHED_TABLE_S = [1, 3, 6, 14, 29, 74]
 PUBLISHED_TABLE_SE = [1, 2, 3, 6, 11, 28]
 
 
+class ReportCheckError(RuntimeError):
+    """A count of the growth report contradicts a published value or bound."""
+
+
 def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
-    """Exact counts next to the reported growth estimates and bounds."""
+    """Exact counts next to the reported growth estimates and bounds;
+    ReportCheckError when a two-sided count misses its published value
+    or the binomial bound."""
     _check_size(n_max, LEFT_SPHERE_BOUND, "left sphere")  # before any row is built
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
     rows = []
     for n in range(n_max + 1):
         census = left_census(n)
@@ -475,7 +483,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
             row["two_sided_sphere"] = tcensus.total
             row["two_sided_idempotents"] = tcensus.idempotent_count
             if row["two_sided_idempotents"] < binom:
-                raise RuntimeError(
+                raise ReportCheckError(
                     "idempotent count below the binomial bound at n=%d" % n
                 )
             row["verified_by_published_table"] = n < len(PUBLISHED_TABLE_S)
@@ -483,7 +491,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
                 tcensus.total != PUBLISHED_TABLE_S[n]
                 or tcensus.idempotent_count != PUBLISHED_TABLE_SE[n]
             ):
-                raise RuntimeError("two-sided counts differ from the published table at n=%d" % n)
+                raise ReportCheckError("two-sided counts differ from the published table at n=%d" % n)
         rows.append(row)
     report = {
         "rank": rank,

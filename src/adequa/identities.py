@@ -347,11 +347,12 @@ def falsify_by_substitution(
     """Search assignments for one separating the two sides.
 
     Systematic sweep over tuples from the graded small-element pool
-    first, then random larger elements until the budget runs out.
+    first, then random larger elements until the budget runs out.  A
+    budget below 1 raises ValueError: trying nothing is not "not falsified".
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     letters = spec.alphabet
-    if budget <= 0:
-        return None
     lhs_text, rhs_text = term_to_str(spec.lhs), term_to_str(spec.rhs)
 
     def separates(assignment: dict[str, Element]) -> bool:

@@ -213,6 +213,8 @@ def enriched_sweep(seed: int, rounds: int, budget: int) -> Iterator[tuple[Term, 
     """`rounds` random enriched identities u ~ v on x, y, sides of length
     at most 6, from `random.Random(seed)`: each with the left checker's
     verdict and whether the falsifier at `budget` agrees with it."""
+    if rounds < 0:
+        raise ValueError("rounds must be nonnegative")
     rng = random.Random(seed)
     done = 0
     while done < rounds:

@@ -56,6 +56,8 @@ from .trees import (
 ORACLE_EDGE_BOUND = 8
 
 Adjacency = list[list[tuple[int, bool, str]]]
+# `trees._walk`'s rooting with the adjacency its walk built, if it built one
+Walked = tuple[TrunkInfo, Adjacency | None]
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,20 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(t: XTree) -> tuple[Adjacency, list[int], list[int]]:
+def _rooted(t: XTree, walked: Walked | None = None) -> tuple[Adjacency, list[int], list[int]]:
     """Adjacency, parent array and order of the non-trunk vertices.
 
-    The adjacency is for the leaves-first pass alone: the walk of a tree
-    not yet validated builds it, and it is built here only when the
-    rooting is already known.  The rest is taken from the rooting at the
-    start: a non-trunk vertex's path to the start enters the trunk at its
-    branch's anchor, so parent[b] is that anchor for the head b of a
-    branch (-1 on the trunk), and every vertex comes after its parent in
-    the order.
+    The adjacency is for the leaves-first pass alone: it is taken from
+    the walk of a tree not yet validated (`walked`, or `_walk(t)` when
+    none is given) and built here only when the rooting was already
+    known.  The rest is taken from the rooting at the start: a non-trunk
+    vertex's path to the start enters the trunk at its branch's anchor,
+    so parent[b] is that anchor for the head b of a branch (-1 on the
+    trunk), and every vertex comes after its parent in the order.
     """
-    if t.rooting is None:
-        trunk, adj = _walk(t)
-    else:
-        trunk, adj = t.rooting, undirected_adjacency(t)
+    trunk, adj = walked or _walk(t)
+    if adj is None:
+        adj = undirected_adjacency(t)
     parent = trunk.parent.copy()
     for v in trunk.vertices:
         parent[v] = -1
@@ -172,15 +173,15 @@ def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]
             yield b
 
 
-def find_foldable_branch(t: XTree) -> int | None:
+def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
     """The head of a branch mapping into the rest of the tree, or None if
     retract-free.
 
     Deterministic: the first foldable branch of the leaves-first pass.
-    The head may be vertex 0, so test the result against None.
+    The head may be vertex 0, so test the result against None.  `walked`
+    is `_walk(t)` when the caller has already taken it.
     """
-    adj, parent, order = _rooted(t)
-    return next(_folds(adj, parent, order), None)
+    return next(_folds(*_rooted(t, walked)), None)
 
 
 def _delete(t: XTree, gone: set[int]) -> XTree:
@@ -235,14 +236,15 @@ def retract(t: XTree) -> XTree:
     """The retract-free retract; independent of deletion order.
 
     A monogenic left tree is retracted by the height rule of
-    `_left_monogenic_kept`; any other tree by the leaves-first pass,
-    which validates the tree while it builds its adjacency.
+    `_left_monogenic_kept`; any other tree by the leaves-first pass.
+    Either way a tree not yet validated is walked once.
     """
-    kept = _left_monogenic_kept(t, validate(t)) if is_monogenic(t) else None
+    walked = _walk(t)
+    kept = _left_monogenic_kept(t, walked[0]) if is_monogenic(t) else None
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:
-        adj, parent, order = _rooted(t)
+        adj, parent, order = _rooted(t, walked)
         gone = set(_folds(adj, parent, order))
         for v in order:  # parents come first, so each dead head takes its subtree
             if parent[v] in gone:
@@ -257,14 +259,14 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     `_left_monogenic_kept`, without building the retract, and sends the
     rest to the morphism search that engine="generic" always runs.
     """
-    trunk = validate(t)
+    walked = _walk(t)
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
     if engine == "auto" and is_monogenic(t):
-        kept = _left_monogenic_kept(t, trunk)
+        kept = _left_monogenic_kept(t, walked[0])
         if kept is not None:
             return len(kept) == t.vertices
-    return find_foldable_branch(t) is None
+    return find_foldable_branch(t, walked) is None
 
 
 def endomorphism_oracle(t: XTree) -> Iterator[Endomorphism]:

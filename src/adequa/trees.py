@@ -107,10 +107,12 @@ def validate(t: XTree) -> TrunkInfo:
     return _walk(t)[0]
 
 
-def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]]]:
-    """The checks and walk of `validate`, run even when `rooting` is set;
-    stores the rooting and returns it with the adjacency the walk built,
-    for a caller that needs both."""
+def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]] | None]:
+    """The rooting with the adjacency this call's walk built, for a caller
+    that needs both: `validate`'s checks and walk, storing the rooting,
+    when it is not known yet, and (rooting, None) when it is."""
+    if t.rooting is not None:
+        return t.rooting, None
     n = t.vertices
     if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")

@@ -324,6 +324,66 @@ class TestPlumbing:
         assert code == 1 and out.splitlines()[-1] == "0/1 targets passed"
 
 
+class TestReproduction:
+    """growth-report and identity-sweep under main's exit-code contract."""
+
+    def test_identity_sweep(self, capsys):
+        code, out, err = run(capsys, "identity-sweep", "--rounds", "20", "--budget", "50")
+        assert code == 0, err
+        assert out.endswith("0 disagreements")
+
+    def test_identity_sweep_disagreement_exits_one(self, capsys):
+        # one assignment per identity cannot separate most rejected identities
+        code, out, err = run(capsys, "identity-sweep", "--rounds", "10", "--budget", "1")
+        assert code == 1, err
+        assert "DISAGREEMENT" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_identity_sweep_rejects_budget_below_one(self, capsys, budget):
+        code, out, err = run(capsys, "identity-sweep", "--rounds", "1", "--budget", budget)
+        assert code == 2 and out == ""
+        assert "at least 1" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("growth-report", "--rank", "0"), "error: rank must be at least 1"),
+        (("growth-report", "--rank", "-2"), "error: rank must be at least 1"),
+        (("identity-sweep", "--rounds", "-5"), "error: rounds must be nonnegative"),
+    ], ids=["rank-0", "rank-negative", "rounds-negative"])
+    def test_bad_counts_rejected(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", message)
+
+    def test_growth_report_past_the_bound_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "growth-report", "--max", "31")
+        assert code == 2 and out == ""
+        assert err == "error: n=31 exceeds the left sphere bound 30"
+
+    def test_growth_report_json(self, capsys):
+        code, out, err = run(capsys, "growth-report", "--max", "6", "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert [row["n"] for row in report["rows"]] == list(range(7))
+
+    def test_growth_report_published_mismatch_exits_one(self, capsys, monkeypatch):
+        from adequa import growth
+
+        monkeypatch.setattr(growth, "PUBLISHED_TABLE_S", [9] * 6)
+        monkeypatch.setattr(growth, "PUBLISHED_TABLE_SE", [9] * 6)
+        code, out, err = run(capsys, "growth-report", "--max", "3", "--two-sided-max", "3")
+        assert code == 1 and out == ""
+        assert err == "check failed: two-sided counts differ from the published table at n=0"
+
+    def test_identity_sweep_internal_error_exits_three(self, capsys, monkeypatch):
+        from adequa import reproduce
+
+        def boom(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(reproduce, "check_enriched_flad1", boom)
+        code, out, err = run(capsys, "identity-sweep", "--rounds", "3")
+        assert code == 3
+        assert out == "" and "internal error: boom" in err
+
+
 class TestByteDeterminism:
     """stdout is the same bytes whatever the string-hash seed."""
 

@@ -131,7 +131,9 @@ class TestFalsifierAgreement:
             done += 1
 
     def test_budget_respected(self):
-        assert falsify_by_substitution(spec("xy", "yx"), Flavor.LEFT, budget=0) is None
+        # a search that tries nothing must not answer "not falsified"
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            falsify_by_substitution(spec("xy", "yx"), Flavor.LEFT, budget=0)
 
 
 class TestHigherRank:

@@ -13,6 +13,7 @@ from adequa.growth import (
     oriented_trees,
     rooted_tree_level_sequences,
     structural_left_trees,
+    zigzag_tree,
 )
 from adequa.retract import (
     _folds,
@@ -320,6 +321,21 @@ class TestRooting:
             built.clear()
             retract(t)
             assert built == [t]
+        # a fresh monogenic tree that is not left: the walk that chooses the
+        # engine builds the adjacency the leaves-first pass reads
+        words = [z for z in itertools.product((False, True), repeat=6) if not all(z)]
+        for check in (retract, is_retract_free, lambda t: is_retract_free(t, "generic")):
+            for z in words:
+                t = zigzag_tree(z)
+                built.clear()
+                check(t)
+                assert built == [t], z
+        # a validated monogenic left tree goes to the height rule: no build
+        left = a_tree([(0, 1), (0, 2), (2, 3)], 0, 0)
+        validate(left)
+        built.clear()
+        assert retract(left) != left and not is_retract_free(left)
+        assert built == []
 
 
 def searched_folds(t):

@@ -1,12 +1,10 @@
-"""The scripts under scripts/ run against the package in src/."""
+"""The benchmark tool under scripts/ runs against the package in src/."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -17,39 +15,6 @@ def run_script(name, *args):
         [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-
-
-def test_identity_sweep():
-    proc = run_script("identity_sweep.py", "--rounds", "20", "--budget", "50")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().endswith("0 disagreements")
-
-
-def test_identity_sweep_disagreement_exits_one():
-    # one assignment per identity cannot separate most rejected identities
-    proc = run_script("identity_sweep.py", "--rounds", "10", "--budget", "1")
-    assert proc.returncode == 1, proc.stderr
-    assert "DISAGREEMENT" in proc.stdout
-
-
-@pytest.mark.parametrize("budget", ["0", "-1"])
-def test_identity_sweep_rejects_budget_below_one(budget):
-    proc = run_script("identity_sweep.py", "--rounds", "1", "--budget", budget)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "at least 1" in proc.stderr
-
-
-def test_growth_report_past_the_bound_is_a_usage_error():
-    proc = run_script("growth_report.py", "--max", "31")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: n=31 exceeds the left sphere bound 30\n"
-
-
-def test_growth_report_json():
-    proc = run_script("growth_report.py", "--max", "6", "--json")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert [row["n"] for row in report["rows"]] == list(range(7))
 
 
 def test_bench_smoke(tmp_path):
@@ -79,11 +44,26 @@ def test_bench_smoke(tmp_path):
             assert set(medians) == {"baseline", "change"}
 
 
-def test_bench_regressions_list_an_incorrect_change():
+def load_bench():
     path = os.path.join(ROOT, "scripts", "bench.py")
     spec = importlib.util.spec_from_file_location("bench_script", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_workloads_default_to_the_declared_ones():
+    bench = load_bench()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    args = bench.build_parser(benchmark).parse_args(["--out", "x"])
+    assert args.workloads == [w["name"] for w in benchmark["workloads"]]
+    args = bench.build_parser({"workloads": [{"name": "enum"}]}).parse_args(["--out", "x"])
+    assert args.workloads == ["enum"]
+
+
+def test_bench_regressions_list_an_incorrect_change():
+    bench = load_bench()
     better, bound = {"ops_per_s": "higher"}, {"ops_per_s": 0.25}
 
     def entry(baseline_correct, change_correct):
