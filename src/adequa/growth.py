@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .algebra import Element, Flavor
 from .retract import is_retract_free
-from .trees import XTree, _with_end, canonical_code, validate
+from .trees import XTree, _rooted_tree, _with_end, canonical_code, validate
 
 GENERIC_LEFT_BOUND = 12
 LEFT_SPHERE_BOUND = 30
@@ -274,10 +274,10 @@ def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[
         if not kids:
             continue
         # For each direction of the edge from u's parent (u's bit set:
-        # out of u), the child flips (bit j: kids[j]'s edge into u) that
-        # leave at most one twin leaf among u's children.
+        # out of u) that some state has, the child flips (bit j: kids[j]'s
+        # edge into u) that leave at most one twin leaf among u's children.
         choices: list[list[tuple[int, int]]] = [[], []]
-        for up_out in (0, 1) if u else (0,):
+        for up_out in {(mask >> (u - 1)) & 1 for mask, _ in states} if u else (0,):
             for flips in range(1 << len(kids)) if all_masks else (0,):
                 # u's edges in each direction, the one to its parent included
                 into = flips.bit_count() + (u > 0 and not up_out)
@@ -296,6 +296,8 @@ def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[
             for bits, more in choices[u > 0 and (mask >> (u - 1)) & 1]
             if twin < 0 or more < 0
         ]
+        if not states:
+            return states
     states.sort()
     return states
 
@@ -370,9 +372,12 @@ def zigzag_tree(z: tuple[bool, ...]) -> XTree:
     """The zig-zag with orientation word z: a non-branching idempotent
     a-tree whose i-th path edge, counted from the common start/end
     extremity, points away from the start when z[i] is True.  The
-    height of z is sum(z)."""
+    height of z is sum(z).  The path is built rooted at its start:
+    vertex i + 1 hangs off vertex i, in breadth-first order."""
+    n = len(z) + 1
     edges = tuple((i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z))
-    return XTree(len(z) + 1, edges, 0, 0)
+    parent, forward = [0, *range(n - 1)], [False, *map(bool, z)]
+    return _rooted_tree(n, edges, 0, 0, parent, forward, [""] + ["a"] * len(z), list(range(n)))
 
 
 def p_zigzag(n: int, i: int) -> tuple[bool, ...]:

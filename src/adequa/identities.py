@@ -253,15 +253,15 @@ def monogenic_pool(flavor: Flavor) -> list[Element]:
 
 def _cached_eval(
     t: T.Term,
-    text: str,
+    head: tuple[str, str],
     codes: tuple[tuple[str, bytes], ...],
     assignment: dict[str, Element],
     flavor: Flavor,
 ) -> bytes:
-    """The code of eval_term's value, memoised on the printed term, which
-    names it uniquely, the flavor's value and codes, the assignment's
-    (letter, code) pairs in letter order."""
-    key = (text, flavor.value, codes)
+    """The code of eval_term's value, memoised on `head`, the printed
+    term, which names it uniquely, with the flavor's value, and on codes,
+    the assignment's (letter, code) pairs in letter order."""
+    key = head + (codes,)
     code = _EVAL_CACHE.get(key)
     if code is None:
         code = _EVAL_CACHE[key] = eval_term(t, assignment, flavor).code
@@ -353,13 +353,14 @@ def falsify_by_substitution(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     letters = spec.alphabet
-    lhs_text, rhs_text = term_to_str(spec.lhs), term_to_str(spec.rhs)
+    lhs_head = (term_to_str(spec.lhs), flavor.value)
+    rhs_head = (term_to_str(spec.rhs), flavor.value)
 
     def separates(assignment: dict[str, Element]) -> bool:
         # letters is sorted, so this is the assignment's key for both sides
         codes = tuple([(x, assignment[x].code) for x in letters])
-        lhs = _cached_eval(spec.lhs, lhs_text, codes, assignment, flavor)
-        return lhs != _cached_eval(spec.rhs, rhs_text, codes, assignment, flavor)
+        lhs = _cached_eval(spec.lhs, lhs_head, codes, assignment, flavor)
+        return lhs != _cached_eval(spec.rhs, rhs_head, codes, assignment, flavor)
 
     pool = monogenic_pool(flavor)
     # order tuples by total edge count so small witnesses come first

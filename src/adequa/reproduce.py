@@ -215,6 +215,8 @@ def enriched_sweep(seed: int, rounds: int, budget: int) -> Iterator[tuple[Term, 
     verdict and whether the falsifier at `budget` agrees with it."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     rng = random.Random(seed)
     done = 0
     while done < rounds:

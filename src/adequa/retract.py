@@ -47,6 +47,7 @@ from typing import Iterator
 from .trees import (
     XTree,
     TrunkInfo,
+    _rooted_tree,
     _walk,
     is_monogenic,
     undirected_adjacency,
@@ -184,15 +185,26 @@ def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
     return next(_folds(*_rooted(t, walked)), None)
 
 
-def _delete(t: XTree, gone: set[int]) -> XTree:
+def _delete(t: XTree, trunk: TrunkInfo, gone: set[int]) -> XTree:
+    """t without the vertices in `gone`, a union of whole branches, with
+    t's rooting carried over.  Renumbering the kept vertices in order
+    keeps the sorted edge order, so the rooting restricted to them is
+    the breadth-first walk `validate` would make of the result."""
     keep = [v for v in range(t.vertices) if v not in gone]
-    relabel = {v: i for i, v in enumerate(keep)}
+    relabel = dict(zip(keep, range(len(keep))))
     edges = tuple(
         (relabel[a], relabel[b], lab)
         for a, b, lab in t.edges
         if a not in gone and b not in gone
     )
-    return XTree(len(keep), edges, relabel[t.start], relabel[t.end])
+    parent, forward, label = trunk.parent, trunk.forward, trunk.label
+    return _rooted_tree(
+        len(keep), edges, relabel[t.start], relabel[t.end],
+        [relabel[parent[v]] for v in keep],
+        [forward[v] for v in keep],
+        [label[v] for v in keep],
+        [relabel[v] for v in trunk.order if v not in gone],
+    )
 
 
 def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
@@ -249,7 +261,7 @@ def retract(t: XTree) -> XTree:
         for v in order:  # parents come first, so each dead head takes its subtree
             if parent[v] in gone:
                 gone.add(v)
-    return _delete(t, gone) if gone else t
+    return _delete(t, walked[0], gone) if gone else t
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:

@@ -24,7 +24,7 @@ class XTree:
     Vertices are 0..vertices-1; edges are (src, dst, label) triples.
     Edge order is normalised (sorted) so structurally equal trees with
     the same indexing compare equal.  `rooting` is set by `validate` or
-    `_with_end`; it is not part of the tree's value, so `==`, `hash` and
+    `_rooted_tree`; it is not part of the tree's value, so `==`, `hash` and
     `repr` ignore it.
     """
 
@@ -37,7 +37,7 @@ class XTree:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(map(tuple, self.edges))))
 
     @property
     def edge_count(self) -> int:
@@ -99,7 +99,7 @@ def validate(t: XTree) -> TrunkInfo:
     no directed start-to-end path.  A success is stored in the tree's
     `rooting`, which later calls return without checking again; a
     failure is not stored, so an invalid tree raises on every call.
-    `_with_end` is the one other writer of `rooting`.  Labels may not
+    `_rooted_tree` is the one other writer of `rooting`.  Labels may not
     contain the bytes that delimit them in `canonical_code` or `to_dot`.
     """
     if t.rooting is not None:
@@ -168,15 +168,24 @@ def _trunk(
     return TrunkInfo(tuple(path), edges, parent, forward, label, order)
 
 
+def _rooted_tree(
+    vertices: int, edges, start: int, end: int,
+    parent: list[int], forward: list[bool], label: list[str], order: list[int],
+) -> XTree:
+    """The tree with the rooting at the start its builder already knows:
+    the arrays must be the ones `validate` would compute, which is taken
+    on trust.  The trunk and its errors are `_trunk`'s."""
+    t = XTree(vertices, edges, start, end)
+    object.__setattr__(t, "rooting", _trunk(start, end, parent, forward, label, order))
+    return t
+
+
 def _with_end(t: XTree, end: int) -> XTree:
-    """t with its end moved to `end`, sharing t's rooting at the start;
-    the new trunk and its errors are `_trunk`'s."""
+    """t with its end moved to `end`, sharing t's rooting at the start."""
     r = validate(t)
     if end == t.end:
         return t
-    u = XTree(t.vertices, t.edges, t.start, end)
-    object.__setattr__(u, "rooting", _trunk(t.start, end, r.parent, r.forward, r.label, r.order))
-    return u
+    return _rooted_tree(t.vertices, t.edges, t.start, end, r.parent, r.forward, r.label, r.order)
 
 
 @dataclass(frozen=True)

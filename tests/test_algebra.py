@@ -53,8 +53,8 @@ class TestBasics:
                 assert identity_element(flavor) is e
 
     def test_plus_shares_the_operands_rooting(self, monkeypatch):
-        # the moved tree takes the operand's rooting at the start, so a
-        # full check runs only on a result the retraction folded
+        # the moved tree takes the operand's rooting at the start, and a
+        # folded result the rooting derived from it, so no full check runs
         from adequa import trees
 
         rng = random.Random(17)
@@ -73,7 +73,7 @@ class TestBasics:
         monkeypatch.setattr(trees, "undirected_adjacency", counted)
         results = [plus_op(e) for e in ops]
         folded = sum(r.edge_count < e.edge_count for e, r in zip(ops, results))
-        assert len(walked) == folded < len(ops)
+        assert len(walked) == 0 < folded < len(ops)
         moved = [XTree(e.tree.vertices, e.tree.edges, e.tree.start, e.tree.start) for e in ops]
         assert results == [make_element(t, e.flavor) for t, e in zip(moved, ops)]
 

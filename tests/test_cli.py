@@ -348,7 +348,9 @@ class TestReproduction:
         (("growth-report", "--rank", "0"), "error: rank must be at least 1"),
         (("growth-report", "--rank", "-2"), "error: rank must be at least 1"),
         (("identity-sweep", "--rounds", "-5"), "error: rounds must be nonnegative"),
-    ], ids=["rank-0", "rank-negative", "rounds-negative"])
+        # the budget is checked even when no identity is drawn
+        (("identity-sweep", "--rounds", "0", "--budget", "0"), "error: budget must be at least 1"),
+    ], ids=["rank-0", "rank-negative", "rounds-negative", "budget-0-no-rounds"])
     def test_bad_counts_rejected(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", message)
 

@@ -208,6 +208,39 @@ class TestLeftSpheres:
         assert cen.by_trunk_and_first_branch.get((2, 1)) == 2
 
 
+def _masks_choosing_every_direction(base, all_masks):
+    """`_twin_free_masks` computing each vertex's child flips for both
+    directions of its parent edge, whether a state uses it or not, and
+    going on past a vertex that leaves no state."""
+    children = [[] for _ in range(len(base) + 1)]
+    for a, b, _ in base:
+        children[a].append(b)
+    states = [(0, -1)]
+    for u, kids in enumerate(children):
+        if not kids:
+            continue
+        choices = [[], []]
+        for up_out in (0, 1) if u else (0,):
+            for flips in range(1 << len(kids)) if all_masks else (0,):
+                into = flips.bit_count() + (u > 0 and not up_out)
+                out = len(kids) + (u > 0) - into
+                bits, twins = 0, []
+                for j, c in enumerate(kids):
+                    flipped = (flips >> j) & 1
+                    bits |= flipped << (c - 1)
+                    if not children[c] and (into if flipped else out) > 1:
+                        twins.append(c)
+                if len(twins) < 2:
+                    choices[up_out].append((bits, twins[0] if twins else -1))
+        states = [
+            (mask | bits, max(twin, more))
+            for mask, twin in states
+            for bits, more in choices[u > 0 and (mask >> (u - 1)) & 1]
+            if twin < 0 or more < 0
+        ]
+    return sorted(states)
+
+
 class TestTwoSidedSpheres:
     def test_oriented_trees_cover_every_birooted_tree(self):
         # brute force: hanging each vertex v > 0 off any u < v gives every
@@ -236,6 +269,7 @@ class TestTwoSidedSpheres:
     def test_derived_rootings_equal_fresh_validation(self):
         trees = [t for n in range(7) for t in oriented_trees(n)]
         trees += [t for n in range(9) for _, t in _free_classes(n, True)]
+        trees += [zigzag_tree(z) for n in range(13) for z in product((False, True), repeat=n)]
         names = [f.name for f in fields(TrunkInfo)]
         assert "label" in names
         for t in trees:
@@ -307,6 +341,16 @@ class TestTwoSidedSpheres:
                         twins = _twin_leaves(next(_oriented_ends(base, mask)))
                         if len(twins) < 2:
                             want.append((mask, twins[0] if twins else -1))
+                    assert _twin_free_masks(base, all_masks) == want, (L, all_masks)
+
+    def test_generator_matches_choosing_every_direction(self):
+        # choosing child flips for both directions of each parent edge and
+        # pruning only at the end gives the same masks for every shape
+        for n in range(10):
+            for L in rooted_tree_level_sequences(n + 1):
+                base = _level_sequence_to_edges(L)
+                for all_masks in (True, False):
+                    want = _masks_choosing_every_direction(base, all_masks)
                     assert _twin_free_masks(base, all_masks) == want, (L, all_masks)
 
     def test_counts_past_the_published_table(self):

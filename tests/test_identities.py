@@ -19,7 +19,7 @@ from adequa.identities import (
     fad1_witness_element,
     random_monogenic_element,
 )
-from adequa.terms import Plus, Product, parse_term, term_length
+from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
 
 
 def spec(u: str, v: str) -> IdentitySpec:
@@ -288,6 +288,21 @@ class TestFalsifierCaches:
                 for _ in range(2):
                     got = codes(falsify_by_substitution(s, flavor, budget=budget))
                     assert got == want, (u, v, budget)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_eval_cache_keys(self, flavor, fresh_caches):
+        # each key is (printed term, flavor value, (letter, code) pairs)
+        sides = {}
+        for u, v in sweep_pairs(flavor):
+            s = spec(u, v)
+            falsify_by_substitution(s, flavor, budget=50)
+            for t in (s.lhs, s.rhs):
+                sides[term_to_str(t)] = list(s.alphabet)
+        assert len(I._EVAL_CACHE) > 100
+        for text, value, codes in I._EVAL_CACHE:
+            assert value == flavor.value
+            assert [x for x, _ in codes] == sides[text]
+            assert all(type(c) is bytes for _, c in codes)
 
     def test_eval_cache_bound(self, fresh_caches, monkeypatch):
         monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 8)

@@ -326,7 +326,7 @@ class TestRooting:
         words = [z for z in itertools.product((False, True), repeat=6) if not all(z)]
         for check in (retract, is_retract_free, lambda t: is_retract_free(t, "generic")):
             for z in words:
-                t = zigzag_tree(z)
+                t = fresh(zigzag_tree(z))
                 built.clear()
                 check(t)
                 assert built == [t], z
@@ -336,6 +336,76 @@ class TestRooting:
         built.clear()
         assert retract(left) != left and not is_retract_free(left)
         assert built == []
+
+
+def fresh(t):
+    """A copy of t whose rooting is not known yet."""
+    return XTree(t.vertices, t.edges, t.start, t.end)
+
+
+def derived_sample():
+    """Every tree of oriented_trees(n), n <= 6, with every end; 3000 seeded
+    two-label trees with scrambled vertex numbers; 20 000 seeded monogenic
+    trees, every other one left, so that the height rule folds them; and
+    the benchmark's 20 large trees.  Each is fresh."""
+    for n in range(7):
+        yield from map(fresh, oriented_trees(n))
+    rng = random.Random(29)
+    for _ in range(3000):
+        t = random_tree(rng, rng.randint(1, 14), "ab")
+        perm = list(range(t.vertices))
+        rng.shuffle(perm)
+        yield relabel_tree(t, perm)
+    rng = random.Random(31)
+    for i in range(20000):
+        t = random_tree(rng, rng.randint(1, 14), "a")
+        if i % 2:
+            t = XTree(t.vertices, tuple((min(a, b), max(a, b), lab) for a, b, lab in t.edges), 0, t.end)
+        yield t
+    yield from big_trees()
+
+
+class TestDerivedRooting:
+    """A folded retract carries its input's rooting, restricted to the
+    kept vertices and renumbered, and a zig-zag is built rooted
+    (`tests/test_growth.py` checks its rooting): neither is walked again."""
+
+    def test_folded_retracts_carry_the_rooting_validate_finds(self):
+        folded = kernel = 0
+        for t in derived_sample():
+            r = retract(t)
+            if r is not t:
+                assert r.rooting is not None, t
+                want = validate(fresh(r))
+                for f in fields(TrunkInfo):
+                    assert getattr(r.rooting, f.name) == getattr(want, f.name), (f.name, t)
+                folded += 1
+                kernel += is_left(t) and len({lab for _, _, lab in t.edges}) == 1
+        assert folded > 10000 and kernel > 5000
+
+    def test_a_folded_retract_is_not_walked_again(self, monkeypatch):
+        import adequa.retract
+        import adequa.trees
+
+        checks, passes = [], []
+        adjacency = adequa.trees.undirected_adjacency
+        monkeypatch.setattr(adequa.trees, "undirected_adjacency", lambda t: checks.append(t) or adjacency(t))
+        monkeypatch.setattr(adequa.retract, "undirected_adjacency", lambda t: passes.append(t) or adjacency(t))
+        rng = random.Random(37)
+        sample = [random_tree(rng, rng.randint(4, 12), "ab") for _ in range(200)]
+        sample = [t for t in sample if find_foldable_branch(fresh(t)) is not None]
+        assert len(sample) > 50
+        for t in sample:
+            checks.clear()
+            canonical_code(retract(t))
+            assert checks == [t] and passes == []
+        # a zig-zag: no checking walk, one build for the leaves-first pass
+        for z in itertools.product((False, True), repeat=8):
+            checks.clear()
+            passes.clear()
+            t = zigzag_tree(z)
+            is_retract_free(t, engine="generic")
+            assert checks == [] and passes == [t], z
 
 
 def searched_folds(t):
@@ -363,6 +433,11 @@ def kind_sample():
         perm = list(range(t.vertices))
         rng.shuffle(perm)
         yield relabel_tree(t, perm)
+    yield from big_trees()
+
+
+def big_trees():
+    """The benchmark's 20 large trees, from seed 7."""
     sys.path.insert(0, PERFBENCH)
     try:
         import workloads
