@@ -91,8 +91,16 @@ def identity_element(flavor: Flavor) -> Element:
     return e
 
 
+_GENERATORS: dict[tuple[str, Flavor], Element] = {}
+
+
 def generator(label: str, flavor: Flavor) -> Element:
-    return make_element(generator_tree(label), flavor)
+    """The generator `label` of the flavor, built on first use and shared
+    afterwards; a label that `validate` rejects raises on every call."""
+    e = _GENERATORS.get((label, flavor))
+    if e is None:
+        e = _GENERATORS[label, flavor] = make_element(generator_tree(label), flavor)
+    return e
 
 
 def glue(s: XTree, t: XTree) -> XTree:

@@ -33,6 +33,19 @@ and the pass searches only where a kind repeats at its anchor, keeping
 a count per anchor and kind that drops as heads die.  The test is the
 first step of the search itself, so the branches that fold are the same.
 
+Levels rule out more.  Give the start level 0 and each vertex the level
+of its parent plus one when their edge points away from the start, minus
+one otherwise: every edge joins two adjacent levels, and a morphism
+preserves level differences (Hell & Nesetril, "Graphs and
+Homomorphisms", 2004).  A fold fixes the anchor, so it keeps each
+vertex's level: every level of the folded branch occurs in the rest, and
+the alive tree keeps its set of levels through the pass.  A branch whose
+subtree holds every vertex at the tree's highest level, or every one at
+its lowest, is pinned: its alive part still reaches that level and
+nothing outside it does, so it never folds.  The pinned branches are
+found once a search has failed and a branch is left to test, so a pass
+in which every search folds never looks for them.
+
 Monogenic left trees, the trees of the left growth count, skip the
 morphism search: one height walk finds what they keep.  Which engine
 folds a tree is private to this module; callers see `retract` and
@@ -75,8 +88,9 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(t: XTree, walked: Walked | None = None) -> tuple[Adjacency, list[int], list[int]]:
-    """Adjacency, parent array and order of the non-trunk vertices.
+def _rooted(t: XTree, walked: Walked | None = None) -> tuple[Adjacency, list[int], list[int], TrunkInfo]:
+    """Adjacency, parent array and order of the non-trunk vertices, and
+    the rooting they come from.
 
     The adjacency is for the leaves-first pass alone: it is taken from
     the walk of a tree not yet validated (`walked`, or `_walk(t)` when
@@ -92,7 +106,7 @@ def _rooted(t: XTree, walked: Walked | None = None) -> tuple[Adjacency, list[int
     parent = trunk.parent.copy()
     for v in trunk.vertices:
         parent[v] = -1
-    return adj, parent, [v for v in trunk.order if parent[v] >= 0]
+    return adj, parent, [v for v in trunk.order if parent[v] >= 0], trunk
 
 
 def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
@@ -147,13 +161,49 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
     return bool(done)
 
 
-def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]:
+def _pinned(parent: list[int], trunk: TrunkInfo) -> set[int]:
+    """The non-trunk vertices whose subtree holds every vertex at the
+    tree's highest level, or every one at its lowest.
+
+    The start is at level 0 and each vertex one above its parent when
+    their edge points away from the start, one below otherwise.  The
+    trunk holds levels 0 to its length, so only a level beyond those can
+    lie within one branch; the vertices whose subtree holds all of it are
+    the common ancestors, off the trunk, of the vertices at that level.
+    """
+    level = [0] * len(parent)
+    up, forward = trunk.parent, trunk.forward
+    for v in trunk.order[1:]:
+        level[v] = level[up[v]] + 1 if forward[v] else level[up[v]] - 1
+    pinned: set[int] = set()
+    for x in (max(level), min(level)):
+        if 0 <= x <= trunk.length:
+            continue
+        i = v = level.index(x)
+        above = []  # i and its ancestors off the trunk, upwards
+        while parent[v] >= 0:
+            above.append(v)
+            v = parent[v]
+        for _ in range(level.count(x) - 1):
+            i = v = level.index(x, i + 1)
+            while parent[v] >= 0 and v not in above:
+                v = parent[v]
+            if parent[v] < 0:  # i lies in another branch
+                above = []
+                break
+            above = above[above.index(v):]
+        pinned.update(above)
+    return pinned
+
+
+def _folds(adj: Adjacency, parent: list[int], order: list[int], trunk: TrunkInfo) -> Iterator[int]:
     """The heads of the branches that fold, leaves first.
 
     Each head is marked dead as its branch folds, which cuts the whole
     branch from the tree the later tests see and takes one edge of its
     kind off its anchor.  A branch is searched only when its kind occurs
-    at least twice among its anchor's alive edges.
+    at least twice among its anchor's alive edges and, once a search has
+    failed, when it is not pinned to an extreme level (`_pinned`).
     """
     alive = [True] * len(adj)
     # count[a, out, lab]: anchor a's alive edges of that kind; kind[b]:
@@ -166,12 +216,25 @@ def _folds(adj: Adjacency, parent: list[int], order: list[int]) -> Iterator[int]
             count[key] = count.get(key, 0) + 1
             if parent[w] == a:
                 kind[w] = key
+    # built for the first branch left to test after a failed search, so
+    # that a pass in which every search folds never builds it
+    pinned: set[int] | None = None
+    failed = False
     for b in reversed(order):
         key = kind[b]
-        if count[key] > 1 and hom_exists(adj, parent, alive, b):
+        if count[key] < 2:
+            continue
+        if failed:
+            if pinned is None:
+                pinned = _pinned(parent, trunk)
+            if b in pinned:
+                continue
+        if hom_exists(adj, parent, alive, b):
             alive[b] = False
             count[key] -= 1
             yield b
+        else:
+            failed = True
 
 
 def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
@@ -256,8 +319,8 @@ def retract(t: XTree) -> XTree:
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:
-        adj, parent, order = _rooted(t, walked)
-        gone = set(_folds(adj, parent, order))
+        adj, parent, order, trunk = _rooted(t, walked)
+        gone = set(_folds(adj, parent, order, trunk))
         for v in order:  # parents come first, so each dead head takes its subtree
             if parent[v] in gone:
                 gone.add(v)

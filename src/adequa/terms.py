@@ -245,9 +245,6 @@ class NonNestedWord:
         return "".join(out)
 
 
-EMPTY_WORD = NonNestedWord(())
-
-
 class NestedTermError(ValueError):
     pass
 

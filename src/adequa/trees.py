@@ -230,11 +230,14 @@ def canonical_code(t: XTree) -> bytes:
     # Walking `order` backwards finishes children before parents; each
     # vertex hands its code, with its edge's direction and label, to its
     # parent.  The start, last and its own parent, hands it to itself.
+    # A list is emptied once joined, so only the codes of vertices whose
+    # parent is not yet done are alive: memory stays linear in the tree.
     parts: list[list[bytes]] = [[] for _ in parent]
     for v in reversed(r.order):
         ps = parts[v]
         ps.sort()
         code = (b"(E" if v == end else b"(") + b"".join(ps) + b")"
+        ps.clear()
         parts[parent[v]].append((b">" if forward[v] else b"<") + label[v].encode() + code)
     return code
 

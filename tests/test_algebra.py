@@ -52,6 +52,20 @@ class TestBasics:
                 m.setattr(trees, "undirected_adjacency", None)
                 assert identity_element(flavor) is e
 
+    def test_generator_built_once(self, monkeypatch):
+        from adequa import retract, trees
+
+        for flavor in Flavor:
+            for label in ("a", "b7"):
+                g = generator(label, flavor)
+                assert g.flavor is flavor and g.tree == trees.generator_tree(label)
+                walks = []
+                with monkeypatch.context() as m:
+                    for module in (trees, retract):
+                        m.setattr(module, "_walk", lambda t: walks.append(t))
+                    assert generator(label, flavor) is g
+                assert walks == []
+
     def test_plus_shares_the_operands_rooting(self, monkeypatch):
         # the moved tree takes the operand's rooting at the start, and a
         # folded result the rooting derived from it, so no full check runs

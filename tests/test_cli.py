@@ -11,6 +11,8 @@ from adequa.cli import main
 from adequa.growth import generic_left_trees
 from adequa.trees import canonical_code, from_json, generator_tree, to_json
 
+from .test_trees import run_capped
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -68,6 +70,11 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--flavor", "flad", "xy" * 600)
         assert code == 0
         assert json.loads(out)["trunk_length"] == 1200
+
+    def test_long_word_in_linear_memory(self):
+        proc = run_capped("-m", "adequa.cli", "eval", "--flavor", "flad", "xy" * 15000)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert json.loads(proc.stdout)["trunk_length"] == 30000
 
     def test_star_rejected_in_left_flavor(self, capsys):
         code, _, err = run(capsys, "eval", "--flavor", "flad", "x^*")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from adequa.algebra import Flavor, eval_term, generator
 from adequa.terms import (
     AtomNotInSupport,
-    EMPTY_WORD,
     Identity,
     Letter,
     NonNestedWord,
@@ -112,7 +111,7 @@ class TestDuality:
 
 class TestNonNested:
     def test_rules(self):
-        assert to_nonnested(parse_term("1^+")) == EMPTY_WORD
+        assert to_nonnested(parse_term("1^+")) == NonNestedWord(())
         assert to_nonnested(parse_term("(a^+)^+")) == NonNestedWord((PlusBlock("a"),))
         assert to_nonnested(parse_term("(ab^+c)^+")) == NonNestedWord(
             (PlusBlock("ab"), PlusBlock("ac"))

@@ -3,7 +3,11 @@
 import gc
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -36,6 +40,23 @@ def relabel_tree(t: XTree, perm) -> XTree:
         tuple((perm[a], perm[b], lab) for a, b, lab in t.edges),
         perm[t.start],
         perm[t.end],
+    )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CAP_BYTES = 512 << 20
+
+
+def run_capped(*argv):
+    """Run the interpreter on argv in a child process whose address space
+    is capped at CAP_BYTES, so that memory, not time, bounds the call."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *argv], preexec_fn=cap, env=env, capture_output=True, timeout=120
     )
 
 
@@ -224,6 +245,18 @@ class TestCanonicalCode:
         t = XTree(n + 1, tuple((i, i + 1, "a") for i in range(n)), 0, n)
         code = canonical_code(t)
         assert code == b"(>a" * n + b"(E" + b")" * (n + 1)
+
+    def test_deep_path_in_linear_memory(self):
+        # the code of a path holds every shorter path's code inside it;
+        # kept all at once they would take about 2 d^2 bytes, 1.8 GB here
+        script = (
+            "from adequa.trees import XTree, canonical_code\n"
+            "n = 30000\n"
+            "t = XTree(n + 1, tuple((i, i + 1, 'a') for i in range(n)), 0, n)\n"
+            "assert canonical_code(t) == b'(>a' * n + b'(E' + b')' * (n + 1)\n"
+        )
+        proc = run_capped("-c", script)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
 
     def test_matches_brute_force_exhaustive(self):
         trees = list(oriented_trees(3))
