@@ -68,6 +68,8 @@ def _eval_in_flavor(term_text: str, flavor: Flavor, assigns: list[str]) -> Eleme
         letter = letter.strip()
         if len(letter) != 1 or not "a" <= letter <= "z":
             raise ValueError("bad --assign letter %r" % letter)
+        if letter in base:
+            raise ValueError("letter %s assigned twice" % letter)
         rt = parse_term(rhs)
         sub = {x: generator(x, flavor) for x in letters_of(rt)}
         base[letter] = eval_term(rt, sub, flavor)

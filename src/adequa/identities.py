@@ -363,14 +363,14 @@ def falsify_by_substitution(
         return lhs != _cached_eval(spec.rhs, rhs_head, codes, assignment, flavor)
 
     pool = monogenic_pool(flavor)
-    # order tuples by total edge count so small witnesses come first
-    indexed = sorted(range(len(pool)), key=lambda i: pool[i].edge_count)
-    weights = [pool[i].edge_count for i in indexed]
+    # the pool is small first, so ordering tuples by total edge count
+    # tries small witnesses first
+    weights = [e.edge_count for e in pool]
     spent = 0
     for combo in _by_total_weight(weights, len(letters)):
         if spent >= budget:
             return None
-        assignment = {x: pool[indexed[j]] for x, j in zip(letters, combo)}
+        assignment = {x: pool[j] for x, j in zip(letters, combo)}
         spent += 1
         if separates(assignment):
             return assignment

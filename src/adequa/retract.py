@@ -15,9 +15,11 @@ the retract-free retract up to isomorphism is a general fact about
 relational structures (Hell & Nesetril, "The core of a graph", 1992),
 so the engine may delete in whatever order is cheapest.
 
-One pass suffices.  Over the rooting `validate` returns, the branches
-are visited leaves first, over one adjacency in which the head of each
-folded branch is marked dead, cutting the branch off.  Deleting a
+One pass suffices.  It reads the rooting `validate` returns, in which
+every vertex comes after its parent and the parent of a branch's head is
+the branch's anchor, and visits the branches leaves first, over one
+adjacency in which the head of each folded branch is marked dead,
+cutting the branch off.  Deleting a
 branch disjoint from B only shrinks the host that B must map into, so
 a branch found rigid stays rigid; and every branch inside B is settled
 before B is tested, so B's pattern never changes after its test.  A
@@ -88,32 +90,12 @@ class Endomorphism:
         return all(m == v for v, m in enumerate(self.vertex_map))
 
 
-def _rooted(t: XTree, walked: Walked | None = None) -> tuple[Adjacency, list[int], list[int], TrunkInfo]:
-    """Adjacency, parent array and order of the non-trunk vertices, and
-    the rooting they come from.
-
-    The adjacency is for the leaves-first pass alone: it is taken from
-    the walk of a tree not yet validated (`walked`, or `_walk(t)` when
-    none is given) and built here only when the rooting was already
-    known.  The rest is taken from the rooting at the start: a non-trunk
-    vertex's path to the start enters the trunk at its branch's anchor,
-    so parent[b] is that anchor for the head b of a branch (-1 on the
-    trunk), and every vertex comes after its parent in the order.
-    """
-    trunk, adj = walked or _walk(t)
-    if adj is None:
-        adj = undirected_adjacency(t)
-    parent = trunk.parent.copy()
-    for v in trunk.vertices:
-        parent[v] = -1
-    return adj, parent, [v for v in trunk.order if parent[v] >= 0], trunk
-
-
 def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
     """Does the branch headed by b map into the rest of the tree?
 
-    The morphism fixes the anchor a = parent[b], preserves edge
-    directions and labels, and may fold.  Pattern and host avoid every
+    `parent` is the rooting's, so a = parent[b] is the branch's anchor.
+    The morphism fixes a, preserves edge directions and labels, and may
+    fold.  Pattern and host avoid every
     vertex that is not alive, and with it the subtree it heads; the host
     never steps onto b, its only way into the branch.  Depth-first over
     (pattern, host) vertex pairs with an explicit stack and a memo local
@@ -161,7 +143,7 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
     return bool(done)
 
 
-def _pinned(parent: list[int], trunk: TrunkInfo) -> set[int]:
+def _pinned(trunk: TrunkInfo, on_trunk: set[int]) -> set[int]:
     """The non-trunk vertices whose subtree holds every vertex at the
     tree's highest level, or every one at its lowest.
 
@@ -171,24 +153,24 @@ def _pinned(parent: list[int], trunk: TrunkInfo) -> set[int]:
     lie within one branch; the vertices whose subtree holds all of it are
     the common ancestors, off the trunk, of the vertices at that level.
     """
+    parent, forward = trunk.parent, trunk.forward
     level = [0] * len(parent)
-    up, forward = trunk.parent, trunk.forward
     for v in trunk.order[1:]:
-        level[v] = level[up[v]] + 1 if forward[v] else level[up[v]] - 1
+        level[v] = level[parent[v]] + 1 if forward[v] else level[parent[v]] - 1
     pinned: set[int] = set()
     for x in (max(level), min(level)):
         if 0 <= x <= trunk.length:
             continue
         i = v = level.index(x)
         above = []  # i and its ancestors off the trunk, upwards
-        while parent[v] >= 0:
+        while v not in on_trunk:
             above.append(v)
             v = parent[v]
         for _ in range(level.count(x) - 1):
             i = v = level.index(x, i + 1)
-            while parent[v] >= 0 and v not in above:
+            while v not in on_trunk and v not in above:
                 v = parent[v]
-            if parent[v] < 0:  # i lies in another branch
+            if v in on_trunk:  # i lies in another branch
                 above = []
                 break
             above = above[above.index(v):]
@@ -196,37 +178,43 @@ def _pinned(parent: list[int], trunk: TrunkInfo) -> set[int]:
     return pinned
 
 
-def _folds(adj: Adjacency, parent: list[int], order: list[int], trunk: TrunkInfo) -> Iterator[int]:
+def _folds(t: XTree, walked: Walked) -> Iterator[int]:
     """The heads of the branches that fold, leaves first.
 
-    Each head is marked dead as its branch folds, which cuts the whole
-    branch from the tree the later tests see and takes one edge of its
-    kind off its anchor.  A branch is searched only when its kind occurs
-    at least twice among its anchor's alive edges and, once a search has
-    failed, when it is not pinned to an extreme level (`_pinned`).
+    `walked` is `_walk(t)`: t's rooting, and the adjacency its walk
+    built, which is built here when the walk built none.  The branches
+    are the non-trunk vertices of the rooting's order, each with its
+    parent as anchor; a head's kind, its edge seen from its anchor, is
+    (parent, forward, label) in the rooting.  Each head is marked dead
+    as its branch folds, which cuts the whole branch from the tree the
+    later tests see and takes one edge of its kind off its anchor.  A
+    branch is searched only when its kind occurs at least twice among
+    its anchor's alive edges and, once a search has failed, when it is
+    not pinned to an extreme level (`_pinned`).
     """
+    trunk = walked[0]
+    adj = walked[1] or undirected_adjacency(t)
+    parent, forward, label = trunk.parent, trunk.forward, trunk.label
+    on_trunk = set(trunk.vertices)
+    order = [v for v in trunk.order if v not in on_trunk]
     alive = [True] * len(adj)
-    # count[a, out, lab]: anchor a's alive edges of that kind; kind[b]:
-    # the kind of b's edge, seen from its anchor
+    # count[a, out, lab]: anchor a's alive edges of that kind
     count: dict[tuple[int, bool, str], int] = {}
-    kind: list[tuple[int, bool, str] | None] = [None] * len(adj)
     for a in {parent[b] for b in order}:
-        for w, out, lab in adj[a]:
+        for _, out, lab in adj[a]:
             key = (a, out, lab)
             count[key] = count.get(key, 0) + 1
-            if parent[w] == a:
-                kind[w] = key
     # built for the first branch left to test after a failed search, so
     # that a pass in which every search folds never builds it
     pinned: set[int] | None = None
     failed = False
     for b in reversed(order):
-        key = kind[b]
+        key = (parent[b], forward[b], label[b])
         if count[key] < 2:
             continue
         if failed:
             if pinned is None:
-                pinned = _pinned(parent, trunk)
+                pinned = _pinned(trunk, on_trunk)
             if b in pinned:
                 continue
         if hom_exists(adj, parent, alive, b):
@@ -245,7 +233,7 @@ def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
     The head may be vertex 0, so test the result against None.  `walked`
     is `_walk(t)` when the caller has already taken it.
     """
-    return next(_folds(*_rooted(t, walked)), None)
+    return next(_folds(t, walked or _walk(t)), None)
 
 
 def _delete(t: XTree, trunk: TrunkInfo, gone: set[int]) -> XTree:
@@ -272,7 +260,7 @@ def _delete(t: XTree, trunk: TrunkInfo, gone: set[int]) -> XTree:
 
 def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
     """The vertices the retract of a monogenic left tree keeps, from one
-    height walk; None if t is not left.
+    height walk; None if t is not left or not monogenic.
 
     In a monogenic out-tree a branch folds at its anchor iff some sibling
     subtree is at least as high.  So the retract is the trunk plus, at
@@ -281,7 +269,7 @@ def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
     whenever there is a side child).  Ties go to the first highest child,
     as in the leaves-first pass, so `_delete` builds the same tree.
     """
-    if trunk.forward.count(True) != t.vertices - 1:
+    if trunk.forward.count(True) != t.vertices - 1 or not is_monogenic(t):
         return None
     parent = trunk.parent
     height = [0] * t.vertices
@@ -315,16 +303,16 @@ def retract(t: XTree) -> XTree:
     Either way a tree not yet validated is walked once.
     """
     walked = _walk(t)
-    kept = _left_monogenic_kept(t, walked[0]) if is_monogenic(t) else None
+    trunk = walked[0]
+    kept = _left_monogenic_kept(t, trunk)
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:
-        adj, parent, order, trunk = _rooted(t, walked)
-        gone = set(_folds(adj, parent, order, trunk))
-        for v in order:  # parents come first, so each dead head takes its subtree
-            if parent[v] in gone:
+        gone = set(_folds(t, walked))
+        for v in trunk.order:  # parents come first, so each dead head takes its subtree
+            if trunk.parent[v] in gone:
                 gone.add(v)
-    return _delete(t, walked[0], gone) if gone else t
+    return _delete(t, trunk, gone) if gone else t
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:
@@ -337,10 +325,9 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     walked = _walk(t)
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
-    if engine == "auto" and is_monogenic(t):
-        kept = _left_monogenic_kept(t, walked[0])
-        if kept is not None:
-            return len(kept) == t.vertices
+    kept = _left_monogenic_kept(t, walked[0]) if engine == "auto" else None
+    if kept is not None:
+        return len(kept) == t.vertices
     return find_foldable_branch(t, walked) is None
 
 

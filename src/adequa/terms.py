@@ -253,7 +253,9 @@ def to_nonnested(t: Term) -> NonNestedWord:
     """Normal form under ε⁺→ε, (x⁺)⁺→x⁺, (xy⁺z)⁺→(xy)⁺(xz)⁺.
 
     Innermost-first rewriting; sound for the left signature only, so Star
-    nodes are rejected.
+    nodes are rejected, and in the monogenic monoid only, whatever element
+    each letter stands for: with distinct generators a and b, (aa⁺b)⁺ and
+    (aa)⁺(ab)⁺ differ.
     """
     return NonNestedWord(
         _fold(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)

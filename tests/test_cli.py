@@ -55,6 +55,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert "bad --assign letter" in err
 
+    def test_letter_assigned_twice_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--flavor", "flad", "--assign", "x=x^+", "--assign", "x=y", "xx"
+        )
+        assert code == 2 and out == ""
+        assert "letter x assigned twice" in err
+
     def test_eval_dot(self, capsys):
         code, out, _ = run(capsys, "eval", "--flavor", "fad", "--format", "dot", "a")
         assert code == 0 and out.startswith("digraph")

@@ -470,7 +470,24 @@ class TestReport:
     def test_report_higher_rank(self):
         rep = growth.growth_report(4, rank=2, two_sided_max=0)
         assert rep["growth_rate_lower_bound_base"] == 4
-        assert all("rank_idempotent_lower_bound" in r for r in rep["rows"])
+        # the rank-2 sphere by brute force: every a-tree relabelled by every
+        # word over {a, b}, the retract-free ones, one per canonical code
+        spheres, idempotents = [], []
+        for n in range(5):
+            free = {}
+            for t in oriented_trees(n):
+                for word in product("ab", repeat=n):
+                    edges = tuple((a, b, lab) for (a, b, _), lab in zip(t.edges, word))
+                    u = XTree(t.vertices, edges, t.start, t.end)
+                    if is_retract_free(u, engine="generic"):
+                        free.setdefault(canonical_code(u), u.start == u.end)
+            spheres.append(len(free))
+            idempotents.append(sum(free.values()))
+        assert spheres == [1, 6, 34, 218, 1463]
+        assert idempotents == [1, 4, 18, 100, 611]
+        bounds = [r["rank_idempotent_lower_bound"] for r in rep["rows"]]
+        assert bounds == [1, 2, 4, 16, 48]
+        assert all(b <= e for b, e in zip(bounds, idempotents))
 
     def test_estimate_is_asymptotic(self):
         # the classical estimate tracks P(n) within a factor that shrinks

@@ -261,6 +261,13 @@ class TestFalsifierCaches:
         assert len(kept) == 5
 
     @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_pool_is_small_first(self, flavor):
+        # the falsifier reads the pool's edge counts as its tuple weights
+        # without sorting them
+        weights = [e.edge_count for e in I.monogenic_pool(flavor)]
+        assert weights == sorted(weights) and len(set(weights)) > 1
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
     @pytest.mark.parametrize("letters", [1, 2, 3])
     def test_pool_tuples_in_sorted_product_order(self, flavor, letters):
         pool = I.monogenic_pool(flavor)

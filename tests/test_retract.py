@@ -1,5 +1,6 @@
 """Retraction engine: folding, confluence, oracle agreement, fast path."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -19,7 +20,6 @@ from adequa.retract import (
     _folds,
     _left_monogenic_kept,
     _pinned,
-    _rooted,
     endomorphism_oracle,
     find_foldable_branch,
     hom_exists,
@@ -29,10 +29,12 @@ from adequa.retract import (
 from adequa.trees import (
     TrunkInfo,
     XTree,
+    _walk,
     canonical_code,
     generator_tree,
     is_left,
     is_right,
+    to_json,
     undirected_adjacency,
     validate,
 )
@@ -214,7 +216,7 @@ def core_with_copies(rng, n_edges):
 
 def folded_heads(t):
     """The heads of the branches that the retraction pass deletes."""
-    return set(_folds(*_rooted(t)))
+    return set(_folds(t, _walk(t)))
 
 
 def rooting_sample():
@@ -284,20 +286,27 @@ class TestRooting:
             assert all(len(e) == 3 for e in r.edges) and len(r.edges) == r.length
 
     def test_rooted_branches_follow_their_parents(self):
+        # the leaves-first pass reads the rooting as it is: each non-trunk
+        # vertex comes after its parent, which is its branch's anchor, and
+        # (parent, forward, label) is an edge of the adjacency at it
         for t in rooting_sample():
             trunk = validate(t)
-            before = list(trunk.parent)
-            adj, parent, order, rooting = _rooted(t)
-            assert adj == undirected_adjacency(t) and trunk.parent == before and rooting is trunk
+            before = [list(trunk.parent), list(trunk.forward), list(trunk.label), list(trunk.order)]
+            adj = undirected_adjacency(t)
             # a fresh copy is validated by the walk that builds its adjacency
             fresh = XTree(t.vertices, t.edges, t.start, t.end)
-            assert _rooted(fresh) == (adj, parent, order, trunk) and fresh.rooting == trunk
-            assert all(parent[v] == -1 for v in trunk.vertices)
-            assert sorted(order) == sorted(set(range(t.vertices)) - set(trunk.vertices))
-            placed = set(trunk.vertices)
-            for v in order:
-                assert parent[v] in placed and parent[v] == trunk.parent[v]
-                placed.add(v)
+            assert _walk(fresh) == (trunk, adj) and fresh.rooting == trunk
+            assert _walk(t) == (trunk, None)
+            on_trunk = set(trunk.vertices)
+            placed = set(on_trunk)
+            for v in trunk.order:
+                if v not in on_trunk:
+                    p = trunk.parent[v]
+                    assert p in placed and (v, trunk.forward[v], trunk.label[v]) in adj[p]
+                    placed.add(v)
+            assert placed == set(range(t.vertices))
+            list(_folds(t, _walk(t)))
+            assert [trunk.parent, trunk.forward, trunk.label, trunk.order] == before
 
     def test_generic_retract_builds_the_adjacency_once(self, monkeypatch):
         import adequa.retract
@@ -411,11 +420,11 @@ class TestDerivedRooting:
 def searched_folds(t):
     """The heads the leaves-first pass deletes when every branch is
     searched, whatever the kinds at its anchor."""
-    adj, parent, order, _ = _rooted(t)
+    trunk, adj = validate(t), undirected_adjacency(t)
     alive = [True] * len(adj)
     heads = []
-    for b in reversed(order):
-        if hom_exists(adj, parent, alive, b):
+    for b in reversed(trunk.order):
+        if b not in trunk.vertices and hom_exists(adj, trunk.parent, alive, b):
             alive[b] = False
             heads.append(b)
     return heads
@@ -468,7 +477,7 @@ class TestKindFilter:
 
     def test_same_folds_as_searching_every_branch(self):
         for t in kind_sample():
-            assert list(_folds(*_rooted(t))) == searched_folds(t), t
+            assert list(_folds(t, _walk(t))) == searched_folds(t), t
 
     def test_distinct_kinds_make_no_search(self, searches):
         # a directed a-path hanging off the start: one edge in and one out
@@ -515,8 +524,9 @@ class TestLevelFilter:
     def test_no_pinned_branch_folds(self):
         pinned_heads = 0
         for t in kind_sample():
-            _, parent, order, trunk = _rooted(t)
-            pinned = _pinned(parent, trunk)
+            trunk = validate(t)
+            order = [v for v in trunk.order if v not in trunk.vertices]
+            pinned = _pinned(trunk, set(trunk.vertices))
             assert not pinned.intersection(searched_folds(t)), t
             if t.vertices <= 15:
                 level = levels(t)
@@ -551,6 +561,22 @@ class TestLevelFilter:
         for t in big_trees():
             folded += retract(t) != t
         assert folded == 20 and built == []
+
+
+class TestGoldenOutput:
+    """The pass's outputs over `kind_sample()`, pinned byte for byte, so
+    that a refactor of the pass keeps every fold, retract and code."""
+
+    def test_kind_sample_digest(self):
+        h = hashlib.sha256()
+        for t in kind_sample():
+            f = fresh(t)
+            r = retract(f)
+            h.update(to_json(r).encode())
+            h.update(canonical_code(f))
+            h.update(canonical_code(r))
+            h.update(b"1" if is_retract_free(fresh(t)) else b"0")
+        assert h.hexdigest() == "a4674715f59c0badef4ed8d80639be4067012b304811250ad2a79d53ae947c2a"
 
 
 class TestConfluence:
@@ -686,6 +712,9 @@ class TestMonogenicLeftCore:
     def test_none_for_non_left_tree(self):
         t = a_tree([(0, 1), (1, 2), (3, 1)], 0, 2)
         assert _left_monogenic_kept(t, validate(t)) is None
+        # a left tree with two labels goes to the leaves-first pass
+        t = XTree(4, ((0, 1, "a"), (0, 2, "b"), (2, 3, "a")), 0, 1)
+        assert is_left(t) and _left_monogenic_kept(t, validate(t)) is None
 
 
 class TestIdempotentShape:
