@@ -19,12 +19,12 @@ One pass suffices.  It reads the rooting `validate` returns, in which
 every vertex comes after its parent and the parent of a branch's head is
 the branch's anchor, and visits the branches leaves first, over one
 adjacency in which the head of each folded branch is marked dead,
-cutting the branch off.  Deleting a
-branch disjoint from B only shrinks the host that B must map into, so
-a branch found rigid stays rigid; and every branch inside B is settled
-before B is tested, so B's pattern never changes after its test.  A
-branch of the final tree that folded there would have folded when it
-was tested, hence the result is retract-free.
+cutting the branch off.  Deleting a branch disjoint from B only shrinks
+the host that B must map into, so a branch found rigid stays rigid; and
+every branch inside B is settled before B is tested, so B's pattern
+never changes after its test.  A branch of the final tree that folded
+there would have folded when it was tested, hence the result is
+retract-free.
 
 Most branches are settled without a search.  The kind of an edge at a
 vertex is its label with its direction seen from that vertex.  A
@@ -95,11 +95,10 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
 
     `parent` is the rooting's, so a = parent[b] is the branch's anchor.
     The morphism fixes a, preserves edge directions and labels, and may
-    fold.  Pattern and host avoid every
-    vertex that is not alive, and with it the subtree it heads; the host
-    never steps onto b, its only way into the branch.  Depth-first over
-    (pattern, host) vertex pairs with an explicit stack and a memo local
-    to this test.
+    fold.  Pattern and host avoid every vertex that is not alive, and
+    with it the subtree it heads; the host never steps onto b, its only
+    way into the branch.  Depth-first over (pattern, host) vertex pairs
+    with an explicit stack and a memo local to this test.
     """
     a = parent[b]
     n = len(adj)
