@@ -5,14 +5,17 @@ code 0 means success, 1 means a negative verdict (identity not
 satisfied, elements not equal, a reproduction target failed, a growth
 count off its published value, checker and falsifier in disagreement),
 2 means a usage or input error, 3 means an internal error (a bug, not a
-verdict).  JSON output uses sorted keys so identical invocations are
-byte-identical; `growth-report --json` alone is indented, for reading.
+verdict), and 141 means the reader closed stdout before the output ended
+(the code a shell reports for a tool that SIGPIPE stopped).  JSON output
+uses sorted keys so identical invocations are byte-identical;
+`growth-report --json` alone is indented, for reading.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -369,7 +372,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # what is still buffered goes to devnull, so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except growth.ReportCheckError as exc:  # a published count not reproduced
         print("check failed: %s" % exc, file=sys.stderr)
         return 1

@@ -241,13 +241,15 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[tuple[int, int]]:
-    """The orientations of the shape with edges `base` that have at most
-    one twin leaf, ascending, each with its twin leaf (-1 for none).
+def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
+    """The orientations of the shape with level sequence L that have at
+    most one twin leaf, ascending, each with its twin leaf (-1 for none).
 
-    Bit i of a mask points edge i of `base`, which joins vertex i + 1 to
-    its parent, towards the root; without all_masks only mask 0, every
-    edge away from the root, is tried.
+    Vertex v of the shape is position v of L and hangs off the last
+    vertex before it one level up; the filter reads L alone and builds no
+    edge list or tree.  Bit v - 1 of a mask points the edge joining vertex
+    v to its parent towards the root; without all_masks only mask 0,
+    every edge away from the root, is tried.
 
     A twin leaf is a leaf v, not the start (vertex 0), whose edge to its
     neighbour u has a twin at u: another edge with the same label and the
@@ -261,14 +263,31 @@ def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[
     with two twin leaves is retract-free for no end.
 
     Every edge is labelled a, so whether a leaf child of u is a twin
-    depends on the directions of u's edges alone.  The vertices are
-    visited parents first, choosing the directions of each one's child
-    edges once the edge to its own parent is fixed, and a choice is
-    dropped as soon as it makes a second twin leaf.
+    depends on the directions of u's edges alone.  With every edge
+    pointing away from the root, each edge at u but the one to u's parent
+    points out of u, so a leaf is a twin exactly when its parent has
+    another child.  Over all masks, the children are read from L in one
+    pass and the vertices visited parents first, choosing the directions
+    of each one's child edges once the edge to its own parent is fixed;
+    a choice is dropped as soon as it makes a second twin leaf.
     """
-    children: list[list[int]] = [[] for _ in range(len(base) + 1)]
-    for a, b, _ in base:
-        children[a].append(b)
+    if not all_masks:
+        # Vertex v > 0 is a leaf when the next level is no deeper.  It has
+        # an earlier sibling when its level is no deeper than v - 1's (a
+        # first child comes right after its parent), and a leaf has a later
+        # one when v + 1 is on its level; a level of 0 closes the sequence.
+        twins = [
+            v
+            for v, (before, level, after) in enumerate(zip(L, L[1:], [*L[2:], 0]), 1)
+            if after <= level and (level <= before or after == level)
+        ]
+        return [(0, twins[0] if twins else -1)] if len(twins) < 2 else []
+    children: list[list[int]] = [[] for _ in L]
+    path = [0]  # path[d]: the last vertex met at level d
+    for v in range(1, len(L)):
+        del path[L[v]:]
+        children[path[-1]].append(v)
+        path.append(v)
     states = [(0, -1)]  # (the mask so far, its twin leaf)
     for u, kids in enumerate(children):
         if not kids:
@@ -278,7 +297,7 @@ def _twin_free_masks(base: list[tuple[int, int, str]], all_masks: bool) -> list[
         # edge into u) that leave at most one twin leaf among u's children.
         choices: list[list[tuple[int, int]]] = [[], []]
         for up_out in {(mask >> (u - 1)) & 1 for mask, _ in states} if u else (0,):
-            for flips in range(1 << len(kids)) if all_masks else (0,):
+            for flips in range(1 << len(kids)):
                 # u's edges in each direction, the one to its parent included
                 into = flips.bit_count() + (u > 0 and not up_out)
                 out = len(kids) + (u > 0) - into
@@ -334,17 +353,22 @@ def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
     """The retract-free trees among the orientations, one per isomorphism
     class: the first in oriented_trees order, ascending by code.
 
-    Only the orientations `_twin_free_masks` yields are built, in
-    ascending order, so the first tree of each class is the one the
-    unpruned order meets first.  An orientation with a twin leaf tries
-    only that leaf as its end, since the start is vertex 0 whatever the
-    end; one without tries every end.  Each orientation with an end to
-    try is validated once, and its ends share that rooting.
+    Each shape's level sequence goes through `_twin_free_masks` first;
+    only a shape that keeps some orientation gets its edge list, and only
+    the orientations it keeps are built, in ascending order, so the first
+    tree of each class is the one the unpruned order meets first.  An
+    orientation with a twin leaf tries only that leaf as its end, since
+    the start is vertex 0 whatever the end; one without tries every end.
+    Each orientation with an end to try is validated once, and its ends
+    share that rooting.
     """
     free: dict[bytes, XTree] = {}
     for L in rooted_tree_level_sequences(n + 1):
+        masks = _twin_free_masks(L, all_masks)
+        if not masks:
+            continue
         base = _level_sequence_to_edges(L)
-        for mask, twin in _twin_free_masks(base, all_masks):
+        for mask, twin in masks:
             for u in _oriented_ends(base, mask, twin):
                 if is_retract_free(u):
                     free.setdefault(canonical_code(u), u)
@@ -391,35 +415,33 @@ def p_zigzag(n: int, i: int) -> tuple[bool, ...]:
     return tuple(word)
 
 
-def zigzag_ge(t: tuple[bool, ...], s: tuple[bool, ...]) -> bool:
-    """Prefix dominance of away-counts."""
-    if len(t) != len(s):
-        raise ValueError("length mismatch")
-    ct = cs = 0
-    for at, as_ in zip(t, s):
-        ct += at
-        cs += as_
-        if ct < cs:
-            return False
-    return True
-
-
 def zigzag_census(n: int) -> dict[int, dict]:
-    """Per height i: the total count C(n,i) and the Z(n,i) members."""
+    """Per height i: the total count C(n,i) and the Z(n,i) members.
+
+    A word with i away steps is a member when its away-counts dominate
+    those of p_zigzag(n, i) on every prefix, that is when its k-th away
+    step comes no later than the k-th away step of p_zigzag(n, i), for
+    every k.  The members are listed directly, in itertools.combinations
+    order of their away positions: each position is chosen in turn,
+    ascending, up to its cap.  The caps grow by 2 from step to step, so
+    every choice extends to a member, and the work grows with Z(n,i),
+    not with C(n,i).
+    """
     if not (1 <= n <= ZIGZAG_BOUND):
         raise ValueError("n=%d outside 1..%d" % (n, ZIGZAG_BOUND))
     out: dict[int, dict] = {}
     max_i = (n - 1) // 2
     for i in range(max_i + 1):
-        least = p_zigzag(n, i)
-        members = []
-        for positions in combinations(range(n), i):
-            away = [False] * n
-            for p in positions:
-                away[p] = True
-            z = tuple(away)
-            if zigzag_ge(z, least):
-                members.append(z)
+        caps = [j for j, away in enumerate(p_zigzag(n, i)) if away]
+        # each prefix as (the first position still open, the word before it)
+        words = [(0, ())]
+        for cap in caps:
+            words = [
+                (p + 1, w + (False,) * (p - lo) + (True,))
+                for lo, w in words
+                for p in range(lo, cap + 1)
+            ]
+        members = [w + (False,) * (n - lo) for lo, w in words]
         out[i] = {
             "all_count": math.comb(n, i),
             "Z_count": len(members),

@@ -316,6 +316,20 @@ class TestPlumbing:
         assert code == 3
         assert out == "" and "internal error: boom" in err
 
+    def test_closed_stdout_exits_quietly(self):
+        # about 120 KB of output overflows the pipe buffer, so the CLI is
+        # still writing when the reader goes away, as under `| head -c 10`
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "adequa.cli", "zigzag", "--edges", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(10) == b'{"edges":1'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_reproduce_only_filter(self, capsys, monkeypatch):
         # stub targets, one per group, so the table and exit code are exact
         from adequa import reproduce

@@ -1,11 +1,11 @@
 """Partition numbers, sphere enumeration, zig-zags, growth report."""
 
+import hashlib
 import json
 import math
 import os
-import random
 from dataclasses import fields
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 
@@ -34,12 +34,19 @@ from adequa.growth import (
     sums_with_t_check,
     two_sided_sphere,
     zigzag_census,
-    zigzag_ge,
     zigzag_tree,
 )
 from adequa.retract import endomorphism_oracle, is_retract_free
 import adequa.trees
-from adequa.trees import InvalidTreeError, TrunkInfo, XTree, canonical_code, is_left, validate
+from adequa.trees import (
+    InvalidTreeError,
+    TrunkInfo,
+    XTree,
+    canonical_code,
+    is_left,
+    to_json,
+    validate,
+)
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -284,7 +291,7 @@ class TestTwoSidedSpheres:
         tested = 0
         for L in rooted_tree_level_sequences(9):
             base = _level_sequence_to_edges(L)
-            for mask, twin in _twin_free_masks(base, True):
+            for mask, twin in _twin_free_masks(L, True):
                 edges = [
                     (b, a, lab) if mask >> i & 1 else (a, b, lab)
                     for i, (a, b, lab) in enumerate(base)
@@ -331,17 +338,18 @@ class TestTwoSidedSpheres:
 
     def test_generator_keeps_the_masks_with_at_most_one_twin_leaf(self):
         # the per-shape generator against the whole-tree scan: the same
-        # masks, ascending, each with its one twin leaf or -1
-        for n in range(7):
+        # masks, ascending, each with its one twin leaf or -1; every mask
+        # to 6 edges, the all-away mask to the generic sphere's sizes
+        for n in range(11):
             for L in rooted_tree_level_sequences(n + 1):
                 base = _level_sequence_to_edges(L)
-                for all_masks in (True, False):
+                for all_masks in (True, False) if n < 7 else (False,):
                     want = []
                     for mask in range(1 << n if all_masks else 1):
                         twins = _twin_leaves(next(_oriented_ends(base, mask)))
                         if len(twins) < 2:
                             want.append((mask, twins[0] if twins else -1))
-                    assert _twin_free_masks(base, all_masks) == want, (L, all_masks)
+                    assert _twin_free_masks(L, all_masks) == want, (L, all_masks)
 
     def test_generator_matches_choosing_every_direction(self):
         # choosing child flips for both directions of each parent edge and
@@ -351,7 +359,30 @@ class TestTwoSidedSpheres:
                 base = _level_sequence_to_edges(L)
                 for all_masks in (True, False):
                     want = _masks_choosing_every_direction(base, all_masks)
-                    assert _twin_free_masks(base, all_masks) == want, (L, all_masks)
+                    assert _twin_free_masks(L, all_masks) == want, (L, all_masks)
+
+    def test_edge_lists_only_for_kept_shapes(self, monkeypatch):
+        # a shape whose every orientation has two twin leaves gets no edge
+        # list: 409 of the 2962 shapes behind generic_left_trees(7..10)
+        # keep their all-away orientation, 56 of the 81 behind
+        # two_sided_sphere(3..6) keep some orientation
+        built = []
+
+        def counted(L):
+            built.append(L)
+            return edges(L)
+
+        edges = growth._level_sequence_to_edges
+        monkeypatch.setattr(growth, "_level_sequence_to_edges", counted)
+        for sizes, enumerate_sphere, shapes, kept in (
+            (range(7, 11), generic_left_trees, 2962, 409),
+            (range(3, 7), two_sided_sphere, 81, 56),
+        ):
+            built.clear()
+            for n in sizes:
+                enumerate_sphere(n)
+            assert sum(1 for n in sizes for _ in rooted_tree_level_sequences(n + 1)) == shapes
+            assert len(built) == kept
 
     def test_counts_past_the_published_table(self):
         for n, total, idempotents in ((7, 465, 170), (8, 1215, 439)):
@@ -383,6 +414,15 @@ class TestTwoSidedSpheres:
             assert generic_left_trees(n) == unpruned(n, is_left)
 
 
+def _prefix_dominating(n, i):
+    """Every i-subset of the n positions, in combinations order, as an
+    orientation word, kept when its away-counts dominate those of
+    p_zigzag(n, i) on every prefix."""
+    least = list(accumulate(p_zigzag(n, i)))
+    words = (tuple(j in positions for j in range(n)) for positions in combinations(range(n), i))
+    return [z for z in words if all(c >= m for c, m in zip(accumulate(z), least))]
+
+
 class TestZigZags:
     def test_ballot_counts(self):
         for n in range(1, 13):
@@ -407,16 +447,13 @@ class TestZigZags:
 
     def test_prefix_dominance_order(self):
         # membership in Z is the prefix away-count dominance against the
-        # extremal word with the same height
-        rng = random.Random(31)
-        n = 9
-        census = zigzag_census(n)
-        for _ in range(200):
-            z = tuple(rng.random() < 0.4 for _ in range(n))
-            i = sum(z)
-            if i > (n - 1) // 2:
-                continue
-            assert (z in census[i]["members"]) == zigzag_ge(z, p_zigzag(n, i))
+        # extremal word with the same height: the census lists exactly the
+        # dominating words, in combinations order, at every size and height
+        for n in range(1, growth.ZIGZAG_BOUND + 1):
+            census = zigzag_census(n)
+            assert sorted(census) == list(range((n - 1) // 2 + 1))
+            for i, row in census.items():
+                assert row["members"] == _prefix_dominating(n, i), (n, i)
 
     def test_members_are_orientation_words(self):
         members = zigzag_census(5)[1]["members"]
@@ -424,8 +461,32 @@ class TestZigZags:
         assert p_zigzag(5, 1) == (False, False, True, False, False) == members[-1]
         t = zigzag_tree((True, False))
         assert (t.vertices, t.edges, t.start, t.end) == (3, ((0, 1, "a"), (2, 1, "a")), 0, 0)
-        with pytest.raises(ValueError):
-            zigzag_ge((True,), (True, False))
+
+
+class TestGoldenOutput:
+    """The enumerators' outputs pinned byte for byte: every tree and code
+    of the generic left and two-sided spheres, and every zig-zag census
+    row with its members in order."""
+
+    def test_enumerator_digest(self):
+        h = hashlib.sha256()
+        for n in range(11):
+            for t in generic_left_trees(n):
+                h.update(to_json(t).encode())
+                h.update(canonical_code(t))
+        for n in range(8):
+            for e in two_sided_sphere(n)[0]:
+                h.update(to_json(e.tree).encode())
+                h.update(e.code)
+        for n in range(1, 17):
+            census = zigzag_census(n)
+            for i in sorted(census):
+                row = census[i]
+                h.update(("%d %d %d %d:" % (n, i, row["all_count"], row["Z_count"])).encode())
+                words = ("".join("a" if away else "t" for away in z) for z in row["members"])
+                h.update(" ".join(words).encode())
+        assert h.hexdigest() == "03567fa01f0e065406da510e098ab3805d9cb72a4982003bf1940d44722e40ca"
+
 
 class TestSubsetSumIdentity:
     def test_subset_sum_identity_small(self):
