@@ -45,8 +45,10 @@ the alive tree keeps its set of levels through the pass.  A branch whose
 subtree holds every vertex at the tree's highest level, or every one at
 its lowest, is pinned: its alive part still reaches that level and
 nothing outside it does, so it never folds.  The pinned branches are
-found once a search has failed and a branch is left to test, so a pass
-in which every search folds never looks for them.
+found at the first branch whose kind repeats, before any search, so a
+pass whose only candidates are pinned searches nothing.  The levels and
+the kind counts come from one loop over the rooting, and the adjacency
+the search reads is built only when a pass searches.
 
 Monogenic left trees, the trees of the left growth count, skip the
 morphism search: one height walk finds what they keep.  Which engine
@@ -142,38 +144,42 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
     return bool(done)
 
 
-def _pinned(trunk: TrunkInfo, on_trunk: set[int]) -> set[int]:
+def _pinned(trunk: TrunkInfo, level: list[int]) -> set[int]:
     """The non-trunk vertices whose subtree holds every vertex at the
     tree's highest level, or every one at its lowest.
 
-    The start is at level 0 and each vertex one above its parent when
-    their edge points away from the start, one below otherwise.  The
-    trunk holds levels 0 to its length, so only a level beyond those can
-    lie within one branch; the vertices whose subtree holds all of it are
-    the common ancestors, off the trunk, of the vertices at that level.
+    `level[v]` is v's level, as the module docstring defines it.  The
+    trunk holds levels 0 to its length, so only a level beyond those
+    can lie within one branch; the vertices whose subtree holds all of it
+    are the common ancestors, off the trunk, of the vertices at that
+    level.  Each walk up from one of them stops at the first vertex an
+    earlier walk reached, so every vertex is walked at most once.
     """
-    parent, forward = trunk.parent, trunk.forward
-    level = [0] * len(parent)
-    for v in trunk.order[1:]:
-        level[v] = level[parent[v]] + 1 if forward[v] else level[parent[v]] - 1
+    parent = trunk.parent
     pinned: set[int] = set()
     for x in (max(level), min(level)):
         if 0 <= x <= trunk.length:
             continue
+        # where a walk up stops: None on the trunk, the vertex's index in
+        # `above` on the first walk, and -1 where a later walk passed
+        stop: dict[int, int | None] = dict.fromkeys(trunk.vertices)
         i = v = level.index(x)
         above = []  # i and its ancestors off the trunk, upwards
-        while v not in on_trunk:
+        while v not in stop:
             above.append(v)
             v = parent[v]
+        stop.update(zip(above, range(len(above))))
+        lo = 0  # the common ancestors are above[lo:]
         for _ in range(level.count(x) - 1):
             i = v = level.index(x, i + 1)
-            while v not in on_trunk and v not in above:
+            while v not in stop:
+                stop[v] = -1
                 v = parent[v]
-            if v in on_trunk:  # i lies in another branch
-                above = []
+            if stop[v] is None:  # i lies in another branch
+                lo = len(above)
                 break
-            above = above[above.index(v):]
-        pinned.update(above)
+            lo = max(lo, stop[v])
+        pinned.update(above[lo:])
     return pinned
 
 
@@ -181,47 +187,51 @@ def _folds(t: XTree, walked: Walked) -> Iterator[int]:
     """The heads of the branches that fold, leaves first.
 
     `walked` is `_walk(t)`: t's rooting, and the adjacency its walk
-    built, which is built here when the walk built none.  The branches
-    are the non-trunk vertices of the rooting's order, each with its
-    parent as anchor; a head's kind, its edge seen from its anchor, is
-    (parent, forward, label) in the rooting.  Each head is marked dead
-    as its branch folds, which cuts the whole branch from the tree the
-    later tests see and takes one edge of its kind off its anchor.  A
-    branch is searched only when its kind occurs at least twice among
-    its anchor's alive edges and, once a search has failed, when it is
-    not pinned to an extreme level (`_pinned`).
+    built, if it built one.  The branches are the non-trunk vertices of
+    the rooting's order, each with its parent as anchor; a head's kind,
+    its edge seen from its anchor, is (parent, forward, label) in the
+    rooting.  One loop over the order, parents first, sets each vertex's
+    level and counts the kinds of each vertex's child edges; an anchor's
+    edge to its own parent adds one to its kind at test time.  Each head
+    is marked dead as its branch folds, which cuts the whole branch from
+    the tree the later tests see and takes one edge of its kind off its
+    anchor.  A branch is searched only when its kind occurs at least
+    twice among its anchor's alive edges and it is not pinned to an
+    extreme level (`_pinned`, built at the first such branch).  The
+    adjacency the search reads is built before the first search, when
+    the walk built none, so a pass that searches nothing builds none.
     """
-    trunk = walked[0]
-    adj = walked[1] or undirected_adjacency(t)
+    trunk, adj = walked
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
-    on_trunk = set(trunk.vertices)
-    order = [v for v in trunk.order if v not in on_trunk]
-    alive = [True] * len(adj)
-    # count[a, out, lab]: anchor a's alive edges of that kind
+    level = [0] * len(parent)
+    # count[a, out, lab]: the alive child edges of that kind at a
     count: dict[tuple[int, bool, str], int] = {}
-    for a in {parent[b] for b in order}:
-        for _, out, lab in adj[a]:
-            key = (a, out, lab)
-            count[key] = count.get(key, 0) + 1
-    # built for the first branch left to test after a failed search, so
-    # that a pass in which every search folds never builds it
+    for v in trunk.order[1:]:
+        a, out = parent[v], forward[v]
+        level[v] = level[a] + 1 if out else level[a] - 1
+        key = (a, out, label[v])
+        count[key] = count.get(key, 0) + 1
+    on_trunk = set(trunk.vertices)
+    alive = [True] * len(parent)
     pinned: set[int] | None = None
-    failed = False
-    for b in reversed(order):
-        key = (parent[b], forward[b], label[b])
-        if count[key] < 2:
+    for b in reversed(trunk.order):
+        if b in on_trunk:
             continue
-        if failed:
-            if pinned is None:
-                pinned = _pinned(trunk, on_trunk)
-            if b in pinned:
-                continue
+        a, out, lab = key = (parent[b], forward[b], label[b])
+        # the anchor's edge to its parent points the other way seen from
+        # the anchor; the start's label is "", which no edge carries
+        if count[key] + (forward[a] != out and label[a] == lab) < 2:
+            continue
+        if pinned is None:
+            pinned = _pinned(trunk, level)
+        if b in pinned:
+            continue
+        if adj is None:
+            adj = undirected_adjacency(t)
         if hom_exists(adj, parent, alive, b):
             alive[b] = False
             count[key] -= 1
             yield b
-        else:
-            failed = True
 
 
 def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
@@ -321,9 +331,9 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     `_left_monogenic_kept`, without building the retract, and sends the
     rest to the morphism search that engine="generic" always runs.
     """
-    walked = _walk(t)
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
+    walked = _walk(t)
     kept = _left_monogenic_kept(t, walked[0]) if engine == "auto" else None
     if kept is not None:
         return len(kept) == t.vertices
