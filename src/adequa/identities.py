@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from . import terms as T
 from .algebra import (
@@ -219,16 +220,55 @@ def check_fad1_plain(spec: IdentitySpec) -> CheckResult:
 
 # ------------------------------------------------------------- falsifier
 
-# Both falsifier caches are bounded.  _POOL_CACHE keeps the graded pools
-# and, per flavor, the first _RANDOM_KEEP elements of the random phase;
-# _EVAL_CACHE keeps at most _EVAL_CACHE_LIMIT codes of evaluated terms
-# and drops the least recently used.
+# Both falsifier caches are bounded.  _POOL_CACHE keeps the graded pools,
+# per flavor the first _RANDOM_KEEP elements of the random phase, and per
+# flavor and letter count the assignment sequence those make, listed as
+# far as callers have read it and no further than the kept elements go.
+# _EVAL_CACHE maps each side, (printed term, flavor value, alphabet), to
+# its codes at positions 0, 1, ... of that sequence; it holds at most
+# _EVAL_CACHE_LIMIT codes over all sides and drops the least recently
+# used side first.
 _RANDOM_KEEP = 4096
 _EVAL_CACHE_LIMIT = 8192
 _POOL_EDGES = 4
 
-_POOL_CACHE: dict[tuple, list[Element] | tuple[random.Random, list[Element]]] = {}
-_EVAL_CACHE: OrderedDict[tuple, bytes] = OrderedDict()
+
+class _SideCodes(OrderedDict):
+    """Side -> its codes by position, least recently used side first.
+
+    `held` counts the codes of all sides; clear() resets it, so a cache
+    cleared between runs goes on storing.
+    """
+
+    held = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+    def side(self, key: tuple) -> list[bytes]:
+        """The codes of side key, now the most recently used."""
+        codes = self.get(key)
+        if codes is None:
+            codes = self[key] = []
+        else:
+            self.move_to_end(key)
+        return codes
+
+    def append(self, codes: list[bytes], code: bytes) -> None:
+        """Append code to codes, the most recently used side's list, if
+        dropping the other sides makes room for it."""
+        while self.held >= _EVAL_CACHE_LIMIT and len(self) > 1:
+            self.held -= len(self.popitem(last=False)[1])
+        if self.held < _EVAL_CACHE_LIMIT:
+            codes.append(code)
+            self.held += 1
+
+
+_POOL_CACHE: dict[
+    tuple, list[Element] | tuple[random.Random, list[Element]] | _Assignments
+] = {}
+_EVAL_CACHE = _SideCodes()
 
 
 def monogenic_pool(flavor: Flavor) -> list[Element]:
@@ -249,27 +289,6 @@ def monogenic_pool(flavor: Flavor) -> list[Element]:
                 pool.extend(reverse_element(e) for e in els)
     _POOL_CACHE[key] = pool
     return pool
-
-
-def _cached_eval(
-    t: T.Term,
-    head: tuple[str, str],
-    codes: tuple[tuple[str, bytes], ...],
-    assignment: dict[str, Element],
-    flavor: Flavor,
-) -> bytes:
-    """The code of eval_term's value, memoised on `head`, the printed
-    term, which names it uniquely, with the flavor's value, and on codes,
-    the assignment's (letter, code) pairs in letter order."""
-    key = head + (codes,)
-    code = _EVAL_CACHE.get(key)
-    if code is None:
-        code = _EVAL_CACHE[key] = eval_term(t, assignment, flavor).code
-        if len(_EVAL_CACHE) > _EVAL_CACHE_LIMIT:
-            _EVAL_CACHE.popitem(last=False)
-    else:
-        _EVAL_CACHE.move_to_end(key)
-    return code
 
 
 def random_monogenic_element(rng: random.Random, flavor: Flavor, max_edges: int = 8) -> Element:
@@ -341,6 +360,83 @@ def _by_total_weight(weights: list[int], length: int) -> Iterator[tuple[int, ...
             todo += ((prefix + (i,), rest - weights[i]) for i in range(last - 1, first - 1, -1))
 
 
+class _Assignments:
+    """The falsifier's assignments for one flavor and letter count.
+
+    Position i holds the elements, in letter order, of the i-th
+    assignment tried: the pool tuples lightest total first (the pool is
+    small first, so small witnesses come first), then the random draws
+    taken a letter count at a time.  Positions are listed as
+    far as callers have read, and only while the draws are kept ones;
+    first[i] is the first position whose elements have the same codes.
+    """
+
+    def __init__(self, flavor: Flavor, letters: int):
+        pool = monogenic_pool(flavor)
+        kept = islice(_random_draws(flavor), _RANDOM_KEEP)
+        self.flavor = flavor
+        self.pooled = len(pool) ** letters
+        self.elements: list[tuple[Element, ...]] = []
+        self.first: list[int] = []
+        self._seen: dict[tuple[bytes, ...], int] = {}
+        self._letters = letters
+        self._source = chain(
+            (
+                tuple([pool[j] for j in combo])
+                for combo in _by_total_weight([e.edge_count for e in pool], letters)
+            ),
+            zip(*[kept] * letters),
+        )
+
+    def reach(self, n: int) -> int:
+        """List positions below n as far as kept elements go; how many are listed."""
+        if n > len(self.elements):
+            for elements in islice(self._source, n - len(self.elements)):
+                codes = tuple([e.code for e in elements])
+                self.first.append(self._seen.setdefault(codes, len(self.elements)))
+                self.elements.append(elements)
+        return len(self.elements)
+
+    def past(self, i: int) -> Iterator[tuple[Element, ...]]:
+        """The elements at positions i, i + 1, ..., for i past the listing."""
+        draws = islice(_random_draws(self.flavor), (i - self.pooled) * self._letters, None)
+        return zip(*[draws] * self._letters)
+
+
+def _assignments(flavor: Flavor, letters: int) -> _Assignments:
+    key = ("assignments", flavor, letters)
+    if key not in _POOL_CACHE:
+        _POOL_CACHE[key] = _Assignments(flavor, letters)
+    return _POOL_CACHE[key]
+
+
+def _cached_eval(
+    t: T.Term,
+    side: tuple[str, str, tuple[str, ...]],
+    i: int,
+    elements: tuple[Element, ...],
+    seq: _Assignments,
+) -> bytes:
+    """The code of eval_term's value on t, the term printed in side, at
+    position i of seq, whose elements are `elements`.
+
+    It is read from side's codes if they reach i, else copied from the
+    codes at first[i], else evaluated.  It is stored when it extends
+    side's codes and i is a listed position."""
+    codes = _EVAL_CACHE.side(side)
+    if i < len(codes):
+        return codes[i]
+    listed = i < len(seq.first)
+    j = seq.first[i] if listed else i
+    if j < len(codes):
+        code = codes[j]
+    else:
+        code = eval_term(t, dict(zip(side[2], elements)), seq.flavor).code
+    if listed and i == len(codes):
+        _EVAL_CACHE.append(codes, code)
+    return code
+
+
 def falsify_by_substitution(
     spec: IdentitySpec, flavor: Flavor, budget: int = 2000
 ) -> dict[str, Element] | None:
@@ -353,31 +449,31 @@ def falsify_by_substitution(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     letters = spec.alphabet
-    lhs_head = (term_to_str(spec.lhs), flavor.value)
-    rhs_head = (term_to_str(spec.rhs), flavor.value)
-
-    def separates(assignment: dict[str, Element]) -> bool:
-        # letters is sorted, so this is the assignment's key for both sides
-        codes = tuple([(x, assignment[x].code) for x in letters])
-        lhs = _cached_eval(spec.lhs, lhs_head, codes, assignment, flavor)
-        return lhs != _cached_eval(spec.rhs, rhs_head, codes, assignment, flavor)
-
-    pool = monogenic_pool(flavor)
-    # the pool is small first, so ordering tuples by total edge count
-    # tries small witnesses first
-    weights = [e.edge_count for e in pool]
-    spent = 0
-    for combo in _by_total_weight(weights, len(letters)):
-        if spent >= budget:
-            return None
-        assignment = {x: pool[j] for x, j in zip(letters, combo)}
-        spent += 1
-        if separates(assignment):
-            return assignment
-    draws = _random_draws(flavor)
-    while spent < budget:
-        assignment = {x: next(draws) for x in letters}
-        spent += 1
-        if separates(assignment):
-            return assignment
+    if not letters:
+        # every assignment is the empty one
+        budget = 1
+    lhs_side = (term_to_str(spec.lhs), flavor.value, letters)
+    rhs_side = (term_to_str(spec.rhs), flavor.value, letters)
+    if lhs_side == rhs_side:
+        # one term on both sides has one value at every assignment
+        return None
+    seq = _assignments(flavor, len(letters))
+    # the positions both sides already know are compared at once
+    lc = _EVAL_CACHE.side(lhs_side)
+    rc = _EVAL_CACHE.side(rhs_side)
+    k = min(len(lc), len(rc), budget)
+    if lc[:k] != rc[:k]:
+        i = next(i for i in range(k) if lc[i] != rc[i])
+        return dict(zip(letters, seq.elements[i]))
+    past = None
+    for i in range(k, budget):
+        if past is None and seq.reach(i + 1) > i:
+            elements = seq.elements[i]
+        else:
+            if past is None:
+                past = seq.past(i)
+            elements = next(past)
+        lhs = _cached_eval(spec.lhs, lhs_side, i, elements, seq)
+        if lhs != _cached_eval(spec.rhs, rhs_side, i, elements, seq):
+            return dict(zip(letters, elements))
     return None

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -239,7 +238,7 @@ SWEEP_TERMS = {
 @pytest.fixture
 def fresh_caches(monkeypatch):
     monkeypatch.setattr(I, "_POOL_CACHE", {})
-    monkeypatch.setattr(I, "_EVAL_CACHE", OrderedDict())
+    monkeypatch.setattr(I, "_EVAL_CACHE", I._SideCodes())
 
 
 def sweep_pairs(flavor):
@@ -298,25 +297,35 @@ class TestFalsifierCaches:
 
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_eval_cache_keys(self, flavor, fresh_caches):
-        # each key is (printed term, flavor value, (letter, code) pairs)
+        # each key is a side, (printed term, flavor value, alphabet), and
+        # each value that side's codes at assignment positions 0, 1, ...
         sides = {}
         for u, v in sweep_pairs(flavor):
             s = spec(u, v)
             falsify_by_substitution(s, flavor, budget=50)
             for t in (s.lhs, s.rhs):
-                sides[term_to_str(t)] = list(s.alphabet)
-        assert len(I._EVAL_CACHE) > 100
-        for text, value, codes in I._EVAL_CACHE:
-            assert value == flavor.value
-            assert [x for x, _ in codes] == sides[text]
-            assert all(type(c) is bytes for _, c in codes)
+                sides[term_to_str(t), flavor.value, s.alphabet] = t
+        assert set(I._EVAL_CACHE) == set(sides)
+        for side, side_codes in I._EVAL_CACHE.items():
+            assert side_codes and all(type(c) is bytes for c in side_codes)
+            letters = side[2]
+            seq = I._assignments(flavor, len(letters))
+            for i, code in enumerate(side_codes):
+                assignment = dict(zip(letters, seq.elements[i]))
+                assert code == eval_term(sides[side], assignment, flavor).code
+        assert I._EVAL_CACHE.held == sum(map(len, I._EVAL_CACHE.values()))
 
     def test_eval_cache_bound(self, fresh_caches, monkeypatch):
+        # the bound is on codes held over all sides, not on sides
         monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 8)
         inner = I.eval_term
 
+        def held():
+            assert I._EVAL_CACHE.held == sum(map(len, I._EVAL_CACHE.values()))
+            return I._EVAL_CACHE.held
+
         def eval_within_bound(*args):
-            assert len(I._EVAL_CACHE) <= 8
+            assert held() <= 8
             return inner(*args)
 
         monkeypatch.setattr(I, "eval_term", eval_within_bound)
@@ -325,4 +334,113 @@ class TestFalsifierCaches:
             want = codes(reference_falsify(s, Flavor.LEFT, 400))
             for _ in range(2):
                 assert codes(falsify_by_substitution(s, Flavor.LEFT, budget=400)) == want
-                assert len(I._EVAL_CACHE) <= 8
+                assert held() <= 8
+                # older sides make room for the latest pair
+                sides = [(term_to_str(t), Flavor.LEFT.value, s.alphabet) for t in (s.lhs, s.rhs)]
+                assert any(I._EVAL_CACHE.get(side) for side in sides)
+
+    @pytest.mark.parametrize("edges", [4, 0])
+    def test_listing_stops_at_the_kept_draws(self, edges, fresh_caches, monkeypatch):
+        # past the pool tuples and the kept draws, positions are evaluated
+        # without being listed or stored; with a pool of the identity
+        # alone, most witnesses lie there
+        monkeypatch.setattr(I, "_RANDOM_KEEP", 5)
+        monkeypatch.setattr(I, "_POOL_EDGES", edges)
+        past = 0
+        for u, v in sweep_pairs(Flavor.LEFT):
+            s = spec(u, v)
+            want = reference_falsify(s, Flavor.LEFT, 200)
+            for _ in range(2):
+                got = falsify_by_substitution(s, Flavor.LEFT, budget=200)
+                assert codes(got) == codes(want), (u, v)
+            past += want is not None and want["x"] not in I.monogenic_pool(Flavor.LEFT)
+        pooled = len(I.monogenic_pool(Flavor.LEFT))
+        assert pooled == 18 or past > 5
+        listed = {n: len(I._assignments(Flavor.LEFT, n).elements) for n in (1, 2)}
+        assert listed[1] <= pooled + 5 and listed[2] <= pooled**2 + 2
+        for (_, _, letters), side_codes in I._EVAL_CACHE.items():
+            assert len(side_codes) <= listed[len(letters)]
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_first_positions(self, flavor, letters, fresh_caches):
+        # the listed sequence is the pool tuples in _by_total_weight order
+        # (checked against the sorted product above), then the draws a
+        # letter count at a time; first[i] is the first position with the
+        # same codes
+        pool = I.monogenic_pool(flavor)
+        combos = I._by_total_weight([e.edge_count for e in pool], letters)
+        want = [tuple(pool[j].code for j in combo) for combo in itertools.islice(combos, 500)]
+        rng = random.Random(7)
+        while len(want) < 500:
+            want.append(tuple(random_monogenic_element(rng, flavor).code for _ in range(letters)))
+        seq = I._assignments(flavor, letters)
+        assert seq.reach(500) == 500
+        got = [tuple(e.code for e in els) for els in seq.elements]
+        assert got == want
+        assert seq.first == [got.index(c) for c in got]
+
+    @pytest.mark.parametrize("budget", [10, 400])
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_warm_call_evaluates_nothing(self, flavor, budget, fresh_caches, monkeypatch):
+        calls = count_evals(monkeypatch)
+        for u, v in sweep_pairs(flavor):
+            s = spec(u, v)
+            want = codes(falsify_by_substitution(s, flavor, budget=budget))
+            before = calls[0]
+            assert codes(falsify_by_substitution(s, flavor, budget=budget)) == want
+            assert calls[0] == before, (u, v)
+
+    def test_known_sides_evaluate_nothing(self, fresh_caches, monkeypatch):
+        # the sides of a new pair are known from two satisfied pairs
+        calls = count_evals(monkeypatch)
+        for u, v in [("x^+x", "x"), ("(x^+)^+", "x^+"), ("x^+y^+", "y^+x^+")]:
+            assert falsify_by_substitution(spec(u, v), Flavor.LEFT, budget=400) is None
+        before = calls[0]
+        for u, v in [("x^+x", "x^+"), ("x", "(x^+)^+"), ("x^+y^+", "y^+x^+")]:
+            s = spec(u, v)
+            want = codes(reference_falsify(s, Flavor.LEFT, 400))
+            assert codes(falsify_by_substitution(s, Flavor.LEFT, budget=400)) == want
+        assert calls[0] == before
+
+    def test_cleared_cache_stores_again(self, fresh_caches, monkeypatch):
+        # a cache that was full before clear() stores again after it
+        s = spec("x^+x", "x")
+        monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 800)
+        assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
+        assert I._EVAL_CACHE.held == 800
+        I._EVAL_CACHE.clear()
+        assert I._EVAL_CACHE.held == 0
+        calls = count_evals(monkeypatch)
+        assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
+        # each side is evaluated once per distinct assignment
+        distinct = len(set(I._assignments(Flavor.LEFT, 1).first[:400]))
+        assert calls[0] == 2 * distinct < 400 and I._EVAL_CACHE.held == 800
+        before = calls[0]
+        assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
+        assert calls[0] == before
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_constant_sides(self, flavor, fresh_caches):
+        # with no letters every assignment is the empty one
+        s = spec("1", "11")
+        assert falsify_by_substitution(s, flavor, budget=50) is None
+        assert reference_falsify(s, flavor, 50) is None
+
+    @pytest.mark.parametrize("u", ["1", "x", "(xy)^+x"])
+    def test_identical_sides_evaluate_nothing(self, u, fresh_caches, monkeypatch):
+        calls = count_evals(monkeypatch)
+        assert falsify_by_substitution(spec(u, u), Flavor.LEFT, budget=400) is None
+        assert calls[0] == 0 and reference_falsify(spec(u, u), Flavor.LEFT, 400) is None
+
+
+def count_evals(monkeypatch):
+    """Patch the falsifier's eval_term to count its calls in calls[0]."""
+    calls = [0]
+    inner = I.eval_term
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(I, "eval_term", counting)
+    return calls
