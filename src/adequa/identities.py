@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import terms as T
@@ -50,10 +50,11 @@ from .terms import (
 class IdentitySpec:
     lhs: T.Term
     rhs: T.Term
+    alphabet: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(letters_of(self.lhs) | letters_of(self.rhs)))
+    def __post_init__(self) -> None:
+        letters = tuple(sorted(letters_of(self.lhs) | letters_of(self.rhs)))
+        object.__setattr__(self, "alphabet", letters)
 
     @staticmethod
     def parse(lhs: str, rhs: str) -> "IdentitySpec":
@@ -222,10 +223,10 @@ def check_fad1_plain(spec: IdentitySpec) -> CheckResult:
 
 # Both falsifier caches are bounded.  _POOL_CACHE keeps the graded pools,
 # per flavor the first _RANDOM_KEEP elements of the random phase, and per
-# flavor and letter count the assignment sequence those make, listed as
-# far as callers have read it and no further than the kept elements go.
+# flavor and letter count the distinct assignments those make, listed as
+# far as callers have read and no further than the kept elements go.
 # _EVAL_CACHE maps each side, (printed term, flavor value, alphabet), to
-# its codes at positions 0, 1, ... of that sequence; it holds at most
+# its codes at distinct assignments 0, 1, ...; it holds at most
 # _EVAL_CACHE_LIMIT codes over all sides and drops the least recently
 # used side first.
 _RANDOM_KEEP = 4096
@@ -234,7 +235,7 @@ _POOL_EDGES = 4
 
 
 class _SideCodes(OrderedDict):
-    """Side -> its codes by position, least recently used side first.
+    """Side -> its codes by distinct assignment, least recently used first.
 
     `held` counts the codes of all sides; clear() resets it, so a cache
     cleared between runs goes on storing.
@@ -361,14 +362,16 @@ def _by_total_weight(weights: list[int], length: int) -> Iterator[tuple[int, ...
 
 
 class _Assignments:
-    """The falsifier's assignments for one flavor and letter count.
+    """The falsifier's distinct assignments for one flavor and letter count.
 
-    Position i holds the elements, in letter order, of the i-th
-    assignment tried: the pool tuples lightest total first (the pool is
-    small first, so small witnesses come first), then the random draws
-    taken a letter count at a time.  Positions are listed as
-    far as callers have read, and only while the draws are kept ones;
-    first[i] is the first position whose elements have the same codes.
+    The falsifier tries positions 0, 1, ...: the pool tuples lightest
+    total first (the pool is small first, so small witnesses come first),
+    then the random draws taken a letter count at a time.  Positions are
+    listed as far as callers have read, and only while the draws are kept
+    ones.  A position whose codes repeat an earlier one's cannot separate
+    two sides that the earlier one did not, so only first occurrences are
+    kept: distinct[d] holds the elements, in letter order, of the d-th and
+    at[d] the position where it first appears.
     """
 
     def __init__(self, flavor: Flavor, letters: int):
@@ -376,9 +379,10 @@ class _Assignments:
         kept = islice(_random_draws(flavor), _RANDOM_KEEP)
         self.flavor = flavor
         self.pooled = len(pool) ** letters
-        self.elements: list[tuple[Element, ...]] = []
-        self.first: list[int] = []
-        self._seen: dict[tuple[bytes, ...], int] = {}
+        self.listed = 0
+        self.distinct: list[tuple[Element, ...]] = []
+        self.at: list[int] = []
+        self._seen: set[tuple[bytes, ...]] = set()
         self._letters = letters
         self._source = chain(
             (
@@ -388,19 +392,24 @@ class _Assignments:
             zip(*[kept] * letters),
         )
 
-    def reach(self, n: int) -> int:
-        """List positions below n as far as kept elements go; how many are listed."""
-        if n > len(self.elements):
-            for elements in islice(self._source, n - len(self.elements)):
-                codes = tuple([e.code for e in elements])
-                self.first.append(self._seen.setdefault(codes, len(self.elements)))
-                self.elements.append(elements)
-        return len(self.elements)
+    def before(self, budget: int) -> int:
+        """List positions below budget as far as kept elements go; how
+        many distinct assignments the listed positions below budget hold."""
+        for elements in islice(self._source, max(budget - self.listed, 0)):
+            codes = tuple([e.code for e in elements])
+            if codes not in self._seen:
+                self._seen.add(codes)
+                self.distinct.append(elements)
+                self.at.append(self.listed)
+            self.listed += 1
+        return bisect_left(self.at, budget)
 
-    def past(self, i: int) -> Iterator[tuple[Element, ...]]:
-        """The elements at positions i, i + 1, ..., for i past the listing."""
-        draws = islice(_random_draws(self.flavor), (i - self.pooled) * self._letters, None)
-        return zip(*[draws] * self._letters)
+    def past(self, budget: int) -> Iterator[tuple[Element, ...]]:
+        """The elements at the positions past the listing and below budget."""
+        if budget > self.listed:
+            start = (self.listed - self.pooled) * self._letters
+            draws = islice(_random_draws(self.flavor), start, None)
+            yield from islice(zip(*[draws] * self._letters), budget - self.listed)
 
 
 def _assignments(flavor: Flavor, letters: int) -> _Assignments:
@@ -411,28 +420,16 @@ def _assignments(flavor: Flavor, letters: int) -> _Assignments:
 
 
 def _cached_eval(
-    t: T.Term,
-    side: tuple[str, str, tuple[str, ...]],
-    i: int,
-    elements: tuple[Element, ...],
-    seq: _Assignments,
+    t: T.Term, side: tuple[str, str, tuple[str, ...]], d: int, seq: _Assignments
 ) -> bytes:
     """The code of eval_term's value on t, the term printed in side, at
-    position i of seq, whose elements are `elements`.
-
-    It is read from side's codes if they reach i, else copied from the
-    codes at first[i], else evaluated.  It is stored when it extends
-    side's codes and i is a listed position."""
+    seq.distinct[d]: read from side's codes if they reach d, else
+    evaluated, and appended to them if they end at d."""
     codes = _EVAL_CACHE.side(side)
-    if i < len(codes):
-        return codes[i]
-    listed = i < len(seq.first)
-    j = seq.first[i] if listed else i
-    if j < len(codes):
-        code = codes[j]
-    else:
-        code = eval_term(t, dict(zip(side[2], elements)), seq.flavor).code
-    if listed and i == len(codes):
+    if d < len(codes):
+        return codes[d]
+    code = eval_term(t, dict(zip(side[2], seq.distinct[d])), seq.flavor).code
+    if d == len(codes):
         _EVAL_CACHE.append(codes, code)
     return code
 
@@ -458,22 +455,21 @@ def falsify_by_substitution(
         # one term on both sides has one value at every assignment
         return None
     seq = _assignments(flavor, len(letters))
-    # the positions both sides already know are compared at once
+    n = seq.before(budget)
+    # the assignments both sides already know are compared at once
     lc = _EVAL_CACHE.side(lhs_side)
     rc = _EVAL_CACHE.side(rhs_side)
-    k = min(len(lc), len(rc), budget)
+    k = min(len(lc), len(rc), n)
     if lc[:k] != rc[:k]:
-        i = next(i for i in range(k) if lc[i] != rc[i])
-        return dict(zip(letters, seq.elements[i]))
-    past = None
-    for i in range(k, budget):
-        if past is None and seq.reach(i + 1) > i:
-            elements = seq.elements[i]
-        else:
-            if past is None:
-                past = seq.past(i)
-            elements = next(past)
-        lhs = _cached_eval(spec.lhs, lhs_side, i, elements, seq)
-        if lhs != _cached_eval(spec.rhs, rhs_side, i, elements, seq):
-            return dict(zip(letters, elements))
+        d = next(d for d in range(k) if lc[d] != rc[d])
+        return dict(zip(letters, seq.distinct[d]))
+    for d in range(k, n):
+        lhs = _cached_eval(spec.lhs, lhs_side, d, seq)
+        if lhs != _cached_eval(spec.rhs, rhs_side, d, seq):
+            return dict(zip(letters, seq.distinct[d]))
+    for elements in seq.past(budget):
+        assignment = dict(zip(letters, elements))
+        lhs = eval_term(spec.lhs, assignment, flavor)
+        if lhs.code != eval_term(spec.rhs, assignment, flavor).code:
+            return assignment
     return None

@@ -1,5 +1,6 @@
 """Identity checking in the monogenic and higher-rank monoids."""
 
+import hashlib
 import itertools
 import random
 
@@ -19,10 +20,32 @@ from adequa.identities import (
     random_monogenic_element,
 )
 from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
+from adequa.trees import to_json
 
 
 def spec(u: str, v: str) -> IdentitySpec:
     return IdentitySpec.parse(u, v)
+
+
+class TestIdentitySpec:
+    def test_alphabet_is_computed_once(self, monkeypatch):
+        calls = [0]
+        inner = I.letters_of
+
+        def counting(t):
+            calls[0] += 1
+            return inner(t)
+
+        monkeypatch.setattr(I, "letters_of", counting)
+        s = spec("(xy^+)^+z", "zx")
+        assert calls[0] == 2
+        for _ in range(3):
+            assert s.alphabet == ("x", "y", "z")
+        assert calls[0] == 2
+        # the alphabet follows from the terms: it is not an argument and
+        # takes no part in equality, hashing or printing
+        same = IdentitySpec(s.lhs, s.rhs)
+        assert same == s and hash(same) == hash(s) and "alphabet" not in repr(s)
 
 
 class TestAxiomsSatisfied:
@@ -213,6 +236,18 @@ def reference_falsify(spec, flavor, budget):
     return None
 
 
+def reference_positions(flavor, letters, n):
+    """The codes of the falsifier's first n assignments, in letter order:
+    the pool tuples by total edge count, then draws from random.Random(7)."""
+    pool = I.monogenic_pool(flavor)
+    combos = I._by_total_weight([e.edge_count for e in pool], letters)
+    want = [tuple(pool[j].code for j in combo) for combo in itertools.islice(combos, n)]
+    rng = random.Random(7)
+    while len(want) < n:
+        want.append(tuple(random_monogenic_element(rng, flavor).code for _ in range(letters)))
+    return want
+
+
 def codes(witness):
     return None if witness is None else {x: e.code for x, e in witness.items()}
 
@@ -233,6 +268,11 @@ SWEEP_TERMS = {
         ["xy", "yx", "(xy)^+xy", "xy(xy)^*", "x^+y^+", "y^+x^+"],
     ),
 }
+
+
+# sha256 of the sweep's witnesses, the same whatever number of random
+# draws is kept
+WITNESS_DIGEST = "aa3d06ba03fd1fc71302a30d8b41ad432ad4435e703b25479d3412103360e682"
 
 
 @pytest.fixture
@@ -295,10 +335,24 @@ class TestFalsifierCaches:
                     got = codes(falsify_by_substitution(s, flavor, budget=budget))
                     assert got == want, (u, v, budget)
 
+    @pytest.mark.parametrize("keep", [I._RANDOM_KEEP, 5])
+    def test_witness_digest(self, keep, fresh_caches, monkeypatch):
+        # pins the witnesses of every sweep pair at budgets 10 and 400;
+        # with 5 draws kept, later assignments are tried past the listing
+        monkeypatch.setattr(I, "_RANDOM_KEEP", keep)
+        digest = hashlib.sha256()
+        for flavor in Flavor:
+            for u, v in sweep_pairs(flavor):
+                for budget in (10, 400):
+                    w = falsify_by_substitution(spec(u, v), flavor, budget=budget)
+                    trees = w and sorted((x, to_json(e.tree)) for x, e in w.items())
+                    digest.update(repr((flavor.value, u, v, budget, trees)).encode())
+        assert digest.hexdigest() == WITNESS_DIGEST
+
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_eval_cache_keys(self, flavor, fresh_caches):
         # each key is a side, (printed term, flavor value, alphabet), and
-        # each value that side's codes at assignment positions 0, 1, ...
+        # each value that side's codes at distinct assignments 0, 1, ...
         sides = {}
         for u, v in sweep_pairs(flavor):
             s = spec(u, v)
@@ -310,8 +364,8 @@ class TestFalsifierCaches:
             assert side_codes and all(type(c) is bytes for c in side_codes)
             letters = side[2]
             seq = I._assignments(flavor, len(letters))
-            for i, code in enumerate(side_codes):
-                assignment = dict(zip(letters, seq.elements[i]))
+            for d, code in enumerate(side_codes):
+                assignment = dict(zip(letters, seq.distinct[d]))
                 assert code == eval_term(sides[side], assignment, flavor).code
         assert I._EVAL_CACHE.held == sum(map(len, I._EVAL_CACHE.values()))
 
@@ -356,28 +410,47 @@ class TestFalsifierCaches:
             past += want is not None and want["x"] not in I.monogenic_pool(Flavor.LEFT)
         pooled = len(I.monogenic_pool(Flavor.LEFT))
         assert pooled == 18 or past > 5
-        listed = {n: len(I._assignments(Flavor.LEFT, n).elements) for n in (1, 2)}
-        assert listed[1] <= pooled + 5 and listed[2] <= pooled**2 + 2
+        seqs = {n: I._assignments(Flavor.LEFT, n) for n in (1, 2)}
+        assert seqs[1].listed <= pooled + 5 and seqs[2].listed <= pooled**2 + 2
+        distinct = {n: len(seq.distinct) for n, seq in seqs.items()}
+        assert distinct[1] <= pooled + 5 and distinct[2] <= pooled**2 + 2
         for (_, _, letters), side_codes in I._EVAL_CACHE.items():
-            assert len(side_codes) <= listed[len(letters)]
+            assert len(side_codes) <= distinct[len(letters)]
+
+    @pytest.mark.parametrize("edges", [4, 0])
+    def test_budget_bounds_the_positions_tried(self, edges, fresh_caches, monkeypatch):
+        # a witness at position p is found with budget p + 1 and not with
+        # budget p, cold or warm; with a pool of the identity alone, most
+        # witnesses lie past the listing
+        monkeypatch.setattr(I, "_RANDOM_KEEP", 5)
+        monkeypatch.setattr(I, "_POOL_EDGES", edges)
+        positions = {n: reference_positions(Flavor.LEFT, n, 200) for n in (1, 2)}
+        for u, v in sweep_pairs(Flavor.LEFT):
+            s = spec(u, v)
+            want = reference_falsify(s, Flavor.LEFT, 200)
+            if want is None:
+                continue
+            p = positions[len(s.alphabet)].index(tuple(want[x].code for x in s.alphabet))
+            I._EVAL_CACHE.clear()
+            for budget in filter(None, (p, p + 1, p, p + 1)):
+                got = falsify_by_substitution(s, Flavor.LEFT, budget=budget)
+                assert codes(got) == (codes(want) if budget > p else None), (u, v, budget)
+
     @pytest.mark.parametrize("flavor", list(Flavor))
     @pytest.mark.parametrize("letters", [1, 2, 3])
     def test_first_positions(self, flavor, letters, fresh_caches):
         # the listed sequence is the pool tuples in _by_total_weight order
         # (checked against the sorted product above), then the draws a
-        # letter count at a time; first[i] is the first position with the
-        # same codes
-        pool = I.monogenic_pool(flavor)
-        combos = I._by_total_weight([e.edge_count for e in pool], letters)
-        want = [tuple(pool[j].code for j in combo) for combo in itertools.islice(combos, 500)]
-        rng = random.Random(7)
-        while len(want) < 500:
-            want.append(tuple(random_monogenic_element(rng, flavor).code for _ in range(letters)))
+        # letter count at a time; distinct and at hold its first
+        # occurrences of each codes tuple and their positions
+        want = reference_positions(flavor, letters, 500)
+        firsts = [i for i, c in enumerate(want) if want.index(c) == i]
         seq = I._assignments(flavor, letters)
-        assert seq.reach(500) == 500
-        got = [tuple(e.code for e in els) for els in seq.elements]
-        assert got == want
-        assert seq.first == [got.index(c) for c in got]
+        assert seq.before(500) == len(firsts) and seq.listed == 500
+        assert seq.at == firsts
+        assert [tuple(e.code for e in els) for els in seq.distinct] == [want[i] for i in firsts]
+        for budget in (1, 17, 250):
+            assert seq.before(budget) == sum(i < budget for i in firsts)
 
     @pytest.mark.parametrize("budget", [10, 400])
     @pytest.mark.parametrize("flavor", list(Flavor))
@@ -405,16 +478,16 @@ class TestFalsifierCaches:
     def test_cleared_cache_stores_again(self, fresh_caches, monkeypatch):
         # a cache that was full before clear() stores again after it
         s = spec("x^+x", "x")
-        monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 800)
+        distinct = len(set(reference_positions(Flavor.LEFT, 1, 400)))
+        monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 2 * distinct)
         assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
-        assert I._EVAL_CACHE.held == 800
+        assert I._EVAL_CACHE.held == 2 * distinct
         I._EVAL_CACHE.clear()
         assert I._EVAL_CACHE.held == 0
         calls = count_evals(monkeypatch)
         assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
         # each side is evaluated once per distinct assignment
-        distinct = len(set(I._assignments(Flavor.LEFT, 1).first[:400]))
-        assert calls[0] == 2 * distinct < 400 and I._EVAL_CACHE.held == 800
+        assert calls[0] == 2 * distinct < 400 and I._EVAL_CACHE.held == 2 * distinct
         before = calls[0]
         assert falsify_by_substitution(s, Flavor.LEFT, budget=400) is None
         assert calls[0] == before
