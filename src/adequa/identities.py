@@ -87,14 +87,13 @@ def _condition_iii(
         s_u_counts = _counts_vector(plain_projection(s_u), alphabet)
         for x in sorted(set(w_block.word)):
             target = _counts_vector(prefix_through_last(w_block.word, x), alphabet)
-            # (a): convex dominance over the R-set
+            # (a): convex dominance over the R-set; every element of R holds
+            # x, in its block's word or (the ε⁺ element) in its plain prefix
             _, _, r_set = pqr_sets(u, w_block, x)
             candidates = []
             for el in r_set:
                 pk = plain_projection(el) + el.atoms[-1].word
-                mpk = prefix_through_last(pk, x)
-                if mpk is not None:
-                    candidates.append(_counts_vector(mpk, alphabet))
+                candidates.append(_counts_vector(prefix_through_last(pk, x), alphabet))
             if convex_dominates(target, candidates):
                 continue
             # (b): a matching block on the other side

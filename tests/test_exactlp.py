@@ -1,13 +1,22 @@
 """Exact convex-dominance feasibility."""
 
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adequa.exactlp import _simplex_phase1, convex_dominates
+from adequa import exactlp, identities
+from adequa.exactlp import convex_dominates
+from adequa.identities import IdentitySpec, check_enriched_flad1
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def brute_force_dominates(target, candidates, denom=12):
@@ -55,6 +64,71 @@ class TestBasics:
         assert convex_dominates(
             (Fraction(1, 2), Fraction(1, 2)), [(1, 0), (0, 1)]
         )
+        assert not convex_dominates((Fraction(3, 4), 0.75), [(1, 0), (0, 1)])
+        assert convex_dominates((0.25, 0.75), [(1, 0), (0, 1)])
+
+
+def fraction_phase1(A: list[list[Fraction]], b: list[Fraction]) -> bool:
+    """Is there x >= 0 with A x = b?  Minimizes the sum of artificials.
+
+    The rational tableau with Bland's rule, kept as the oracle of the
+    integer one in `exactlp`.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    # ensure b >= 0 row by row
+    rows = []
+    for i in range(m):
+        if b[i] < 0:
+            rows.append(([-v for v in A[i]], -b[i]))
+        else:
+            rows.append((list(A[i]), b[i]))
+    # tableau: columns = n original + m artificial, last = rhs
+    T = [row + [Fraction(0)] * m + [rhs] for (row, rhs) in rows]
+    for i in range(m):
+        T[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    # objective row: minimize sum of artificials -> reduced costs
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            obj[j] -= T[i][j]
+    for i in range(m):
+        obj[n + i] = Fraction(0)  # basic columns carry zero reduced cost
+
+    while True:
+        # Bland: entering = lowest index with negative reduced cost
+        enter = -1
+        for j in range(n + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("phase-1 unbounded")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, T[leave])]
+        basis[leave] = enter
+
+    return -obj[-1] == 0
 
 
 def reference_dominates(target, candidates):
@@ -67,7 +141,39 @@ def reference_dominates(target, candidates):
         row[k + j] = Fraction(-1)
         A.append(row)
         b.append(Fraction(target[j]))
-    return _simplex_phase1(A, b)
+    return fraction_phase1(A, b)
+
+
+def d12_pair(k, length, blocks):
+    """u is `blocks` random plus-blocks of `length` letters over the first k
+    letters; v is the same blocks in reverse order, so u = v holds."""
+    rng = random.Random(1)
+    words = ["".join(rng.choice("abcdefgh"[:k]) for _ in range(length)) for _ in range(blocks)]
+    u = "".join("(%s)^+" % w for w in words)
+    v = "".join("(%s)^+" % w for w in reversed(words))
+    return u, v
+
+
+def counting_feasible(monkeypatch):
+    """Count the calls that build the integer tableau."""
+    calls = []
+    feasible = exactlp._feasible
+
+    def counted(rows):
+        calls.append(1)
+        return feasible(rows)
+
+    monkeypatch.setattr(exactlp, "_feasible", counted)
+    return calls
+
+
+ENTRY = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=4)
+# a target and 1..8 candidates, all of one dimension 1..4
+INSTANCES = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.tuples(*[ENTRY] * d), st.lists(st.tuples(*[ENTRY] * d), min_size=1, max_size=8)
+    )
+)
 
 
 class TestAgainstSimplex:
@@ -75,15 +181,7 @@ class TestAgainstSimplex:
         # every d = 1..4 and k = 1..8, int and Fraction entries; each way a
         # call can be decided must occur often enough to stay covered, and
         # only a genuine mixture may build the LP
-        from adequa import exactlp
-
-        lp_calls = []
-
-        def counted_phase1(A, b):
-            lp_calls.append(1)
-            return _simplex_phase1(A, b)
-
-        monkeypatch.setattr(exactlp, "_simplex_phase1", counted_phase1)
+        lp_calls = counting_feasible(monkeypatch)
         rng = random.Random(31)
         cases = {"dominates": 0, "out of reach": 0, "mixture": 0}
         for d in range(1, 5):
@@ -108,6 +206,48 @@ class TestAgainstSimplex:
                         cases["mixture"] += 1
                         assert lp_calls == [1]
         assert min(cases.values()) >= 50, cases
+
+    @given(INSTANCES)
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_instances(self, case):
+        target, cands = case
+        assert convex_dominates(target, cands) == reference_dominates(target, cands)
+
+    def test_every_call_of_a_d12_pair(self, monkeypatch):
+        # the 320-character pair: each convex-dominance question the
+        # enriched checker asks gets the oracle's answer
+        lp_calls = counting_feasible(monkeypatch)
+        asked = []
+
+        def recorded(target, candidates):
+            got = convex_dominates(target, candidates)
+            asked.append((target, candidates, got))
+            return got
+
+        monkeypatch.setattr(identities, "convex_dominates", recorded)
+        assert check_enriched_flad1(IdentitySpec.parse(*d12_pair(6, 16, 16))).satisfied
+        assert len(lp_calls) == 96
+        for target, candidates, got in asked:
+            assert got == reference_dominates(target, candidates), (target, candidates)
+
+
+def test_d12_pair_decides_under_a_cpu_cap():
+    # the 1152-character pair, in a child process whose CPU time alone is
+    # capped: the rational tableau needed about 20 s of it
+    u, v = d12_pair(8, 32, 32)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_CPU, (15, 15))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "adequa.cli", "identity", "--monoid", "flad1", u, v],
+        preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert json.loads(proc.stdout)["satisfied"] is True
 
 
 class TestAgainstBruteForce:
