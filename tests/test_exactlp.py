@@ -16,7 +16,7 @@ from adequa import exactlp, identities
 from adequa.exactlp import convex_dominates
 from adequa.identities import IdentitySpec, check_enriched_flad1
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from .test_trees import SRC
 
 
 def brute_force_dominates(target, candidates, denom=12):
@@ -233,11 +233,12 @@ class TestAgainstSimplex:
 
 def test_d12_pair_decides_under_a_cpu_cap():
     # the 1152-character pair, in a child process whose CPU time alone is
-    # capped: the rational tableau needed about 20 s of it
+    # capped: the integer tableau needs about 1 s of it, the rational one
+    # needed 14 to 22 s on a 2-core Xeon
     u, v = d12_pair(8, 32, 32)
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_CPU, (15, 15))
+        resource.setrlimit(resource.RLIMIT_CPU, (6, 6))
 
     proc = subprocess.run(
         [sys.executable, "-m", "adequa.cli", "identity", "--monoid", "flad1", u, v],
