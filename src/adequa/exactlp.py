@@ -5,15 +5,17 @@ the raw inputs: some candidate is at least the target in every coordinate
 (True: that candidate with weight 1), or some target coordinate exceeds
 that coordinate of every candidate (False: no convex combination passes
 the maximum).  Only the rest, where a genuine mixture decides, builds the
-phase-1 LP.  Its tableau holds integers only: each row is scaled to
-integers, and the pivots are fraction-free (Edmonds 1967, Bareiss 1968),
-so every division is exact and the entries stay minors of the input.
+phase-1 LP, over the candidates that no other candidate dominates.  Its
+tableau holds integers only: each row is scaled to integers, and the
+pivots are fraction-free (Edmonds 1967, Bareiss 1968), so every division
+is exact and the entries stay minors of the input.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import ge
 
 
 def _feasible(rows: list[list[int]]) -> bool:
@@ -76,6 +78,10 @@ def convex_dominates(target, candidates) -> bool:
         return True
     if any(all(tj > c[j] for c in cands) for j, tj in enumerate(tgt)):
         return False
+    # a repeated candidate, or one that another candidate is at least in
+    # every coordinate, adds nothing a mixture of the others lacks
+    cands = list(dict.fromkeys(cands))
+    cands = [c for c in cands if not any(o != c and all(map(ge, o, c)) for o in cands)]
     k = len(cands)
     # variables: lambda_1..k, slack s_1..d
     # sum lambda = 1; sum lambda_p v_p[j] - s_j = target[j], each coordinate

@@ -19,7 +19,7 @@ from .trees import XTree, _rooted_tree, _with_end, canonical_code, validate
 
 GENERIC_LEFT_BOUND = 12
 LEFT_SPHERE_BOUND = 30
-TWO_SIDED_BOUND = 8
+TWO_SIDED_BOUND = 12
 ZIGZAG_BOUND = 18
 PARTITION_BOUND = 600
 
@@ -120,9 +120,9 @@ def _census(n: int, rows) -> CensusRow:
     return CensusRow(n, len(rows), by_trunk, by_kl, by_trunk.get(0, 0))
 
 
-def census_from_trees(n: int, trees: list[XTree]) -> CensusRow:
-    """The census read from the trees themselves, each validated."""
-    return _census(n, ((validate(t).length, _first_branch_index(t)) for t in trees))
+def _coded(rows) -> list[tuple[bytes, XTree]]:
+    """The trees of (k, l, tree) rows with their codes, in code order."""
+    return sorted(((canonical_code(t), t) for _, _, t in rows), key=lambda ct: ct[0])
 
 
 # -------------------------------------------------- structural left sphere
@@ -197,8 +197,7 @@ def _build_left_tree(k: int, branch_by_distance: dict[int, int]) -> XTree:
 def left_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """The structural left sphere as elements in code order, with its census."""
     rows = list(_left_rows(n))
-    coded = sorted(((canonical_code(t), t) for _, _, t in rows), key=lambda ct: ct[0])
-    elements = [Element(t, code, Flavor.LEFT) for code, t in coded]
+    elements = [Element(t, code, Flavor.LEFT) for code, t in _coded(rows)]
     return elements, _census(n, ((k, l) for k, l, _ in rows))
 
 
@@ -241,86 +240,6 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
-    """The orientations of the shape with level sequence L that have at
-    most one twin leaf, ascending, each with its twin leaf (-1 for none).
-
-    Vertex v of the shape is position v of L and hangs off the last
-    vertex before it one level up; the filter reads L alone and builds no
-    edge list or tree.  Bit v - 1 of a mask points the edge joining vertex
-    v to its parent towards the root; without all_masks only mask 0,
-    every edge away from the root, is tried.
-
-    A twin leaf is a leaf v, not the start (vertex 0), whose edge to its
-    neighbour u has a twin at u: another edge with the same label and the
-    same direction seen from u; let w be its far endpoint.  If v is not
-    the end either, the map sending v to w and fixing every other vertex
-    carries v's edge onto the twin edge and every other edge onto itself,
-    so it is an endomorphism; it fixes both roots, m(m(v)) = m(w) = w
-    makes it idempotent, and it moves v.  A tree with a twin leaf other
-    than its end is therefore not retract-free (Hell & Nesetril, "The
-    core of a graph", 1992: it retracts onto the tree without v), and one
-    with two twin leaves is retract-free for no end.
-
-    Every edge is labelled a, so whether a leaf child of u is a twin
-    depends on the directions of u's edges alone.  With every edge
-    pointing away from the root, each edge at u but the one to u's parent
-    points out of u, so a leaf is a twin exactly when its parent has
-    another child.  Over all masks, the children are read from L in one
-    pass and the vertices visited parents first, choosing the directions
-    of each one's child edges once the edge to its own parent is fixed;
-    a choice is dropped as soon as it makes a second twin leaf.
-    """
-    if not all_masks:
-        # Vertex v > 0 is a leaf when the next level is no deeper.  It has
-        # an earlier sibling when its level is no deeper than v - 1's (a
-        # first child comes right after its parent), and a leaf has a later
-        # one when v + 1 is on its level; a level of 0 closes the sequence.
-        twins = [
-            v
-            for v, (before, level, after) in enumerate(zip(L, L[1:], [*L[2:], 0]), 1)
-            if after <= level and (level <= before or after == level)
-        ]
-        return [(0, twins[0] if twins else -1)] if len(twins) < 2 else []
-    children: list[list[int]] = [[] for _ in L]
-    path = [0]  # path[d]: the last vertex met at level d
-    for v in range(1, len(L)):
-        del path[L[v]:]
-        children[path[-1]].append(v)
-        path.append(v)
-    states = [(0, -1)]  # (the mask so far, its twin leaf)
-    for u, kids in enumerate(children):
-        if not kids:
-            continue
-        # For each direction of the edge from u's parent (u's bit set:
-        # out of u) that some state has, the child flips (bit j: kids[j]'s
-        # edge into u) that leave at most one twin leaf among u's children.
-        choices: list[list[tuple[int, int]]] = [[], []]
-        for up_out in {(mask >> (u - 1)) & 1 for mask, _ in states} if u else (0,):
-            for flips in range(1 << len(kids)):
-                # u's edges in each direction, the one to its parent included
-                into = flips.bit_count() + (u > 0 and not up_out)
-                out = len(kids) + (u > 0) - into
-                bits, twins = 0, []
-                for j, c in enumerate(kids):
-                    flipped = (flips >> j) & 1
-                    bits |= flipped << (c - 1)
-                    if not children[c] and (into if flipped else out) > 1:
-                        twins.append(c)
-                if len(twins) < 2:
-                    choices[up_out].append((bits, twins[0] if twins else -1))
-        states = [
-            (mask | bits, max(twin, more))
-            for mask, twin in states
-            for bits, more in choices[u > 0 and (mask >> (u - 1)) & 1]
-            if twin < 0 or more < 0
-        ]
-        if not states:
-            return states
-    states.sort()
-    return states
-
-
 def _oriented_ends(base: list[tuple[int, int, str]], mask: int, twin: int = -1):
     """The shape with edge i, which joins vertex i + 1 to its parent,
     reversed where bit i of mask is set, started at vertex 0, at each end
@@ -349,44 +268,247 @@ def oriented_trees(n: int):
             yield from _oriented_ends(base, mask)
 
 
-def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
-    """The retract-free trees among the orientations, one per isomorphism
-    class: the first in oriented_trees order, ascending by code.
+# ------------------------------------------------ spheres from rooted cores
 
-    Each shape's level sequence goes through `_twin_free_masks` first;
-    only a shape that keeps some orientation gets its edge list, and only
-    the orientations it keeps are built, in ascending order, so the first
-    tree of each class is the one the unpruned order meets first.  An
-    orientation with a twin leaf tries only that leaf as its end, since
-    the start is vertex 0 whatever the end; one without tries every end.
-    Each orientation with an end to try is validated once, and its ends
-    share that rooting.
+# An edge kind is a direction with the label a: 0 when the edge points
+# away from the root of its rooted subtree, 1 when it points towards it.
+# The left sphere hangs only away edges; the two-sided sphere both.
+_AWAY = (0,)
+_BOTH = (0, 1)
+
+# A rooted a-tree in canonical form is (shape, pattern).  shape is its
+# level sequence with children in non-increasing order of their subtrees'
+# sequences (Beyer & Hedetniemi, "Constant time generation of rooted
+# trees", 1980), the one `rooted_tree_level_sequences` lists; bit v of
+# pattern is set when the edge from vertex v to its parent points towards
+# the root, and bit 0, the root's, is clear.  Children of equal shape come
+# in descending order of their subtrees' patterns, their own edges' bits
+# included, so pattern >> 1 is the least orientation mask over the
+# numberings with that level sequence: the one `oriented_trees` meets
+# first.  A block is a branch, the edge from a root to a child with the
+# child's subtree, in canonical form numbered from the child, the edge's
+# kind in bit 0.  A rooted core is (shape, pattern, blocks), its blocks in
+# descending order; _EMPTY is the single vertex.
+_EMPTY = ((0,), 0, ())
+
+# _CORES[kinds][m] maps (shape, pattern) to each rooted core with m edges;
+# _POSITIONS[kinds, up, down, m] the ones that a trunk with `up` edges
+# before their root and `down` after it leaves retract-free.  Both grow
+# on demand, up to the sphere bounds, and are never rebuilt.
+_CORES: dict[tuple[int, ...], list[dict]] = {}
+_POSITIONS: dict[tuple, dict] = {}
+
+
+def _node(blocks) -> tuple[tuple[int, ...], int]:
+    """The canonical form of a root with these blocks, in this order."""
+    shape = [0]
+    pattern = 0
+    for s, p in blocks:
+        pattern |= p << len(shape)
+        shape.extend(x + 1 for x in s)
+    return tuple(shape), pattern
+
+
+def _attach(blocks, below):
+    """The canonical form of a trunk vertex with its bundle's blocks and
+    the subtree `below` it on the trunk (None at the end), with the offset
+    of its trunk child.  The trunk child holds the end, so it precedes the
+    blocks equal to it: that puts the end first among equal siblings."""
+    if below is None:
+        return _node(blocks), 0
+    i = 0
+    while i < len(blocks) and blocks[i] > below:
+        i += 1
+    blocks = blocks[:i] + (below,) + blocks[i:]
+    return _node(blocks), 1 + sum(len(s) for s, _ in blocks[:i])
+
+
+def _build(shape, pattern: int, end: int) -> XTree:
+    """The a-tree started at vertex 0 and numbered by its level sequence,
+    with the rooting `validate` would find: breadth-first, each vertex's
+    children whose edge leaves it ascending, then those whose edge enters
+    it, which is the order of their sorted edges."""
+    n = len(shape)
+    parent, forward = [0] * n, [False] * n
+    edges = []
+    away: list[list[int]] = [[] for _ in shape]
+    into: list[list[int]] = [[] for _ in shape]
+    last = [0] * n  # last[d]: the last vertex met at level d
+    for v in range(1, n):
+        d = shape[v]
+        last[d] = v
+        p = parent[v] = last[d - 1]
+        if pattern >> v & 1:
+            edges.append((v, p, "a"))
+            into[p].append(v)
+        else:
+            forward[v] = True
+            edges.append((p, v, "a"))
+            away[p].append(v)
+    order = [0]
+    for v in order:
+        order += away[v]
+        order += into[v]
+    return _rooted_tree(n, edges, 0, end, parent, forward, [""] + ["a"] * (n - 1), order)
+
+
+def _birooted(bundles) -> XTree:
+    """The tree whose trunk vertex i carries rooted core bundles[i]."""
+    below, end = None, 0
+    for core in reversed(bundles):
+        below, offset = _attach(core[2], below)
+        end += offset
+    return _build(*below, end)
+
+
+def _rooted_cores(m: int, kinds: tuple[int, ...]) -> dict:
+    """The rooted cores with m edges of these kinds, one per class.
+
+    A rooted core is a set of distinct branches, each an edge kind with a
+    rooted core below it: a retraction of a branch or of a subset of the
+    branches, fixing the root, extends by the identity to the whole
+    (Hell & Nesetril, "The core of a graph", 1992).  A single branch is a
+    core exactly when the child's core, hung at the end of a one-edge
+    trunk (away) or at its start (towards), is retract-free there, since
+    a retraction fixing the root fixes its one neighbour; `_position`
+    answers that.  A set of more branches is its largest branch added to
+    a core of smaller ones, tried only when each set one smaller is a
+    core, and kept when `is_retract_free` passes it with start and end at
+    the root.
     """
-    free: dict[bytes, XTree] = {}
-    for L in rooted_tree_level_sequences(n + 1):
-        masks = _twin_free_masks(L, all_masks)
-        if not masks:
-            continue
-        base = _level_sequence_to_edges(L)
-        for mask, twin in masks:
-            for u in _oriented_ends(base, mask, twin):
-                if is_retract_free(u):
-                    free.setdefault(canonical_code(u), u)
-    return sorted(free.items(), key=lambda ct: ct[0])
+    table = _CORES.setdefault(kinds, [{_EMPTY[:2]: _EMPTY}])
+    while len(table) <= m:
+        size = len(table)
+        new = {}
+        for kind, up, down in ((0, 1, 0), (1, 0, 1)):
+            if kind in kinds:
+                for s, p, _ in _position(up, down, size - 1, kinds).values():
+                    blocks = ((s, p | kind),)
+                    core = _node(blocks) + (blocks,)
+                    new[core[:2]] = core
+        for s in range(1, size):
+            singles = [c[2][0] for c in table[s].values() if len(c[2]) == 1]
+            for largest in singles:
+                for base in table[size - s].values():
+                    if base[2][0] >= largest:
+                        continue
+                    blocks = (largest,) + base[2]
+                    core = _node(blocks) + (blocks,)
+                    if all(rest in table[r] for rest, r in _one_branch_less(core)):
+                        if is_retract_free(_birooted([core])):
+                            new[core[:2]] = core
+        table.append(new)
+    return table[m]
+
+
+def _position(up: int, down: int, m: int, kinds: tuple[int, ...]) -> dict:
+    """The rooted cores with m edges that leave a trunk retract-free when
+    hung at a vertex with `up` trunk edges before it and `down` after it.
+
+    A retraction of the trunk with the core fixes the trunk and keeps the
+    core within m edges of its root, so trunk edges further off change
+    nothing: callers cap both distances at m.  A longer trunk only adds
+    to what the core may fold onto, and so does a larger subset of its
+    branches, so a core is tested only when it passes one edge less on
+    either side and each set of its branches one smaller passes.
+    """
+    key = (kinds, up, down, m)
+    got = _POSITIONS.get(key)
+    if got is not None:
+        return got
+    if up == down == 0 or m == 0:
+        got = _rooted_cores(m, kinds)
+    else:
+        nearer = [
+            _position(u, d, m, kinds) for u, d in ((up - 1, down), (up, down - 1)) if min(u, d) >= 0
+        ]
+        got = {}
+        for code, core in nearer[0].items():
+            if all(code in table for table in nearer[1:]) and all(
+                rest in _position(min(up, size), min(down, size), size, kinds)
+                for rest, size in _one_branch_less(core)
+            ):
+                if is_retract_free(_birooted([_EMPTY] * up + [core] + [_EMPTY] * down)):
+                    got[code] = core
+    _POSITIONS[key] = got
+    return got
+
+
+def _one_branch_less(core):
+    """Each set of the core's branches but one, with its size, when there
+    are at least two."""
+    blocks = core[2]
+    if len(blocks) < 2:
+        return
+    m = len(core[0]) - 1
+    for j, (s, _) in enumerate(blocks):
+        yield _node(blocks[:j] + blocks[j + 1:]), m - len(s)
+
+
+def _free_rows(n: int, kinds: tuple[int, ...]):
+    """Each retract-free a-tree with n edges of these kinds off the trunk,
+    once, as (k, l, tree): k its trunk length and l the first trunk
+    vertex with an away edge off the trunk, None if there is none.
+
+    A birooted tree is its trunk with one rooted core hanging at each
+    trunk vertex, and the class fixes the trunk and each core, so each
+    class is built once.  The cores are chosen from the end to the start,
+    each from the `_position` table of its place, and the canonical form
+    grows with them.  The whole tree is tested only when two or more
+    cores are not empty; with one, its place's table has decided.
+    The tree is the first of its class in `oriented_trees` order: the
+    canonical numbering with its least orientation mask, the end put
+    first among equal siblings.
+    """
+
+    def hang(i, budget, below, end, filled, first):
+        for m in range(budget + 1) if i else (budget,):
+            if i and budget - m not in fits[i - 1]:
+                continue
+            more = filled + (m > 0)
+            for blocks in places[i][m]:
+                node, offset = _attach(blocks, below)
+                here = i if any(not p & 1 for _, p in blocks) else first
+                if i:
+                    yield from hang(i - 1, budget - m, node, end + offset, more, here)
+                else:
+                    t = _build(*node, end + offset)
+                    if more < 2 or is_retract_free(t):
+                        yield k, here, t
+
+    for k in range(n + 1):
+        budget = n - k
+        # places[i][m]: the blocks of each core with m edges that trunk
+        # vertex i may carry; fits[i]: the edge counts vertices 0..i can
+        # carry between them
+        places = [
+            [
+                [core[2] for core in _position(min(i, m), min(k - i, m), m, kinds).values()]
+                for m in range(budget + 1)
+            ]
+            for i in range(k + 1)
+        ]
+        fits = [{m for m, cores in enumerate(places[0]) if cores}]
+        for place in places[1:]:
+            fits.append({b + m for b in fits[-1] for m in range(budget + 1 - b) if place[m]})
+        if budget in fits[k]:
+            yield from hang(k, budget, None, 0, 0, None)
 
 
 def generic_left_trees(n: int) -> list[XTree]:
-    """All retract-free left a-trees with n edges, by exhaustive search:
-    every shape with its edges pointing away from the start."""
+    """All retract-free left a-trees with n edges, in code order, from the
+    rooted cores of away edges (bare paths) on every trunk."""
     _check_size(n, GENERIC_LEFT_BOUND, "generic left")
-    return [t for _, t in _free_classes(n, False)]
+    return [t for _, t in _coded(_free_rows(n, _AWAY))]
 
 
 def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
-    """All retract-free a-trees with n edges: shapes x orientations x ends."""
+    """All retract-free a-trees with n edges in code order, with their
+    census, from the rooted cores on every trunk."""
     _check_size(n, TWO_SIDED_BOUND, "two-sided")
-    elements = [Element(t, c, Flavor.TWO_SIDED) for c, t in _free_classes(n, True)]
-    return elements, census_from_trees(n, [e.tree for e in elements])
+    rows = list(_free_rows(n, _BOTH))
+    elements = [Element(t, c, Flavor.TWO_SIDED) for c, t in _coded(rows)]
+    return elements, _census(n, ((k, l) for k, l, _ in rows))
 
 
 # ------------------------------------------------------------------ zig-zags

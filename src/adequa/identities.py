@@ -51,6 +51,8 @@ class IdentitySpec:
     lhs: T.Term
     rhs: T.Term
     alphabet: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # both sides as term_to_str prints them, set by `_printed_sides`
+    _printed: tuple[str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         letters = tuple(sorted(letters_of(self.lhs) | letters_of(self.rhs)))
@@ -76,9 +78,13 @@ def _counts_vector(word: str, alphabet: tuple[str, ...]) -> tuple[int, ...]:
 
 
 def _condition_iii(
-    u: NonNestedWord, v: NonNestedWord, alphabet: tuple[str, ...]
+    u: NonNestedWord, v: NonNestedWord, alphabet: tuple[str, ...], dominated: dict[tuple, bool]
 ) -> str | None:
-    """None when condition (iii) holds for u against v, else a tag."""
+    """None when condition (iii) holds for u against v, else a tag.
+
+    `dominated` maps each convex-dominance question already asked,
+    (target, set of candidates), to its answer; the question is asked
+    only when it is not there, and its answer is added."""
     v_blocks = {a for a in v.atoms if isinstance(a, PlusBlock)}
     # u's blocks in atom order, so the reported block never depends on
     # the string-hash seed
@@ -94,7 +100,10 @@ def _condition_iii(
             for el in r_set:
                 pk = plain_projection(el) + el.atoms[-1].word
                 candidates.append(_counts_vector(prefix_through_last(pk, x), alphabet))
-            if convex_dominates(target, candidates):
+            question = (target, frozenset(candidates))
+            if question not in dominated:
+                dominated[question] = convex_dominates(target, candidates)
+            if dominated[question]:
                 continue
             # (b): a matching block on the other side
             ok = False
@@ -135,11 +144,12 @@ def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
             ):
                 continue
             return CheckResult(False, tag + "a/b")
-    # (iii) and its dual (iv)
-    fail = _condition_iii(u, v, alphabet)
+    # (iii) and its dual (iv), which ask many of the same questions
+    dominated: dict[tuple, bool] = {}
+    fail = _condition_iii(u, v, alphabet, dominated)
     if fail is not None:
         return CheckResult(False, "iiia/b: " + fail)
-    fail = _condition_iii(v, u, alphabet)
+    fail = _condition_iii(v, u, alphabet, dominated)
     if fail is not None:
         return CheckResult(False, "iv-dual: " + fail)
     return CheckResult(True)
@@ -433,6 +443,14 @@ def _cached_eval(
     return code
 
 
+def _printed_sides(spec: IdentitySpec) -> tuple[str, str]:
+    """Both sides printed by `term_to_str`, stored on the spec at the
+    first call: most specs are decided without being falsified."""
+    if spec._printed is None:
+        object.__setattr__(spec, "_printed", (term_to_str(spec.lhs), term_to_str(spec.rhs)))
+    return spec._printed
+
+
 def falsify_by_substitution(
     spec: IdentitySpec, flavor: Flavor, budget: int = 2000
 ) -> dict[str, Element] | None:
@@ -448,8 +466,9 @@ def falsify_by_substitution(
     if not letters:
         # every assignment is the empty one
         budget = 1
-    lhs_side = (term_to_str(spec.lhs), flavor.value, letters)
-    rhs_side = (term_to_str(spec.rhs), flavor.value, letters)
+    printed_lhs, printed_rhs = _printed_sides(spec)
+    lhs_side = (printed_lhs, flavor.value, letters)
+    rhs_side = (printed_rhs, flavor.value, letters)
     if lhs_side == rhs_side:
         # one term on both sides has one value at every assignment
         return None

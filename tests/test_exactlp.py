@@ -215,7 +215,8 @@ class TestAgainstSimplex:
 
     def test_every_call_of_a_d12_pair(self, monkeypatch):
         # the 320-character pair: each convex-dominance question the
-        # enriched checker asks gets the oracle's answer
+        # enriched checker asks gets the oracle's answer, and no question
+        # is asked twice (both directions ask the same 92)
         lp_calls = counting_feasible(monkeypatch)
         asked = []
 
@@ -226,7 +227,8 @@ class TestAgainstSimplex:
 
         monkeypatch.setattr(identities, "convex_dominates", recorded)
         assert check_enriched_flad1(IdentitySpec.parse(*d12_pair(6, 16, 16))).satisfied
-        assert len(lp_calls) == 96
+        assert len(lp_calls) == 48
+        assert len({(t, frozenset(c)) for t, c, _ in asked}) == len(asked) == 92
         for target, candidates, got in asked:
             assert got == reference_dominates(target, candidates), (target, candidates)
 
@@ -285,6 +287,21 @@ class TestAgainstBruteForce:
             assert convex_dominates((tx, ty - 1), cands)
         else:
             assert not convex_dominates((tx + 1, ty), cands)
+
+    def test_lp_reads_only_undominated_candidates(self, monkeypatch):
+        # (2, 0) twice, and (1, -1) and (0, 1) below (2, 0) and (0, 2)
+        built = []
+        feasible = exactlp._feasible
+
+        def recorded(rows):
+            built.append(rows)
+            return feasible(rows)
+
+        monkeypatch.setattr(exactlp, "_feasible", recorded)
+        assert convex_dominates((1, 1), [(2, 0), (0, 2), (2, 0), (1, -1), (0, 1)])
+        assert not convex_dominates((2, 2), [(3, 0), (1, 0), (0, 3), (3, 0)])
+        # two weights, two slacks and the right-hand side per row
+        assert [len(rows[0]) for rows in built] == [5, 5]
 
     def test_dominated_candidate_is_redundant(self):
         rng = random.Random(29)

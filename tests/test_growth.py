@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import accumulate, combinations, product
 
@@ -12,16 +15,15 @@ import pytest
 import adequa.growth as growth
 from adequa.growth import (
     GENERIC_LEFT_BOUND,
+    _birooted,
     _capped_subsets,
-    _free_classes,
     _level_sequence_to_edges,
     _oriented_ends,
-    _twin_free_masks,
+    _rooted_cores,
     P,
     Q,
     PUBLISHED_TABLE_S,
     PUBLISHED_TABLE_SE,
-    census_from_trees,
     generic_left_trees,
     hardy_ramanujan_estimate,
     left_census,
@@ -47,6 +49,8 @@ from adequa.trees import (
     to_json,
     validate,
 )
+
+from .test_trees import SRC
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -80,6 +84,110 @@ def _twin_leaves(t: XTree) -> list[int]:
         elif degree[a] == 1 and a != t.start and kinds[b, False, lab] > 1:
             twins.append(a)
     return twins
+
+
+def census_from_trees(n: int, trees: list[XTree]) -> growth.CensusRow:
+    """The census read from the trees themselves, each validated: the
+    oracle of the censuses the spheres read from their construction."""
+    return growth._census(n, ((validate(t).length, growth._first_branch_index(t)) for t in trees))
+
+
+def _twin_free_masks(L: list[int], all_masks: bool) -> list[tuple[int, int]]:
+    """The orientations of the shape with level sequence L that have at
+    most one twin leaf, ascending, each with its twin leaf (-1 for none).
+
+    Vertex v of the shape is position v of L and hangs off the last
+    vertex before it one level up; the filter reads L alone and builds no
+    edge list or tree.  Bit v - 1 of a mask points the edge joining vertex
+    v to its parent towards the root; without all_masks only mask 0,
+    every edge away from the root, is tried.
+
+    A tree with a twin leaf other than its end is not retract-free (see
+    `_twin_leaves`), and one with two twin leaves is retract-free for no
+    end.  Every edge is labelled a, so whether a leaf child of u is a twin
+    depends on the directions of u's edges alone.  With every edge
+    pointing away from the root, each edge at u but the one to u's parent
+    points out of u, so a leaf is a twin exactly when its parent has
+    another child.  Over all masks, the children are read from L in one
+    pass and the vertices visited parents first, choosing the directions
+    of each one's child edges once the edge to its own parent is fixed;
+    a choice is dropped as soon as it makes a second twin leaf.
+    """
+    if not all_masks:
+        # Vertex v > 0 is a leaf when the next level is no deeper.  It has
+        # an earlier sibling when its level is no deeper than v - 1's (a
+        # first child comes right after its parent), and a leaf has a later
+        # one when v + 1 is on its level; a level of 0 closes the sequence.
+        twins = [
+            v
+            for v, (before, level, after) in enumerate(zip(L, L[1:], [*L[2:], 0]), 1)
+            if after <= level and (level <= before or after == level)
+        ]
+        return [(0, twins[0] if twins else -1)] if len(twins) < 2 else []
+    children: list[list[int]] = [[] for _ in L]
+    path = [0]  # path[d]: the last vertex met at level d
+    for v in range(1, len(L)):
+        del path[L[v]:]
+        children[path[-1]].append(v)
+        path.append(v)
+    states = [(0, -1)]  # (the mask so far, its twin leaf)
+    for u, kids in enumerate(children):
+        if not kids:
+            continue
+        # For each direction of the edge from u's parent (u's bit set:
+        # out of u) that some state has, the child flips (bit j: kids[j]'s
+        # edge into u) that leave at most one twin leaf among u's children.
+        choices: list[list[tuple[int, int]]] = [[], []]
+        for up_out in {(mask >> (u - 1)) & 1 for mask, _ in states} if u else (0,):
+            for flips in range(1 << len(kids)):
+                # u's edges in each direction, the one to its parent included
+                into = flips.bit_count() + (u > 0 and not up_out)
+                out = len(kids) + (u > 0) - into
+                bits, twins = 0, []
+                for j, c in enumerate(kids):
+                    flipped = (flips >> j) & 1
+                    bits |= flipped << (c - 1)
+                    if not children[c] and (into if flipped else out) > 1:
+                        twins.append(c)
+                if len(twins) < 2:
+                    choices[up_out].append((bits, twins[0] if twins else -1))
+        states = [
+            (mask | bits, max(twin, more))
+            for mask, twin in states
+            for bits, more in choices[u > 0 and (mask >> (u - 1)) & 1]
+            if twin < 0 or more < 0
+        ]
+        if not states:
+            return states
+    states.sort()
+    return states
+
+
+def _free_classes(n: int, all_masks: bool) -> list[tuple[bytes, XTree]]:
+    """The brute-force oracle of both generic spheres: the retract-free
+    trees among the orientations, one per isomorphism class, the first in
+    `oriented_trees` order, ascending by code.
+
+    Each shape's level sequence goes through `_twin_free_masks` first;
+    only a shape that keeps some orientation gets its edge list, and only
+    the orientations it keeps are built, in ascending order, so the first
+    tree of each class is the one the unpruned order meets first.  An
+    orientation with a twin leaf tries only that leaf as its end, since
+    the start is vertex 0 whatever the end; one without tries every end.
+    Each orientation with an end to try is validated once, and its ends
+    share that rooting.
+    """
+    free: dict[bytes, XTree] = {}
+    for L in rooted_tree_level_sequences(n + 1):
+        masks = _twin_free_masks(L, all_masks)
+        if not masks:
+            continue
+        base = growth._level_sequence_to_edges(L)
+        for mask, twin in masks:
+            for u in _oriented_ends(base, mask, twin):
+                if is_retract_free(u):
+                    free.setdefault(canonical_code(u), u)
+    return sorted(free.items(), key=lambda ct: ct[0])
 
 
 class TestPartitions:
@@ -275,7 +383,9 @@ class TestTwoSidedSpheres:
 
     def test_derived_rootings_equal_fresh_validation(self):
         trees = [t for n in range(7) for t in oriented_trees(n)]
-        trees += [t for n in range(9) for _, t in _free_classes(n, True)]
+        trees += [e.tree for n in range(9) for e in two_sided_sphere(n)[0]]
+        trees += [t for n in range(13) for t in generic_left_trees(n)]
+        trees += [_birooted([core]) for m in range(8) for core in _rooted_cores(m, (0, 1)).values()]
         trees += [zigzag_tree(z) for n in range(13) for z in product((False, True), repeat=n)]
         names = [f.name for f in fields(TrunkInfo)]
         assert "label" in names
@@ -302,7 +412,7 @@ class TestTwoSidedSpheres:
                 except InvalidTreeError:
                     pass
         walked = count_full_validations(monkeypatch)
-        two_sided_sphere(8)
+        _free_classes(8, True)
         assert len(walked) == tested == 2389
 
     def test_published_table(self):
@@ -363,9 +473,9 @@ class TestTwoSidedSpheres:
 
     def test_edge_lists_only_for_kept_shapes(self, monkeypatch):
         # a shape whose every orientation has two twin leaves gets no edge
-        # list: 409 of the 2962 shapes behind generic_left_trees(7..10)
-        # keep their all-away orientation, 56 of the 81 behind
-        # two_sided_sphere(3..6) keep some orientation
+        # list: 409 of the 2962 shapes of the generic left spheres with 7
+        # to 10 edges keep their all-away orientation, 56 of the 81 of the
+        # two-sided spheres with 3 to 6 edges keep some orientation
         built = []
 
         def counted(L):
@@ -374,13 +484,13 @@ class TestTwoSidedSpheres:
 
         edges = growth._level_sequence_to_edges
         monkeypatch.setattr(growth, "_level_sequence_to_edges", counted)
-        for sizes, enumerate_sphere, shapes, kept in (
-            (range(7, 11), generic_left_trees, 2962, 409),
-            (range(3, 7), two_sided_sphere, 81, 56),
+        for sizes, all_masks, shapes, kept in (
+            (range(7, 11), False, 2962, 409),
+            (range(3, 7), True, 81, 56),
         ):
             built.clear()
             for n in sizes:
-                enumerate_sphere(n)
+                _free_classes(n, all_masks)
             assert sum(1 for n in sizes for _ in rooted_tree_level_sequences(n + 1)) == shapes
             assert len(built) == kept
 
@@ -412,6 +522,74 @@ class TestTwoSidedSpheres:
             assert cen == census_from_trees(n, trees)
         for n in range(9):
             assert generic_left_trees(n) == unpruned(n, is_left)
+
+
+class TestRootedCores:
+    """The sphere generator against the brute-force oracle."""
+
+    def test_cores_are_the_idempotent_classes(self):
+        # a rooted core is a retract-free tree with its start and end at the
+        # root: exactly the oracle's classes of trunk length 0
+        for m in range(8):
+            cores = _rooted_cores(m, (0, 1)).values()
+            codes = sorted(canonical_code(_birooted([core])) for core in cores)
+            oracle = [code for code, t in _free_classes(m, True) if t.start == t.end]
+            assert codes == oracle
+        counts = [len(_rooted_cores(m, (0, 1))) for m in range(8)]
+        assert counts == [1, 2, 3, 6, 11, 28, 63, 170]
+
+    def test_away_cores_are_bare_paths(self):
+        for m in range(GENERIC_LEFT_BOUND + 1):
+            (core,) = _rooted_cores(m, (0,)).values()
+            t = _birooted([core])
+            assert (t.vertices, t.edges) == (m + 1, tuple((v, v + 1, "a") for v in range(m)))
+
+    def test_spheres_equal_the_oracle(self):
+        for n in range(9):
+            els, _ = two_sided_sphere(n)
+            assert [(e.code, e.tree) for e in els] == _free_classes(n, True)
+        for n in range(GENERIC_LEFT_BOUND + 1):
+            trees = generic_left_trees(n)
+            assert [(canonical_code(t), t) for t in trees] == _free_classes(n, False)
+
+    def test_at_most_two_candidates_per_class(self, monkeypatch):
+        # every is_retract_free call of a cold call, the tables' included
+        calls = []
+
+        def counted(t, engine="auto"):
+            calls.append(t)
+            return free(t, engine)
+
+        free = growth.is_retract_free
+        monkeypatch.setattr(growth, "is_retract_free", counted)
+        for n in range(11):
+            monkeypatch.setattr(growth, "_CORES", {})
+            monkeypatch.setattr(growth, "_POSITIONS", {})
+            calls.clear()
+            els, _ = two_sided_sphere(n)
+            assert len(calls) <= 2 * len(els), n
+
+    def test_census_to_ten_under_a_cpu_cap(self):
+        # a cold census of every two-sided sphere to 10 edges, in a child
+        # process whose CPU time alone is capped: it needs about 1.7 s of
+        # it, the brute force with its size cap lifted about 7 s, on a
+        # 2-core Xeon
+        def cap():
+            resource.setrlimit(resource.RLIMIT_CPU, (6, 6))
+
+        argv = ["census", "--variant", "two-sided", "--max", "10", "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "adequa.cli", *argv],
+            preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        rows = [line.split(",") for line in proc.stdout.decode().split()[1:]]
+        totals = {int(n): (int(total), int(idem)) for n, total, _, _, idem in rows}
+        assert totals[8] == (1215, 439)
+        assert totals[10] == (9272, 3307)
 
 
 def _prefix_dominating(n, i):

@@ -47,6 +47,26 @@ class TestIdentitySpec:
         same = IdentitySpec(s.lhs, s.rhs)
         assert same == s and hash(same) == hash(s) and "alphabet" not in repr(s)
 
+    def test_sides_are_printed_once_when_falsified(self, monkeypatch):
+        printed = []
+        inner = I.term_to_str
+
+        def counting(t):
+            printed.append(t)
+            return inner(t)
+
+        monkeypatch.setattr(I, "term_to_str", counting)
+        s = spec("x^+y", "yx^+")
+        assert printed == []  # a spec that is only decided prints nothing
+        assert check_enriched_flad1(s).satisfied is False
+        assert printed == []
+        for _ in range(3):
+            assert falsify_by_substitution(s, Flavor.LEFT, budget=50) is not None
+        assert printed == [s.lhs, s.rhs]
+        # the stored sides take no part in equality, hashing or printing
+        same = IdentitySpec(s.lhs, s.rhs)
+        assert same == s and hash(same) == hash(s) and repr(same) == repr(s)
+
 
 class TestAxiomsSatisfied:
     @pytest.mark.parametrize(
