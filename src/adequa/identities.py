@@ -32,15 +32,9 @@ from .exactlp import convex_dominates
 from .growth import left_sphere, two_sided_sphere
 from .terms import (
     NonNestedWord,
-    PlusBlock,
-    letter_counts,
     letters_of,
     parse_term,
-    plain_projection,
-    pqr_sets,
-    prefix_through_last,
     reverse_term,
-    suff,
     term_to_str,
     to_nonnested,
 )
@@ -74,90 +68,111 @@ class CheckResult:
 
 
 def _counts_vector(word: str, alphabet: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(word.count(y) for y in alphabet)
+    return tuple(map(word.count, alphabet))
 
 
-def _condition_iii(
-    u: NonNestedWord, v: NonNestedWord, alphabet: tuple[str, ...], dominated: dict[tuple, bool]
-) -> str | None:
-    """None when condition (iii) holds for u against v, else a tag.
+def _side(u: NonNestedWord) -> tuple[str, list[tuple[int, str]], dict[str, int]]:
+    """u's plain projection; its block occurrences as (ps, word), ps the
+    number of plain letters before the block; and each distinct block
+    word, in order of first occurrence, mapped to the ps of its last
+    occurrence, whose anchored suffix holds the plain letters from ps on
+    and the blocks with ps or more plain letters before them."""
+    plain: list[str] = []
+    blocks: list[tuple[int, str]] = []
+    starts: dict[str, int] = {}
+    for a in u.atoms:
+        if type(a) is str:
+            plain.append(a)
+        else:
+            blocks.append((len(plain), a.word))
+            starts[a.word] = len(plain)
+    return "".join(plain), blocks, starts
 
-    `dominated` maps each convex-dominance question already asked,
-    (target, set of candidates), to its answer; the question is asked
-    only when it is not there, and its answer is added."""
-    v_blocks = {a for a in v.atoms if isinstance(a, PlusBlock)}
-    # u's blocks in atom order, so the reported block never depends on
-    # the string-hash seed
-    for w_block in dict.fromkeys(a for a in u.atoms if isinstance(a, PlusBlock)):
-        s_u = suff(u, w_block)
-        s_u_counts = _counts_vector(plain_projection(s_u), alphabet)
-        for x in sorted(set(w_block.word)):
-            target = _counts_vector(prefix_through_last(w_block.word, x), alphabet)
-            # (a): convex dominance over the R-set; every element of R holds
-            # x, in its block's word or (the ε⁺ element) in its plain prefix
-            _, _, r_set = pqr_sets(u, w_block, x)
-            candidates = []
-            for el in r_set:
-                pk = plain_projection(el) + el.atoms[-1].word
-                candidates.append(_counts_vector(prefix_through_last(pk, x), alphabet))
+
+def _rows(side: tuple, alphabet: tuple[str, ...]) -> list[tuple]:
+    """(word, ps, plain counts of its anchored suffix, [(x, counts of the
+    word through its last x) for x in the word, sorted]) per distinct
+    block of a `_side`, in order of first occurrence, so the reported
+    block never depends on the string-hash seed."""
+    plain, _, starts = side
+    return [
+        (w, ps, _counts_vector(plain[ps:], alphabet), [
+            (x, _counts_vector(w[: w.rfind(x) + 1], alphabet)) for x in sorted(set(w))
+        ])
+        for w, ps in starts.items()
+    ]
+
+
+def _condition_iii(side: tuple, rows: list, other_rows: list, alphabet, dominated) -> str | None:
+    """None when condition (iii) holds for a `_side` with its `_rows`
+    against the other side's rows, else a tag.  `dominated` holds the
+    answer to each convex-dominance question asked, (target, candidates)."""
+    plain, blocks, _ = side
+    for w, ps, counts, letters in rows:
+        tail = plain[ps:]
+        scan = [(plain[ps:pj], word) for pj, word in blocks if pj >= ps]
+        for x, target in letters:
+            # (a): convex dominance over the R-set.  Each block k+ of the
+            # suffix with x in k gives the counts of (plain prefix so far,
+            # k through its last x), dropped when the prefix is empty and
+            # the counts are the target; the ε+ element, when x is in the
+            # suffix's plain letters, gives those letters through the last x
+            candidates = set()
+            for prefix, word in scan:
+                i = word.rfind(x)
+                if i >= 0:
+                    vec = _counts_vector(prefix + word[: i + 1], alphabet)
+                    if prefix or vec != target:
+                        candidates.add(vec)
+            i = tail.rfind(x)
+            if i >= 0:
+                candidates.add(_counts_vector(tail[: i + 1], alphabet))
             question = (target, frozenset(candidates))
             if question not in dominated:
                 dominated[question] = convex_dominates(target, candidates)
-            if dominated[question]:
-                continue
-            # (b): a matching block on the other side
-            ok = False
-            for h in v_blocks:
-                mh = prefix_through_last(h.word, x)
-                if mh is None or _counts_vector(mh, alphabet) != target:
-                    continue
-                if _counts_vector(plain_projection(suff(v, h)), alphabet) == s_u_counts:
-                    ok = True
-                    break
-            if not ok:
-                return "block %s letter %s" % (w_block.word or "1", x)
+            # (b): a block of the other side with the same counts through
+            # its last x and the same plain counts in its anchored suffix
+            if not dominated[question] and not any(
+                c == counts and (x, target) in xs for _, _, c, xs in other_rows
+            ):
+                return "block %s letter %s" % (w, x)
     return None
 
 
 def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
     """The four-condition classification over the monogenic left monoid."""
-    u = to_nonnested(spec.lhs)
-    v = to_nonnested(spec.rhs)
     alphabet = spec.alphabet
-    cu = letter_counts(u)
-    cv = letter_counts(v)
+    u, v = _side(to_nonnested(spec.lhs)), _side(to_nonnested(spec.rhs))
     # (i) letter counts agree
-    for y in alphabet:
-        if cu.get(y, 0) != cv.get(y, 0):
-            return CheckResult(False, "i")
-    # (ii) per letter: a covering block in the anchored suffix, or equal
-    # suffix letter counts on both sides; by (i) both have the same letters
-    for side_u, side_v, tag in ((u, v, "ii"), (v, u, "ii-dual")):
-        for x in sorted(cu):
-            s = suff(side_u, x)
-            if any(
-                isinstance(a, PlusBlock) and x in a.word for a in s.atoms
-            ):
+    if sorted(u[0]) != sorted(v[0]):
+        return CheckResult(False, "i")
+    # (ii) per letter: a covering block after its last plain occurrence, or
+    # equal suffix letter counts on both sides; by (i) both have the same letters
+    for (plain, blocks, _), (other, _, _), tag in ((u, v, "ii"), (v, u, "ii-dual")):
+        for x in alphabet:
+            p = plain.rfind(x)
+            if p < 0 or any(pj > p and x in word for pj, word in blocks):
                 continue
-            if _counts_vector(plain_projection(s), alphabet) == _counts_vector(
-                plain_projection(suff(side_v, x)), alphabet
-            ):
-                continue
-            return CheckResult(False, tag + "a/b")
+            if sorted(plain[p:]) != sorted(other[other.rfind(x) :]):
+                return CheckResult(False, tag + "a/b")
     # (iii) and its dual (iv), which ask many of the same questions
+    u_rows, v_rows = _rows(u, alphabet), _rows(v, alphabet)
     dominated: dict[tuple, bool] = {}
-    fail = _condition_iii(u, v, alphabet, dominated)
-    if fail is not None:
-        return CheckResult(False, "iiia/b: " + fail)
-    fail = _condition_iii(v, u, alphabet, dominated)
-    if fail is not None:
-        return CheckResult(False, "iv-dual: " + fail)
+    directions = ((u, u_rows, v_rows, "iiia/b"), (v, v_rows, u_rows, "iv-dual"))
+    for side, rows, other_rows, tag in directions:
+        fail = _condition_iii(side, rows, other_rows, alphabet, dominated)
+        if fail is not None:
+            return CheckResult(False, "%s: %s" % (tag, fail))
     return CheckResult(True)
 
 
 def check_enriched_frad1(spec: IdentitySpec) -> CheckResult:
     """Right-signature identities, via the anti-isomorphism."""
-    return check_enriched_flad1(IdentitySpec(reverse_term(spec.lhs), reverse_term(spec.rhs)))
+    try:
+        return check_enriched_flad1(IdentitySpec(reverse_term(spec.lhs), reverse_term(spec.rhs)))
+    except T.NestedTermError:
+        # the reversal turned the user's ^+ into the ^* that flad1 rejects
+        raise T.NestedTermError("^+ is not in the right-adequate signature") from None
 
 
 def _require_plain(t: T.Term) -> str:

@@ -2,7 +2,8 @@
 
 Covers parsing and printing of the surface syntax, letter-count length,
 normalization of plus-terms into non-nested words, and the suffix
-machinery (suff and the P/Q/R sets) that the identity checker consumes.
+machinery (suff and the P/Q/R sets) of the identity conditions, whose
+count vectors the identity checker reads without building these sets.
 """
 
 from __future__ import annotations
@@ -249,55 +250,49 @@ class NestedTermError(ValueError):
     pass
 
 
+# marks, on to_nonnested's stack, the end of a ^+ whose atoms are open
+_CLOSE = object()
+
+
 def to_nonnested(t: Term) -> NonNestedWord:
     """Normal form under ε⁺→ε, (x⁺)⁺→x⁺, (xy⁺z)⁺→(xy)⁺(xz)⁺.
 
     Innermost-first rewriting; sound for the left signature only, so Star
     nodes are rejected, and in the monogenic monoid only, whatever element
     each letter stands for: with distinct generators a and b, (aa⁺b)⁺ and
-    (aa)⁺(ab)⁺ differ.
+    (aa)⁺(ab)⁺ differ.  One loop without recursion: letters append to the
+    innermost open atom list, and a ^+ opens a list that its end rewrites.
     """
-    return NonNestedWord(
-        _fold(t, _leaf_atoms, tuple.__add__, _plus_atoms, _reject_star)
-    )
-
-
-def _leaf_atoms(leaf: Letter | Identity) -> tuple[Atom, ...]:
-    return (leaf.name,) if isinstance(leaf, Letter) else ()
-
-
-def _plus_atoms(inner: tuple[Atom, ...]) -> tuple[Atom, ...]:
-    # u = p0 b1 p1 ... bm pm; u+ = prod_i (p0..p_{i-1} w_i)+ . (p0..pm)+
-    # with every empty-word factor dropped (the rule eps+ -> eps).
-    out: list[Atom] = []
-    plain_prefix = ""
-    for a in inner:
-        if isinstance(a, PlusBlock):
-            w = plain_prefix + a.word
-            if w:
-                out.append(PlusBlock(w))
-        else:
-            plain_prefix += a
-    if plain_prefix:
-        out.append(PlusBlock(plain_prefix))
-    return tuple(out)
-
-
-def _reject_star(inner: tuple[Atom, ...]):
-    raise NestedTermError("star nodes have no non-nested normal form")
-
-
-def letter_counts(u: NonNestedWord) -> dict[str, int]:
-    """|u|_y per letter y; PlusBlock contents are not counted."""
-    counts: dict[str, int] = {}
-    for a in u.atoms:
-        if isinstance(a, str):
-            counts[a] = counts.get(a, 0) + 1
-    return counts
-
-
-def plain_projection(u: NonNestedWord) -> str:
-    return "".join(a for a in u.atoms if isinstance(a, str))
+    lists: list[list[Atom]] = [[]]
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Letter:
+            lists[-1].append(node.name)
+        elif kind is Product:
+            todo += (node.right, node.left)
+        elif kind is Plus:
+            lists.append([])
+            todo += (_CLOSE, node.child)
+        elif node is _CLOSE:
+            # u = p0 b1 p1 ... bm pm; u+ = prod_i (p0..p_{i-1} w_i)+ . (p0..pm)+
+            # with every empty-word factor dropped (the rule eps+ -> eps)
+            inner = lists.pop()
+            out = lists[-1]
+            prefix = ""
+            for a in inner:
+                if type(a) is str:
+                    prefix += a
+                else:
+                    out.append(PlusBlock(prefix + a.word) if prefix else a)
+            if prefix:
+                out.append(PlusBlock(prefix))
+        elif kind is Star:
+            raise NestedTermError("^* is not in the left-adequate signature")
+        elif kind is not Identity:
+            raise TypeError("not a term: %r" % (node,))
+    return NonNestedWord(tuple(lists[0]))
 
 
 class AtomNotInSupport(ValueError):

@@ -252,6 +252,16 @@ class TestIdentity:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("monoid,operator,side", [
+        ("flad1", "^*", "left"), ("frad1", "^+", "right"),
+    ])
+    def test_operator_outside_the_signature(self, capsys, monoid, operator, side):
+        # the error names the operator as written, not as the right
+        # signature's reversal turns it
+        code, out, err = run(capsys, "identity", "--monoid", monoid, "x%sx" % operator, "x")
+        assert code == 2 and out == ""
+        assert err == "error: %s is not in the %s-adequate signature" % (operator, side)
+
     def test_falsify(self, capsys):
         code, out, _ = run(
             capsys, "falsify", "--monoid", "flad1", "--budget", "200", "xy", "yx"

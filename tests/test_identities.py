@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adequa import identities as I
 from adequa.algebra import Flavor, eval_term, generator
@@ -19,8 +21,24 @@ from adequa.identities import (
     fad1_witness_element,
     random_monogenic_element,
 )
-from adequa.terms import Plus, Product, parse_term, term_length, term_to_str
+from adequa.exactlp import convex_dominates
+from adequa.terms import (
+    Letter,
+    Plus,
+    PlusBlock,
+    Product,
+    parse_term,
+    pqr_sets,
+    prefix_through_last,
+    reverse_term,
+    suff,
+    term_length,
+    term_to_str,
+    to_nonnested,
+)
 from adequa.trees import to_json
+
+from .test_terms import letter_counts, plain_projection
 
 
 def spec(u: str, v: str) -> IdentitySpec:
@@ -104,6 +122,151 @@ class TestRejections:
         assert check_enriched_flad1(spec("xy", "yx")).failing_condition.startswith(
             "ii"
         )
+
+
+# ------------------------------------------------ the checker's oracle
+
+
+def _counts(word, alphabet):
+    return tuple(word.count(y) for y in alphabet)
+
+
+def _reference_condition_iii(u, v, alphabet, dominated):
+    """Condition (iii) for u against v as the paper states it: per block
+    w+ of u and letter x of w, convex dominance over the R-set built by
+    `pqr_sets`, or a block of v with the same counts through its last x
+    and the same plain counts in its anchored suffix."""
+    v_blocks = {a for a in v.atoms if isinstance(a, PlusBlock)}
+    for w_block in dict.fromkeys(a for a in u.atoms if isinstance(a, PlusBlock)):
+        s_u_counts = _counts(plain_projection(suff(u, w_block)), alphabet)
+        for x in sorted(set(w_block.word)):
+            target = _counts(prefix_through_last(w_block.word, x), alphabet)
+            _, _, r_set = pqr_sets(u, w_block, x)
+            candidates = []
+            for el in r_set:
+                pk = plain_projection(el) + el.atoms[-1].word
+                candidates.append(_counts(prefix_through_last(pk, x), alphabet))
+            question = (target, frozenset(candidates))
+            if question not in dominated:
+                dominated[question] = convex_dominates(target, candidates)
+            if dominated[question]:
+                continue
+            if not any(
+                prefix_through_last(h.word, x) is not None
+                and _counts(prefix_through_last(h.word, x), alphabet) == target
+                and _counts(plain_projection(suff(v, h)), alphabet) == s_u_counts
+                for h in v_blocks
+            ):
+                return "block %s letter %s" % (w_block.word or "1", x)
+    return None
+
+
+def reference_check_enriched_flad1(s):
+    """(satisfied, failing_condition) of the four conditions, computed
+    over `suff` and `pqr_sets`."""
+    u, v = to_nonnested(s.lhs), to_nonnested(s.rhs)
+    alphabet = s.alphabet
+    cu, cv = letter_counts(u), letter_counts(v)
+    if any(cu.get(y, 0) != cv.get(y, 0) for y in alphabet):
+        return False, "i"
+    for side_u, side_v, tag in ((u, v, "ii"), (v, u, "ii-dual")):
+        for x in sorted(cu):
+            sx = suff(side_u, x)
+            if any(isinstance(a, PlusBlock) and x in a.word for a in sx.atoms):
+                continue
+            if _counts(plain_projection(sx), alphabet) != _counts(
+                plain_projection(suff(side_v, x)), alphabet
+            ):
+                return False, tag + "a/b"
+    dominated = {}
+    for first, second, tag in ((u, v, "iiia/b: "), (v, u, "iv-dual: ")):
+        fail = _reference_condition_iii(first, second, alphabet, dominated)
+        if fail is not None:
+            return False, tag + fail
+    return True, None
+
+
+def shaped_term(rng, letters, n_letters):
+    """A random non-nested term: letters and plus blocks of up to three
+    letters (1^+ for none), as the benchmark's identity questions are."""
+    parts = []
+    left = n_letters
+    while left > 0 or not parts:
+        if rng.random() < 0.4:
+            k = min(left, rng.randint(0, 3))
+            block = "".join(rng.choice(letters) for _ in range(k))
+            parts.append("(%s)^+" % (block or "1"))
+            left -= k
+        else:
+            parts.append(rng.choice(letters))
+            left -= 1
+    return "".join(parts)
+
+
+def shaped_pairs(seed, count, letters, max_letters):
+    """Seeded pairs u ~ v: v is another random term, a permutation of a
+    plain u, or u rewritten by x^+x = x (u itself or (u)^+(u))."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = shaped_term(rng, letters, rng.randint(1, max_letters))
+        if rng.random() < 0.5:
+            v = shaped_term(rng, letters, rng.randint(1, max_letters))
+        elif "(" not in u:
+            v = "".join(rng.sample(u, len(u)))
+        else:
+            v = u if rng.random() < 0.5 else "(%s)^+(%s)" % (u, u)
+        yield u, v
+
+
+def nested_plus_terms():
+    letters = st.sampled_from("xyz").map(Letter)
+    return st.recursive(
+        st.one_of(letters, st.just(parse_term("1"))),
+        lambda kids: st.one_of(
+            st.tuples(kids, kids).map(lambda p: Product(*p)),
+            kids.map(Plus),
+        ),
+        max_leaves=10,
+    )
+
+
+def verdict(result):
+    return result.satisfied, result.failing_condition
+
+
+class TestAgainstReference:
+    """The checker reads the R-sets' count vectors in one scan per block;
+    `reference_check_enriched_flad1` builds the sets.  Any difference in
+    verdict or tag is a fault of one of them."""
+
+    def agree(self, pairs):
+        tags = set()
+        for u, v in pairs:
+            s = spec(u, v)
+            want = reference_check_enriched_flad1(s)
+            assert verdict(check_enriched_flad1(s)) == want, (u, v)
+            # the same pair in the right signature, through the reversal
+            right = IdentitySpec(reverse_term(s.lhs), reverse_term(s.rhs))
+            assert verdict(check_enriched_frad1(right)) == want, (u, v)
+            tags.add(want[1] and want[1].split(":")[0])
+        return tags
+
+    def test_workload_shaped_pairs(self):
+        tags = self.agree(shaped_pairs(1, 20_000, "xyz", 6))
+        # every condition decides some pair
+        assert tags == {None, "i", "iia/b", "ii-duala/b", "iiia/b", "iv-dual"}
+
+    def test_longer_pairs_over_four_letters(self):
+        self.agree(shaped_pairs(2, 5000, "wxyz", 14))
+
+    @given(nested_plus_terms(), nested_plus_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_terms(self, lhs, rhs):
+        s = IdentitySpec(lhs, rhs)
+        want = reference_check_enriched_flad1(s)
+        assert verdict(check_enriched_flad1(s)) == want
+        right = IdentitySpec(reverse_term(lhs), reverse_term(rhs))
+        assert verdict(check_enriched_frad1(right)) == want
 
 
 class TestPlainCheckers:

@@ -1,5 +1,7 @@
 """Term grammar, normal forms, and word combinatorics."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from adequa.terms import (
     AtomNotInSupport,
     Identity,
     Letter,
+    NestedTermError,
     NonNestedWord,
     Plus,
     PlusBlock,
@@ -17,10 +20,8 @@ from adequa.terms import (
     Star,
     TermSyntaxError,
     _fold,
-    letter_counts,
     letters_of,
     parse_term,
-    plain_projection,
     pqr_sets,
     reverse_term,
     suff,
@@ -28,6 +29,63 @@ from adequa.terms import (
     term_to_str,
     to_nonnested,
 )
+
+
+def letter_counts(u: NonNestedWord) -> dict[str, int]:
+    """|u|_y per letter y; PlusBlock contents are not counted."""
+    counts: dict[str, int] = {}
+    for a in u.atoms:
+        if isinstance(a, str):
+            counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def plain_projection(u: NonNestedWord) -> str:
+    return "".join(a for a in u.atoms if isinstance(a, str))
+
+
+def reference_nonnested(t) -> NonNestedWord:
+    """The normal form as one `_fold`: a ^+ rewrites its child's atoms
+    p0 b1 p1 ... bm pm to (p0..p_{i-1} w_i)+ for each i, then (p0..pm)+,
+    dropping every empty word."""
+
+    def leaf(node):
+        return (node.name,) if isinstance(node, Letter) else ()
+
+    def plus(inner):
+        out = []
+        plain_prefix = ""
+        for a in inner:
+            if isinstance(a, PlusBlock):
+                w = plain_prefix + a.word
+                if w:
+                    out.append(PlusBlock(w))
+            else:
+                plain_prefix += a
+        if plain_prefix:
+            out.append(PlusBlock(plain_prefix))
+        return tuple(out)
+
+    def star(inner):
+        raise NestedTermError("star nodes have no non-nested normal form")
+
+    return NonNestedWord(_fold(t, leaf, tuple.__add__, plus, star))
+
+
+def random_plus_term(rng, n_letters, letters="abc"):
+    """A random term of n_letters letters over letters, products and ^+
+    nodes only, with some 1 leaves."""
+    parts = [Letter(rng.choice(letters)) for _ in range(n_letters)]
+    parts += [Identity() for _ in range(rng.randint(not parts, 2))]
+    rng.shuffle(parts)
+    while len(parts) > 1 or rng.random() < 0.3:
+        if len(parts) > 1 and rng.random() < 0.6:
+            i = rng.randrange(len(parts) - 1)
+            parts[i : i + 2] = [Product(parts[i], parts[i + 1])]
+        else:
+            i = rng.randrange(len(parts))
+            parts[i] = Plus(parts[i])
+    return parts[0]
 
 
 def terms_strategy():
@@ -122,10 +180,40 @@ class TestNonNested:
         )
 
     def test_star_rejected(self):
-        from adequa.terms import NestedTermError
-
-        with pytest.raises(NestedTermError):
+        with pytest.raises(NestedTermError, match=r"\^\* is not in the left-adequate"):
             to_nonnested(parse_term("a^*"))
+        with pytest.raises(NestedTermError):
+            to_nonnested(parse_term("(ab^+(c^*)^+)^+"))
+
+    def test_matches_the_fold(self):
+        # the dedicated loop against the normaliser it replaced, on seeded
+        # random ^+ terms of up to 20 letters
+        rng = random.Random(29)
+        for _ in range(10_000):
+            t = random_plus_term(rng, rng.randint(0, 20))
+            assert to_nonnested(t) == reference_nonnested(t), term_to_str(t)
+
+    @given(terms_strategy())
+    @settings(max_examples=200)
+    def test_matches_the_fold_on_drawn_terms(self, t):
+        try:
+            want = reference_nonnested(t)
+        except NestedTermError:
+            with pytest.raises(NestedTermError):
+                to_nonnested(t)
+        else:
+            assert to_nonnested(t) == want
+
+    def test_deep_plus_without_recursion(self):
+        # (...((x)^+)^+...)^+ nested 100 000 deep is the single block x^+
+        t = Letter("x")
+        for _ in range(100_000):
+            t = Plus(t)
+        assert to_nonnested(t) == NonNestedWord((PlusBlock("x"),))
+        t = Product(Letter("y"), t)
+        for _ in range(100_000):
+            t = Plus(t)
+        assert to_nonnested(t) == NonNestedWord((PlusBlock("yx"), PlusBlock("y")))
 
     @given(terms_strategy(), st.data())
     @settings(max_examples=150, deadline=None)
