@@ -188,7 +188,7 @@ class TestNonNested:
     def test_matches_the_fold(self):
         # the dedicated loop against the normaliser it replaced, on seeded
         # random ^+ terms of up to 20 letters
-        rng = random.Random(29)
+        rng = random.Random(5)
         for _ in range(10_000):
             t = random_plus_term(rng, rng.randint(0, 20))
             assert to_nonnested(t) == reference_nonnested(t), term_to_str(t)
