@@ -112,13 +112,11 @@ def _cmd_retract(args) -> int:
 
 
 def _sphere(variant: str, n: int, elements: bool):
-    """The sphere's census, with its elements in code order (None for a
-    left sphere whose elements are not asked for)."""
-    if variant == "two-sided":
-        return growth.two_sided_sphere(n)
+    """The sphere's census, with its elements in code order (None when
+    they are not asked for, so that no tree is coded or kept)."""
     if elements:
-        return growth.left_sphere(n)
-    return None, growth.left_census(n)
+        return growth.two_sided_sphere(n) if variant == "two-sided" else growth.left_sphere(n)
+    return None, growth.two_sided_census(n) if variant == "two-sided" else growth.left_census(n)
 
 
 def _cmd_sphere(args) -> int:

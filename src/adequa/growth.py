@@ -37,6 +37,11 @@ def _check_size(n: int, bound: int, what: str) -> None:
 # table, since P and Q read these names at call time.
 P_ROWS: list[list[int]] = [[1]]
 Q_ROWS: list[list[int]] = [[1]]
+# DISTINCT_PARTS[m][r] lists the partitions of m into r distinct parts, in
+# the order of `partitions_into_distinct_parts`, each with its parts
+# ascending.  The structural left sphere reads it; it grows on demand, up
+# to LEFT_SPHERE_BOUND, and is never rebuilt.
+DISTINCT_PARTS: list[list[list[tuple[int, ...]]]] = []
 
 
 def _partitions(rows: list[list[int]], n: int, k: int | None, distinct: bool) -> int:
@@ -74,11 +79,12 @@ def Q(n: int, k: int | None = None) -> int:
 
 
 def partitions_into_distinct_parts(n: int, k: int):
-    """All partitions of n into exactly k distinct positive parts, descending."""
+    """All partitions of n into exactly k distinct positive parts, descending;
+    none when k is negative."""
 
     def rec(n: int, k: int, cap: int):
-        if k == 0:
-            if n == 0:
+        if k <= 0:
+            if k == 0 and n == 0:
                 yield ()
             return
         # largest part first; remaining k-1 distinct parts below it
@@ -146,22 +152,39 @@ def _left_rows(n: int):
     over that distance; retract-freeness forces the excesses to be
     distinct, positive, and increasing with the distance.  Only the sets
     Y that leave room for r distinct positive excesses are visited, so
-    the work grows with the output.  The first branch hangs off trunk
-    vertex l = k - max(Y), and l is None when Y is empty.
+    the work grows with the output, and the excesses are read from
+    `DISTINCT_PARTS`.  The first branch hangs off trunk vertex
+    l = k - max(Y), and l is None when Y is empty.  Trunk vertices are
+    0..k, start 0 and end k; the branches follow, by ascending distance,
+    each a path numbered away from its trunk vertex.
     """
     _check_size(n, LEFT_SPHERE_BOUND, "left sphere")
+    while len(DISTINCT_PARTS) <= n:
+        m = len(DISTINCT_PARTS)
+        DISTINCT_PARTS.append(
+            [[p[::-1] for p in partitions_into_distinct_parts(m, r)] for r in range(m + 1)]
+        )
+    chain = [(v, v + 1, "a") for v in range(n)]  # the a-path 0 -> ... -> n
     for k in range(n + 1):
         budget = n - k
         for r in range(0, k + 2):
             # r branch positions among distances {0..k}; the excesses
             # need at least 1 + 2 + ... + r edges
             cap = budget - r * (r + 1) // 2
+            if cap < 0:
+                break
             for Y in _capped_subsets(k + 1, r, cap):
                 l = k - Y[-1] if Y else None
-                for tau in partitions_into_distinct_parts(budget - sum(Y), r):
-                    # tau descending; match to Y descending
-                    lengths = {y: y + tau[j] for j, y in enumerate(reversed(Y))}
-                    yield k, l, _build_left_tree(k, lengths)
+                for tau in DISTINCT_PARTS[budget - sum(Y)][r]:
+                    # Y and tau both ascending: the excesses grow with
+                    # the distance
+                    edges = chain[:k]
+                    nv = k + 1
+                    for y, excess in zip(Y, tau):
+                        edges.append((k - y, nv, "a"))
+                        edges += chain[nv:nv + y + excess - 1]
+                        nv += y + excess
+                    yield k, l, XTree(nv, edges, 0, k)
 
 
 def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
@@ -178,20 +201,6 @@ def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
             return
         for rest in _capped_subsets(m, r - 1, cap - first, first + 1):
             yield (first,) + rest
-
-
-def _build_left_tree(k: int, branch_by_distance: dict[int, int]) -> XTree:
-    # trunk vertices 0..k (start 0, end k), branch paths hang off v_{k-d}
-    edges = [(i, i + 1, "a") for i in range(k)]
-    nv = k + 1
-    for d, length in sorted(branch_by_distance.items()):
-        at = k - d
-        prev = at
-        for _ in range(length):
-            edges.append((prev, nv, "a"))
-            prev = nv
-            nv += 1
-    return XTree(nv, tuple(edges), 0, k)
 
 
 def left_sphere(n: int) -> tuple[list[Element], CensusRow]:
@@ -511,6 +520,13 @@ def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
     return elements, _census(n, ((k, l) for k, l, _ in rows))
 
 
+def two_sided_census(n: int) -> CensusRow:
+    """The two-sided sphere's census, counted as the generator builds
+    each tree: no tree is coded, sorted or kept."""
+    _check_size(n, TWO_SIDED_BOUND, "two-sided")
+    return _census(n, ((k, l) for k, l, _ in _free_rows(n, _BOTH)))
+
+
 # ------------------------------------------------------------------ zig-zags
 
 
@@ -521,7 +537,7 @@ def zigzag_tree(z: tuple[bool, ...]) -> XTree:
     height of z is sum(z).  The path is built rooted at its start:
     vertex i + 1 hangs off vertex i, in breadth-first order."""
     n = len(z) + 1
-    edges = tuple((i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z))
+    edges = [(i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z)]
     parent, forward = [0, *range(n - 1)], [False, *map(bool, z)]
     return _rooted_tree(n, edges, 0, 0, parent, forward, [""] + ["a"] * len(z), list(range(n)))
 
@@ -628,7 +644,7 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
             "idempotent_binomial_bound": binom,
         }
         if n <= two_sided_max:
-            _, tcensus = two_sided_sphere(n)
+            tcensus = two_sided_census(n)
             row["two_sided_sphere"] = tcensus.total
             row["two_sided_idempotents"] = tcensus.idempotent_count
             if row["two_sided_idempotents"] < binom:

@@ -31,9 +31,12 @@ vertex is its label with its direction seen from that vertex.  A
 morphism fixing the anchor a sends the branch's edge a-b to an edge at a
 of the same kind, and since the host avoids b, to another one.  So a
 branch whose kind occurs once among its anchor's alive edges is rigid,
-and the pass searches only where a kind repeats at its anchor, keeping
-a count per anchor and kind that drops as heads die.  The test is the
-first step of the search itself, so the branches that fold are the same.
+and the pass searches only where a kind repeats at its anchor.  The
+rooting lists each vertex's children consecutively, so the pass counts
+kinds only inside runs of two or more siblings, per anchor and kind, and
+the count drops as heads die; an only child has count 1, and the edge to
+the anchor's own parent is added at test time.  The test is the first
+step of the search itself, so the branches that fold are the same.
 
 Levels rule out more.  Give the start level 0 and each vertex the level
 of its parent plus one when their edge points away from the start, minus
@@ -144,41 +147,44 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
     return bool(done)
 
 
-def _pinned(trunk: TrunkInfo, level: list[int]) -> set[int]:
+def _pinned(trunk: TrunkInfo, level: list[int], on_trunk: set[int]) -> set[int]:
     """The non-trunk vertices whose subtree holds every vertex at the
     tree's highest level, or every one at its lowest.
 
-    `level[v]` is v's level, as the module docstring defines it.  The
-    trunk holds levels 0 to its length, so only a level beyond those
-    can lie within one branch; the vertices whose subtree holds all of it
-    are the common ancestors, off the trunk, of the vertices at that
-    level.  Each walk up from one of them stops at the first vertex an
-    earlier walk reached, so every vertex is walked at most once.
+    `level[v]` is v's level, as the module docstring defines it, and
+    `on_trunk` the set of trunk vertices.  The trunk holds levels 0 to
+    its length, so only a level beyond those can lie within one branch;
+    the vertices whose subtree holds all of it are the common ancestors,
+    off the trunk, of the vertices at that level: when one vertex holds
+    the level, that vertex and its ancestors off the trunk.  Each walk up
+    from one of them stops at the trunk or at the first vertex an earlier
+    walk reached, so every vertex is walked at most once.
     """
     parent = trunk.parent
     pinned: set[int] = set()
     for x in (max(level), min(level)):
         if 0 <= x <= trunk.length:
             continue
-        # where a walk up stops: None on the trunk, the vertex's index in
-        # `above` on the first walk, and -1 where a later walk passed
-        stop: dict[int, int | None] = dict.fromkeys(trunk.vertices)
         i = v = level.index(x)
         above = []  # i and its ancestors off the trunk, upwards
-        while v not in stop:
+        while v not in on_trunk:
             above.append(v)
             v = parent[v]
-        stop.update(zip(above, range(len(above))))
         lo = 0  # the common ancestors are above[lo:]
-        for _ in range(level.count(x) - 1):
-            i = v = level.index(x, i + 1)
-            while v not in stop:
-                stop[v] = -1
-                v = parent[v]
-            if stop[v] is None:  # i lies in another branch
-                lo = len(above)
-                break
-            lo = max(lo, stop[v])
+        others = level.count(x) - 1
+        if others:
+            # where a later walk up stops: the vertex's index in `above`,
+            # or -1 where an even later one passed
+            stop = dict(zip(above, range(len(above))))
+            for _ in range(others):
+                i = v = level.index(x, i + 1)
+                while v not in stop and v not in on_trunk:
+                    stop[v] = -1
+                    v = parent[v]
+                if v in on_trunk:  # i lies in another branch
+                    lo = len(above)
+                    break
+                lo = max(lo, stop[v])
         pinned.update(above[lo:])
     return pinned
 
@@ -191,46 +197,61 @@ def _folds(t: XTree, walked: Walked) -> Iterator[int]:
     the rooting's order, each with its parent as anchor; a head's kind,
     its edge seen from its anchor, is (parent, forward, label) in the
     rooting.  One loop over the order, parents first, sets each vertex's
-    level and counts the kinds of each vertex's child edges; an anchor's
-    edge to its own parent adds one to its kind at test time.  Each head
-    is marked dead as its branch folds, which cuts the whole branch from
-    the tree the later tests see and takes one edge of its kind off its
-    anchor.  A branch is searched only when its kind occurs at least
-    twice among its anchor's alive edges and it is not pinned to an
-    extreme level (`_pinned`, built at the first such branch).  The
-    adjacency the search reads is built before the first search, when
-    the walk built none, so a pass that searches nothing builds none.
+    level and counts the kinds of the child edges at each vertex.  The
+    order lists each vertex's children consecutively, so a kind can
+    repeat among them only inside a run of two or more siblings: only
+    those runs are counted, and a head absent from the count is its
+    anchor's only child, of count 1.  An anchor's edge to its own parent
+    adds one to its kind at test time.  Each head is marked dead as its
+    branch folds, which cuts the whole branch from the tree the later
+    tests see and takes one edge of its kind off its anchor.  A branch is
+    searched only when its kind occurs at least twice among its anchor's
+    alive edges and it is not pinned to an extreme level (`_pinned`,
+    built at the first such branch).  The adjacency the search reads is
+    built before the first search, when the walk built none, so a pass
+    that searches nothing builds none.
     """
     trunk, adj = walked
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
+    order = trunk.order
     level = [0] * len(parent)
-    # count[a, out, lab]: the alive child edges of that kind at a
+    # count[a, out, lab]: the alive child edges of that kind at a, for
+    # the anchors a with two or more children
     count: dict[tuple[int, bool, str], int] = {}
-    for v in trunk.order[1:]:
+    run = -1  # the parent of the current sibling run
+    first = -1  # the run's first vertex, until a second one counts it
+    for v in order[1:]:
         a, out = parent[v], forward[v]
         level[v] = level[a] + 1 if out else level[a] - 1
+        if a != run:
+            run, first = a, v
+            continue
+        if first >= 0:
+            key = (a, forward[first], label[first])
+            count[key] = count.get(key, 0) + 1
+            first = -1
         key = (a, out, label[v])
         count[key] = count.get(key, 0) + 1
     on_trunk = set(trunk.vertices)
     alive = [True] * len(parent)
     pinned: set[int] | None = None
-    for b in reversed(trunk.order):
+    for b in reversed(order):
         if b in on_trunk:
             continue
         a, out, lab = key = (parent[b], forward[b], label[b])
         # the anchor's edge to its parent points the other way seen from
         # the anchor; the start's label is "", which no edge carries
-        if count[key] + (forward[a] != out and label[a] == lab) < 2:
+        if count.get(key, 1) + (forward[a] != out and label[a] == lab) < 2:
             continue
         if pinned is None:
-            pinned = _pinned(trunk, level)
+            pinned = _pinned(trunk, level, on_trunk)
         if b in pinned:
             continue
         if adj is None:
             adj = undirected_adjacency(t)
         if hom_exists(adj, parent, alive, b):
             alive[b] = False
-            count[key] -= 1
+            count[key] = count.get(key, 1) - 1
             yield b
 
 

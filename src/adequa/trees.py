@@ -53,8 +53,12 @@ class TrunkInfo:
     towards the start (the start is its own parent), `forward[v]` says
     whether their edge is (parent[v], v), `label[v]` is its label ("" at
     the start), and `order` is breadth-first, each vertex after its
-    parent.  It is computed once per tree object and kept on it, so the
-    lists are shared by every reader and must not be changed.
+    parent and each vertex's children in one consecutive run: the
+    leaves-first pass of `retract` counts edge kinds inside those runs
+    only.  Every builder of a rooting (`validate`, `_rooted_tree`'s
+    callers) keeps that order.  It is computed once per tree object and
+    kept on it, so the lists are shared by every reader and must not be
+    changed.
     """
 
     vertices: tuple[int, ...]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -199,6 +200,13 @@ class TestEnumeration:
         code, out, _ = run(capsys, "census", "--variant", "two-sided", "--max", "5")
         rows = json.loads(out)["rows"]
         assert [r["total"] for r in rows] == [1, 3, 6, 14, 29, 74]
+
+    def test_two_sided_census_digest(self, capsys):
+        # the printed census, byte for byte, as it was when the census
+        # still built the sphere's elements
+        assert main(["census", "--variant", "two-sided", "--max", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == "291a00bfbbb7924cf6790c6e74bb15e5"
 
     def test_census_csv(self, capsys):
         code, out, _ = run(

@@ -17,6 +17,7 @@ from adequa.growth import (
     GENERIC_LEFT_BOUND,
     _birooted,
     _capped_subsets,
+    _left_rows,
     _level_sequence_to_edges,
     _oriented_ends,
     _rooted_cores,
@@ -34,6 +35,7 @@ from adequa.growth import (
     rooted_tree_level_sequences,
     structural_left_trees,
     sums_with_t_check,
+    two_sided_census,
     two_sided_sphere,
     zigzag_census,
     zigzag_tree,
@@ -221,6 +223,26 @@ class TestPartitions:
         assert all(sorted(set(p), reverse=True) == list(p) for p in parts)
         assert len(parts) == Q(10, 3)
 
+    def test_negative_part_count_lists_nothing(self):
+        # a negative k never reached the base case and recursed until
+        # RecursionError; it now lists nothing, as Q counts nothing
+        assert list(partitions_into_distinct_parts(3, -1)) == []
+        for n in range(-2, 12):
+            for k in range(-3, 0):
+                assert list(partitions_into_distinct_parts(n, k)) == [] and Q(n, k) == 0
+
+    def test_distinct_part_table(self, monkeypatch):
+        # the structural sphere reads DISTINCT_PARTS, each partition with its
+        # parts ascending, and lists no partition again once its row is there
+        structural_left_trees(19)
+        for m in range(20):
+            for r in range(m + 1):
+                want = [p[::-1] for p in partitions_into_distinct_parts(m, r)]
+                assert growth.DISTINCT_PARTS[m][r] == want and len(want) == Q(m, r)
+        listed = []
+        monkeypatch.setattr(growth, "partitions_into_distinct_parts", lambda *a: listed.append(a) or iter(()))
+        assert len(structural_left_trees(19)) == P(20) and listed == []
+
     def test_base_case_is_patchable(self, monkeypatch):
         # negative control: a corrupted base row must propagate to the rows
         # grown from it
@@ -274,7 +296,7 @@ class TestLeftSpheres:
         assert growth.PARTITION_BOUND >= 26
 
     def test_negative_sizes_rejected(self):
-        for fn in (structural_left_trees, growth.generic_left_trees, two_sided_sphere):
+        for fn in (structural_left_trees, growth.generic_left_trees, two_sided_sphere, two_sided_census):
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 fn(-1)
 
@@ -552,6 +574,18 @@ class TestRootedCores:
             trees = generic_left_trees(n)
             assert [(canonical_code(t), t) for t in trees] == _free_classes(n, False)
 
+    def test_census_is_streamed(self, monkeypatch):
+        # the census of the two-sided sphere, counted as the generator
+        # builds each tree, with no tree coded or made an element
+        spheres = [two_sided_sphere(n)[1] for n in range(9)]
+
+        def refused(*args):
+            raise AssertionError("the census coded a tree or built an element")
+
+        monkeypatch.setattr(growth, "canonical_code", refused)
+        monkeypatch.setattr(growth, "Element", refused)
+        assert [two_sided_census(n) for n in range(9)] == spheres
+
     def test_at_most_two_candidates_per_class(self, monkeypatch):
         # every is_retract_free call of a cold call, the tables' included
         calls = []
@@ -665,6 +699,16 @@ class TestGoldenOutput:
                 h.update(" ".join(words).encode())
         assert h.hexdigest() == "03567fa01f0e065406da510e098ab3805d9cb72a4982003bf1940d44722e40ca"
 
+    def test_structural_rows_digest(self):
+        # every (k, l, tree) row of the structural left sphere to 19 edges,
+        # the benchmark's largest, with each tree's vertex numbering
+        h = hashlib.sha256()
+        for n in range(20):
+            for k, l, t in _left_rows(n):
+                h.update(repr((n, k, l)).encode())
+                h.update(to_json(t).encode())
+        assert h.hexdigest() == "14b854c2c8e9224bcd71eccd2a054ee98519b8f098b5786baab3b1052367b41c"
+
 
 class TestSubsetSumIdentity:
     def test_subset_sum_identity_small(self):
@@ -687,14 +731,14 @@ class TestReport:
         assert rows[3]["two_sided_sphere"] == PUBLISHED_TABLE_S[3]
 
     def test_report_rejects_idempotent_count_below_bound(self, monkeypatch):
-        real = growth.two_sided_sphere
+        real = growth.two_sided_census
 
         def short(n):
-            els, census = real(n)
+            census = real(n)
             census.idempotent_count = 0
-            return els, census
+            return census
 
-        monkeypatch.setattr(growth, "two_sided_sphere", short)
+        monkeypatch.setattr(growth, "two_sided_census", short)
         with pytest.raises(RuntimeError, match="below the binomial bound at n=0"):
             growth.growth_report(2, two_sided_max=2)
 

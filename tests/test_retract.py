@@ -12,6 +12,7 @@ import pytest
 
 from adequa.growth import (
     ZIGZAG_BOUND,
+    _free_rows,
     _level_sequence_to_edges,
     oriented_trees,
     rooted_tree_level_sequences,
@@ -311,6 +312,41 @@ class TestRooting:
             list(_folds(t, _walk(t)))
             assert [trunk.parent, trunk.forward, trunk.label, trunk.order] == before
 
+    def test_children_are_consecutive_in_order(self):
+        # the pass counts kinds inside sibling runs, so every rooting it
+        # reads must list each vertex's children in one run: those of
+        # `validate`, of `_delete` (a folded retract), of `growth._build`
+        # (both sphere generators) and of `zigzag_tree`
+        def runs_hold(trunk):
+            done = set()  # the parents whose run has ended
+            run = None
+            for v in trunk.order[1:]:
+                p = trunk.parent[v]
+                if p != run:
+                    if p in done:
+                        return False
+                    done.add(run)
+                    run = p
+            return True
+
+        validated, deleted = [], []
+        for t in map(fresh, rooting_sample()):
+            r = retract(t)  # walks the fresh t, and roots a folded r by `_delete`
+            validated.append(t.rooting)
+            if r is not t:
+                deleted.append(r.rooting)
+        built = [t.rooting for n in range(9) for _, _, t in _free_rows(n, (0, 1))]
+        built += [t.rooting for n in range(11) for _, _, t in _free_rows(n, (0,))]
+        zigzags = [
+            zigzag_tree(z).rooting for n in range(1, 11) for z in itertools.product((False, True), repeat=n)
+        ]
+        for rootings in (validated, deleted, built, zigzags):
+            assert len(rootings) > 2000, len(rootings)
+            assert all(runs_hold(r) for r in rootings)
+        # the check sees a split run
+        split = TrunkInfo((0,), (), [0, 0, 1, 0], [False, True, True, True], ["", "a", "a", "a"], [0, 1, 2, 3])
+        assert not runs_hold(split)
+
     def test_generic_retract_builds_the_adjacency_once(self, monkeypatch, searches):
         import adequa.retract
         import adequa.trees
@@ -444,6 +480,69 @@ def searched_folds(t):
     return heads
 
 
+def all_kinds_pinned(trunk, level):
+    """`_pinned` as it was before it shared the pass's trunk set: each
+    extreme level builds its own stop map, seeded with the trunk."""
+    parent = trunk.parent
+    pinned = set()
+    for x in (max(level), min(level)):
+        if 0 <= x <= trunk.length:
+            continue
+        stop = dict.fromkeys(trunk.vertices)
+        i = v = level.index(x)
+        above = []
+        while v not in stop:
+            above.append(v)
+            v = parent[v]
+        stop.update(zip(above, range(len(above))))
+        lo = 0
+        for _ in range(level.count(x) - 1):
+            i = v = level.index(x, i + 1)
+            while v not in stop:
+                stop[v] = -1
+                v = parent[v]
+            if stop[v] is None:
+                lo = len(above)
+                break
+            lo = max(lo, stop[v])
+        pinned.update(above[lo:])
+    return pinned
+
+
+def all_kinds_folds(t, walked):
+    """The leaves-first pass as it was before it counted kinds only inside
+    sibling runs: a count for every child edge of every vertex, and
+    `all_kinds_pinned`.  The oracle of the pass's head sequence."""
+    trunk, adj = walked
+    parent, forward, label = trunk.parent, trunk.forward, trunk.label
+    level = [0] * len(parent)
+    count = {}
+    for v in trunk.order[1:]:
+        a, out = parent[v], forward[v]
+        level[v] = level[a] + 1 if out else level[a] - 1
+        key = (a, out, label[v])
+        count[key] = count.get(key, 0) + 1
+    on_trunk = set(trunk.vertices)
+    alive = [True] * len(parent)
+    pinned = None
+    for b in reversed(trunk.order):
+        if b in on_trunk:
+            continue
+        a, out, lab = key = (parent[b], forward[b], label[b])
+        if count[key] + (forward[a] != out and label[a] == lab) < 2:
+            continue
+        if pinned is None:
+            pinned = all_kinds_pinned(trunk, level)
+        if b in pinned:
+            continue
+        if adj is None:
+            adj = undirected_adjacency(t)
+        if hom_exists(adj, parent, alive, b):
+            alive[b] = False
+            count[key] -= 1
+            yield b
+
+
 def kind_sample():
     """Every tree of oriented_trees(n), n <= 6, with every end; 3000 seeded
     trees with two or three labels, mixed edge directions and scrambled
@@ -492,6 +591,22 @@ class TestKindFilter:
     def test_same_folds_as_searching_every_branch(self):
         for t in kind_sample():
             assert list(_folds(t, _walk(t))) == searched_folds(t), t
+
+    def test_same_heads_as_counting_every_kind(self):
+        # the pass counts kinds only inside sibling runs; the oracle counts
+        # every child edge, and both must delete the same heads in the
+        # same order on every sample, fresh or validated (both samples end
+        # with the benchmark's big trees)
+        zigzags = (
+            zigzag_tree(z) for n in range(1, 13) for z in itertools.product((False, True), repeat=n)
+        )
+        folded = 0
+        for t in itertools.chain(kind_sample(), derived_sample(), zigzags):
+            walked = _walk(t)
+            heads = list(_folds(t, walked))
+            assert heads == list(all_kinds_folds(t, walked)), t
+            folded += bool(heads)
+        assert folded > 20000
 
     def test_distinct_kinds_make_no_search(self, searches):
         # a directed a-path hanging off the start: one edge in and one out
@@ -551,7 +666,8 @@ class TestLevelFilter:
             trunk = validate(t)
             order = [v for v in trunk.order if v not in trunk.vertices]
             rooted = rooted_levels(trunk)
-            pinned = _pinned(trunk, rooted)
+            pinned = _pinned(trunk, rooted, set(trunk.vertices))
+            assert pinned == all_kinds_pinned(trunk, rooted), t
             assert not pinned.intersection(searched_folds(t)), t
             if t.vertices <= 15:
                 level = levels(t)
@@ -617,7 +733,7 @@ class TestLevelFilter:
         edges += [(d, x, "c"), (d, w, "c"), (u, w, "e")]
         t = XTree(d + k + 4, tuple(edges), 0, 0)
         trunk = validate(t)
-        assert _pinned(trunk, rooted_levels(trunk)) == set(range(1, d + 1))
+        assert _pinned(trunk, rooted_levels(trunk), set(trunk.vertices)) == set(range(1, d + 1))
         began = time.perf_counter()
         r = retract(t)
         assert time.perf_counter() - began < 1.0
