@@ -1,23 +1,31 @@
 """Arithmetic of free (left/right/two-sided) adequate monoid elements.
 
-Elements are stored as retract-free trees with a cached canonical code,
-so equality is code comparison.  Multiplication glues end-to-start and
-retracts; the unary operations relocate a root and retract.  A term is
-evaluated by building its unretracted tree and retracting once.  Every
-flavour shares one path: `retract` chooses its engine, and
-`canonical_code` codes the result.
+Elements are stored as retract-free trees whose canonical code is built
+the first time it is read, so equality is code comparison.
+Multiplication glues end-to-start and retracts; the unary operations
+relocate a root and retract.  A term is evaluated by building its
+unretracted tree and retracting once.  Every flavour shares one path:
+`retract` chooses its engine, and `canonical_code` codes the result when
+it is asked for.
+
+A tree is checked in full where it enters: `make_element`, `generator`
+and `Element` construction.  The trees built here from elements (a
+product, a term's raw tree, a moved start, a reversal) are glued from
+checked trees, so they take only the rooting walk, `trees._root`, whose
+adjacency the retraction reuses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import terms as terms_mod
-from .retract import retract
+from .retract import Walked, retract
 from .trees import (
     EPSILON,
     XTree,
+    _root,
     _with_end,
     canonical_code,
     generator_tree,
@@ -38,13 +46,34 @@ class FlavorError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
-    """A free adequate monoid element: retract-free tree plus its code."""
+    """A free adequate monoid element: a retract-free tree and its flavor.
+
+    `Element(tree, code, flavor)` validates the tree, which returns at
+    once for a tree whose rooting is stored, as every tree the package
+    builds has.  `code` is the tree's canonical code when the caller has
+    it, else None: the code is then built the first time `code`, `==` or
+    `hash` reads it, and kept.
+    """
 
     tree: XTree
-    code: bytes
     flavor: Flavor
+    _code: bytes | None = field(repr=False)
+
+    def __init__(self, tree: XTree, code: bytes | None, flavor: Flavor):
+        validate(tree)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "_code", code)
+
+    @property
+    def code(self) -> bytes:
+        code = self._code
+        if code is None:
+            code = canonical_code(self.tree)
+            object.__setattr__(self, "_code", code)
+        return code
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -65,19 +94,22 @@ class Element:
         return validate(self.tree).length
 
 
-def make_element(tree: XTree, flavor: Flavor) -> Element:
-    """Retract eagerly, check the flavor's tree-shape invariant, and code.
+def make_element(tree: XTree, flavor: Flavor, walked: Walked | None = None) -> Element:
+    """Retract eagerly and check the flavor's tree-shape invariant; the
+    element's code is built when it is first read.
 
-    `retract` validates the input and picks its engine.  A left (right)
-    element must then reach every vertex from its start along the edges
-    (from its end against them).  `canonical_code` gives the code.
+    `retract` picks its engine.  Without `walked` it validates the input
+    in full; the builders of this module pass the rooting walk
+    (`trees._root`) of a tree they glued from checked trees instead.  A
+    left (right) element must then reach every vertex from its start
+    along the edges (from its end against them).
     """
-    tree = retract(tree)
+    tree = retract(tree, walked)
     if flavor is Flavor.LEFT and not is_left(tree):
         raise FlavorError("tree is not a left tree")
     if flavor is Flavor.RIGHT and not is_right(tree):
         raise FlavorError("tree is not a right tree")
-    return Element(tree, canonical_code(tree), flavor)
+    return Element(tree, None, flavor)
 
 
 _IDENTITIES: dict[Flavor, Element] = {}
@@ -114,7 +146,8 @@ def glue(s: XTree, t: XTree) -> XTree:
 def multiply(s: Element, t: Element) -> Element:
     if s.flavor is not t.flavor:
         raise FlavorError("flavor mismatch: %s vs %s" % (s.flavor, t.flavor))
-    return make_element(glue(s.tree, t.tree), s.flavor)
+    glued = glue(s.tree, t.tree)
+    return make_element(glued, s.flavor, _root(glued))
 
 
 def plus_op(t: Element) -> Element:
@@ -134,7 +167,7 @@ def star_op(t: Element) -> Element:
     if t.flavor is Flavor.LEFT:
         raise FlavorError("star is not in the left-adequate signature")
     moved = XTree(t.tree.vertices, t.tree.edges, t.tree.end, t.tree.end)
-    return make_element(moved, t.flavor)
+    return make_element(moved, t.flavor, _root(moved))
 
 
 _DUAL = {Flavor.LEFT: Flavor.RIGHT, Flavor.RIGHT: Flavor.LEFT, Flavor.TWO_SIDED: Flavor.TWO_SIDED}
@@ -142,7 +175,8 @@ _DUAL = {Flavor.LEFT: Flavor.RIGHT, Flavor.RIGHT: Flavor.LEFT, Flavor.TWO_SIDED:
 
 def reverse_element(t: Element) -> Element:
     """The anti-isomorphism image: flip all edges, swap roots, swap flavor."""
-    return make_element(reverse_tree(t.tree), _DUAL[t.flavor])
+    flipped = reverse_tree(t.tree)
+    return make_element(flipped, _DUAL[t.flavor], _root(flipped))
 
 
 _END = object()  # on eval_term's stack: (_END, v, star) ends a ^+ or ^* begun at v
@@ -207,4 +241,5 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
         index = {v: i for i, v in enumerate(sorted(set(rep)))}
         edges = [(index[rep[a]], index[rep[b]], lab) for a, b, lab in edges]
         n, cur = len(index), index[rep[cur]]
-    return make_element(XTree(n, edges, 0, cur), flavor)
+    raw = XTree(n, edges, 0, cur)
+    return make_element(raw, flavor, _root(raw))

@@ -36,6 +36,7 @@ from .terms import letters_of, parse_term, term_to_str
 from .trees import from_json, to_dot, to_json
 
 FLAVORS = {"flad": Flavor.LEFT, "frad": Flavor.RIGHT, "fad": Flavor.TWO_SIDED}
+STDIN_HELP = "a term, or - to read it from stdin"
 
 
 def _emit(obj) -> None:
@@ -62,6 +63,15 @@ def _witness_obj(witness) -> dict | None:
     return {x: _tree_obj(e.tree) for x, e in sorted(witness.items())}
 
 
+def _terms(*texts: str) -> list[str]:
+    """The term arguments, each "-" replaced by stdin's text, for a term
+    longer than the 128 KB the kernel allows one argument.  stdin is read
+    once, so at most one term may be "-"."""
+    if texts.count("-") > 1:
+        raise ValueError("only one term may be read from stdin")
+    return [sys.stdin.read() if text == "-" else text for text in texts]
+
+
 def _eval_in_flavor(term_text: str, flavor: Flavor, assigns: list[str]) -> Element:
     base: dict[str, Element] = {}
     for spec in assigns:
@@ -84,7 +94,8 @@ def _eval_in_flavor(term_text: str, flavor: Flavor, assigns: list[str]) -> Eleme
 
 def _cmd_eval(args) -> int:
     flavor = FLAVORS[args.flavor]
-    el = _eval_in_flavor(args.term, flavor, args.assign)
+    (term,) = _terms(args.term)
+    el = _eval_in_flavor(term, flavor, args.assign)
     if args.format == "dot":
         print(to_dot(el.tree))
     else:
@@ -94,8 +105,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_equal(args) -> int:
     flavor = FLAVORS[args.flavor]
-    a = _eval_in_flavor(args.lhs, flavor, [])
-    b = _eval_in_flavor(args.rhs, flavor, [])
+    lhs, rhs = _terms(args.lhs, args.rhs)
+    a = _eval_in_flavor(lhs, flavor, [])
+    b = _eval_in_flavor(rhs, flavor, [])
     equal = a.code == b.code
     _emit({"equal": equal, "flavor": args.flavor})
     return 0 if equal else 1
@@ -200,7 +212,7 @@ def _cmd_zigzag(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    spec = IdentitySpec.parse(args.lhs, args.rhs)
+    spec = IdentitySpec.parse(*_terms(args.lhs, args.rhs))
     plain = args.plain
     if args.monoid == "fad1":
         res = check_fad1_plain(spec)
@@ -289,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--flavor", choices=sorted(FLAVORS), required=True)
     q.add_argument("--assign", action="append", default=[], metavar="x=TERM")
     q.add_argument("--format", choices=["json", "dot"], default="json")
-    q.add_argument("term")
+    q.add_argument("term", help=STDIN_HELP)
     q.set_defaults(fn=_cmd_eval)
 
     q = sub.add_parser("equal", help="decide equality of two terms")
     q.add_argument("--flavor", choices=sorted(FLAVORS), required=True)
-    q.add_argument("lhs")
-    q.add_argument("rhs")
+    q.add_argument("lhs", help=STDIN_HELP)
+    q.add_argument("rhs", help=STDIN_HELP)
     q.set_defaults(fn=_cmd_equal)
 
     q = sub.add_parser("retract", help="retract a tree given as JSON")
@@ -333,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = q.add_mutually_exclusive_group()
     g.add_argument("--enriched", action="store_true")
     g.add_argument("--plain", action="store_true")
-    q.add_argument("lhs")
-    q.add_argument("rhs")
+    q.add_argument("lhs", help=STDIN_HELP)
+    q.add_argument("rhs", help=STDIN_HELP)
     q.set_defaults(fn=_cmd_identity)
 
     q = sub.add_parser("falsify", help="search for a substitution separating two terms")

@@ -325,14 +325,16 @@ def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
     return kept
 
 
-def retract(t: XTree) -> XTree:
+def retract(t: XTree, walked: Walked | None = None) -> XTree:
     """The retract-free retract; independent of deletion order.
 
     A monogenic left tree is retracted by the height rule of
     `_left_monogenic_kept`; any other tree by the leaves-first pass.
-    Either way a tree not yet validated is walked once.
+    `walked` is the rooting walk the package's own builders take
+    (`trees._root`); without it, a tree not yet validated is checked and
+    walked once by `_walk`.
     """
-    walked = _walk(t)
+    walked = walked or _walk(t)
     trunk = walked[0]
     kept = _left_monogenic_kept(t, trunk)
     if kept is not None:

@@ -295,6 +295,14 @@ def to_nonnested(t: Term) -> NonNestedWord:
     return NonNestedWord(tuple(lists[0]))
 
 
+# The paper's definition of suff and of the P/Q/R sets, as written there:
+# `AtomNotInSupport`, `suff`, `prefix_through_last` and `pqr_sets`.  The
+# identity checker reads count vectors instead and calls none of them;
+# they are kept here as the reference oracle that the tests hold
+# `identities.check_enriched_flad1` to, and the benchmark's tracer names
+# `pqr_sets` as a layer.
+
+
 class AtomNotInSupport(ValueError):
     pass
 

@@ -23,9 +23,9 @@ class XTree:
 
     Vertices are 0..vertices-1; edges are (src, dst, label) triples.
     Edge order is normalised (sorted) so structurally equal trees with
-    the same indexing compare equal.  `rooting` is set by `validate` or
-    `_rooted_tree`; it is not part of the tree's value, so `==`, `hash` and
-    `repr` ignore it.
+    the same indexing compare equal.  `rooting` is set by `validate`,
+    `_root` or `_rooted_tree`; it is not part of the tree's value, so
+    `==`, `hash` and `repr` ignore it.
     """
 
     vertices: int
@@ -100,11 +100,19 @@ def validate(t: XTree) -> TrunkInfo:
 
     Raises InvalidTreeError("not a tree") on disconnection, bad counts or
     out-of-range indices, and InvalidTreeError("no trunk") when there is
-    no directed start-to-end path.  A success is stored in the tree's
-    `rooting`, which later calls return without checking again; a
-    failure is not stored, so an invalid tree raises on every call.
-    `_rooted_tree` is the one other writer of `rooting`.  Labels may not
-    contain the bytes that delimit them in `canonical_code` or `to_dot`.
+    no directed start-to-end path.  Labels may not be empty or contain
+    the bytes that delimit them in `canonical_code` or `to_dot`.  A
+    success is stored in the tree's `rooting`, which later calls return
+    without checking again; a failure is not stored, so an invalid tree
+    raises on every call.
+
+    A tree is checked in full where it enters the package: here, and so
+    in `from_json`, `canonical_code`, `retract`, `is_retract_free`,
+    `algebra.make_element`, `algebra.generator` and the construction of
+    an `algebra.Element`.  The trees the package builds from checked ones
+    (a product, a term's raw tree, a moved root, a reversal) take only
+    the rooting walk, `_root`, and `_rooted_tree`'s callers derive their
+    rooting without one.
     """
     if t.rooting is not None:
         return t.rooting
@@ -112,11 +120,19 @@ def validate(t: XTree) -> TrunkInfo:
 
 
 def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]] | None]:
-    """The rooting with the adjacency this call's walk built, for a caller
-    that needs both: `validate`'s checks and walk, storing the rooting,
-    when it is not known yet, and (rooting, None) when it is."""
+    """`validate`'s checks and walk, for a caller that also wants the
+    adjacency the walk built: (rooting, adjacency) when the rooting is not
+    known yet, and (rooting, None) when it is."""
     if t.rooting is not None:
         return t.rooting, None
+    _check_edges(t)
+    return _root(t)
+
+
+def _check_edges(t: XTree) -> None:
+    """The checks of `validate` that read the counts and the edge list:
+    at least one vertex, roots and endpoints in range, n - 1 edges, and
+    labels that are non-empty strings without a `_RESERVED` byte."""
     n = t.vertices
     if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")
@@ -134,8 +150,18 @@ def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]] | None
         if not _RESERVED.isdisjoint(lab):
             raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
 
+
+def _root(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]]]:
+    """The rooting walk of `validate`, without `_check_edges`: breadth
+    first from the start, the connectivity check and `_trunk`.  Stores the
+    rooting on t and returns it with the adjacency the walk built.
+
+    Called alone only on a tree the package glued, moved or reversed
+    from checked trees, whose counts, ranges and labels hold by
+    construction; the errors it raises are still those of `validate`."""
     # BFS from the start; each vertex records its parent and the direction
     # and label of the edge it was reached by.
+    n = t.vertices
     adj = undirected_adjacency(t)
     parent = [-1] * n
     forward = [False] * n

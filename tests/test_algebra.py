@@ -1,5 +1,7 @@
 """Monoid operations: multiplication, unary ops, flavor gating, axioms."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -22,7 +24,17 @@ from adequa.algebra import (
 )
 from adequa.identities import random_monogenic_element
 from adequa.terms import Identity, Letter, Plus, Product, Star, _fold, parse_term
-from adequa.trees import XTree, canonical_code, theta
+from adequa.retract import is_retract_free, retract
+from adequa.trees import (
+    InvalidTreeError,
+    TrunkInfo,
+    XTree,
+    canonical_code,
+    from_json,
+    theta,
+    undirected_adjacency,
+    validate,
+)
 
 
 def a_power(n: int, flavor=Flavor.LEFT) -> Element:
@@ -362,3 +374,146 @@ class TestEvalMatchesFold:
         assert eval_term(t, assignment, flavor).code == fold_eval(t, assignment, flavor).code
         bare = parse_term("(" * 3000 + "xy" + (")^" + "+*"[ops[-1] is Star]) * 3000)
         assert eval_term(bare, assignment, flavor).code == fold_eval(bare, assignment, flavor).code
+
+
+# each byte `canonical_code` or `to_dot` reads as a delimiter, and the empty label
+BAD_LABELS = ["a" + byte for byte in '()<>"\\'] + [""]
+
+
+def bad_tree(label):
+    return XTree(3, ((0, 1, "a"), (0, 2, label)), 0, 1)
+
+
+class TestEntryChecks:
+    """A tree is checked in full where it enters the package, on every
+    call, whatever the package has built meanwhile."""
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_every_entry_point_rejects_a_bad_label(self, label):
+        t = bad_tree(label)
+        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in t.edges]})
+        for flavor in Flavor:
+            entries = [
+                (retract, t),
+                (is_retract_free, t),
+                (canonical_code, t),
+                (from_json, text),
+                (generator, label, flavor),
+                (make_element, t, flavor),
+                (Element, t, None, flavor),
+                (Element, t, b"(E)", flavor),
+            ]
+            for _ in range(2):
+                for fn, *args in entries:
+                    with pytest.raises(InvalidTreeError):
+                        fn(*args)
+                # an operation in between stores rootings on its own trees only
+                multiply(generator("a", flavor), generator("b", flavor))
+        assert t.rooting is None
+
+
+def built_cases(rng):
+    """(builder, arguments) pairs for the builders of this module, the
+    operands drawn from random_monogenic_element times a generator,
+    cycling through products, term evaluations with ^+ and ^*, star_op
+    and reverse_element, in every flavor that admits the operation."""
+    flavors = list(Flavor)
+    i = 0
+    while True:
+        flavor = flavors[i % 3]
+        gens = {x: generator(label, flavor) for x, label in zip("xyz", "abc")}
+        pick = lambda: multiply(random_monogenic_element(rng, flavor, 6), rng.choice(list(gens.values())))
+        kind = i // 3 % 4
+        if kind == 0:
+            yield multiply, (pick(), pick())
+        elif kind == 1:
+            if flavor is Flavor.TWO_SIDED:
+                words = ["x", "y", "(xz)^+", "(yx)^*", "(z(xy)^+)^*"]
+                text = "".join(rng.choice(words) for _ in range(5))
+            else:
+                text = ("(%s)^+" if flavor is Flavor.LEFT else "(%s)^*") % rng.choice("xyz") + "xy"
+            yield eval_term, (parse_term(text), gens, flavor)
+        elif kind == 2 and flavor is not Flavor.LEFT:
+            yield star_op, (pick(),)
+        else:
+            yield reverse_element, (pick(),)
+        i += 1
+
+
+class TestBuiltRootings:
+    def test_the_rooting_walk_equals_validate(self, monkeypatch):
+        # the trees the builders glue take only the rooting walk; its
+        # rooting and the adjacency handed to the retraction are those a
+        # full check of a fresh copy finds
+        from adequa import algebra
+
+        built = []
+        real = algebra.retract
+
+        def spy(t, walked=None):
+            if walked is not None:
+                built.append((t, walked))
+            return real(t, walked)
+
+        monkeypatch.setattr(algebra, "retract", spy)
+        cases = built_cases(random.Random(41))
+        seen = set()
+        for _ in range(2000):
+            fn, args = next(cases)
+            built.clear()
+            fn(*args)
+            (t, (rooting, adj)), = built
+            seen.add(fn.__name__)
+            want = validate(XTree(t.vertices, t.edges, t.start, t.end))
+            assert t.rooting is rooting
+            for f in dataclasses.fields(TrunkInfo):
+                assert getattr(rooting, f.name) == getattr(want, f.name), (f.name, t)
+            assert adj == undirected_adjacency(t)
+        assert seen == {"multiply", "eval_term", "star_op", "reverse_element"}
+
+
+class TestLazyCodes:
+    def test_operations_code_nothing_and_reads_code_once(self, monkeypatch):
+        from adequa import algebra, trees
+
+        calls = []
+        real = trees.canonical_code
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        cases = built_cases(random.Random(43))
+        rng = random.Random(47)
+        ops = []
+        for i in range(300):
+            if i % 5 == 0:
+                s = random_monogenic_element(rng, list(Flavor)[i % 3], 6)
+                ops.append((star_op if s.flavor is Flavor.RIGHT else plus_op, (s,)))
+            else:
+                ops.append(next(cases))
+        assert {fn for fn, _ in ops} == {multiply, plus_op, star_op, eval_term, reverse_element}
+        for module in (algebra, trees):
+            monkeypatch.setattr(module, "canonical_code", counted)
+        results = [fn(*args) for fn, args in ops]
+        assert calls == []
+        for e in results:
+            before = len(calls)
+            code = e.code
+            assert e.code is code and e == e and hash(e) == hash(e)
+            assert e == Element(e.tree, code, e.flavor)
+            assert len(calls) - before <= 1
+        # == and hash code an element the first time, and only then
+        for e in results[:50]:
+            f, g = multiply(e, e), multiply(e, e)
+            before = len(calls)
+            assert f == g and hash(f) == hash(g) and f == g
+            assert len(calls) - before == 2
+
+    def test_equality_semantics_kept(self):
+        a = generator("a", Flavor.LEFT)
+        twin = Element(a.tree, None, Flavor.LEFT)
+        assert twin == a and hash(twin) == hash(a) and twin.code == a.code
+        with pytest.raises(FlavorError):
+            twin == Element(a.tree, None, Flavor.TWO_SIDED)
+        assert {twin, a} == {a}

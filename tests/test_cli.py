@@ -3,15 +3,19 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from adequa.cli import main
+from adequa.algebra import Flavor, eval_term, generator
+from adequa.cli import _element_obj, main
 from adequa.growth import generic_left_trees
+from adequa.terms import parse_term
 from adequa.trees import canonical_code, from_json, generator_tree, to_json
 
+from .test_algebra import BAD_LABELS, bad_tree
 from .test_trees import run_capped
 
 
@@ -126,6 +130,14 @@ class TestRetract:
         code, out, err = run(capsys, "retract", "--json", text, "--format", "dot")
         assert code == 2 and out == ""
         assert "bad edge label" in err
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_bad_label_rejected(self, capsys, label):
+        t = bad_tree(label)
+        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in t.edges]})
+        for _ in range(2):
+            code, out, err = run(capsys, "retract", "--json", text)
+            assert code == 2 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("edge", ["[false,true,\"a\"]", "[0,true,\"a\"]", "[true,1,\"a\"]"])
     def test_boolean_endpoint_rejected(self, capsys, edge):
@@ -308,6 +320,49 @@ class TestLongTerms:
         assert json.loads(out)["witness"] is None
 
 
+def run_with_stdin(text, *argv):
+    """Run the CLI in a fresh interpreter with text on stdin."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "adequa.cli", *argv],
+        input=text.encode(), capture_output=True, env=env, timeout=120,
+    )
+
+
+class TestStdin:
+    """A term given as "-" is read from stdin, past the 128 KB the kernel
+    allows one argument."""
+
+    def test_long_word(self):
+        word = "".join(random.Random(20000).choice("xy") for _ in range(20000))
+        proc = run_with_stdin(word + "\n", "eval", "--flavor", "fad", "-")
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        gens = {x: generator(x, Flavor.TWO_SIDED) for x in "xy"}
+        el = eval_term(parse_term(word), gens, Flavor.TWO_SIDED)
+        want = json.dumps(_element_obj(el), sort_keys=True, separators=(",", ":")) + "\n"
+        assert proc.stdout.decode() == want
+        assert el.trunk_length == 20000
+
+    @pytest.mark.parametrize("argv, terms", [
+        (("eval", "--flavor", "fad"), ["(xy)^+(yx)^*x"]),
+        (("equal", "--flavor", "flad"), ["x^+x", "x"]),
+        (("equal", "--flavor", "frad"), ["xy", "yx"]),
+        (("identity", "--monoid", "fad1"), ["xy", "yx"]),
+        (("identity", "--monoid", "flad1", "--enriched"), ["x^+^+(xy)^+y", "y"]),
+    ], ids=["eval", "equal", "equal-false", "identity-fad1", "identity-flad1"])
+    def test_same_output_both_ways(self, capsys, argv, terms):
+        code, out, _ = run(capsys, *argv, *terms)
+        for i, term in enumerate(terms):
+            args = terms[:i] + ["-"] + terms[i + 1:]
+            proc = run_with_stdin(term, *argv, *args)
+            assert (proc.returncode, proc.stdout.decode().strip()) == (code, out)
+
+    def test_one_term_from_stdin(self):
+        proc = run_with_stdin("x", "equal", "--flavor", "flad", "-", "-")
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert b"only one term may be read from stdin" in proc.stderr
+
+
 class TestPlumbing:
     def test_usage_error(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
@@ -457,6 +512,33 @@ class TestByteDeterminism:
         assert first.returncode in (0, 1), first.stderr
         assert first.stdout and first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+    # eval and equal over every flavor, --assign and dot output; the
+    # digest of their stdout, exit codes between, was taken when every
+    # element was coded as it was made
+    CODED_CALLS = [
+        ("eval", "--flavor", "flad", "x^+y(xy)^+x"),
+        ("eval", "--flavor", "frad", "(xy)^*yx^*"),
+        ("eval", "--flavor", "fad", "(xy)^+(yx)^*x"),
+        ("eval", "--flavor", "fad", "--assign", "x=(ab)^*a", "x^+yx"),
+        ("eval", "--flavor", "fad", "--format", "dot", "(x^*y)^+z"),
+        ("eval", "--flavor", "flad", "1"),
+        ("equal", "--flavor", "flad", "x^+x", "x"),
+        ("equal", "--flavor", "frad", "xx^*", "x"),
+        ("equal", "--flavor", "fad", "(xy)^+", "(yx)^+"),
+        ("equal", "--flavor", "fad", "x^+y^+", "y^+x^+"),
+    ]
+    CODED_DIGEST = "15864a17fefd8f662e2166b19bcbde1156de34db688496d9afc29a6b7349ea0e"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eval_and_equal_digest(self, seed):
+        script = "from adequa.cli import main\nfor argv in %r:\n    print(main(list(argv)))" % (
+            self.CODED_CALLS,
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.CODED_DIGEST
 
     def test_identity_reports_the_first_failing_block(self):
         # u's plus blocks are tried in atom order: x before xy
