@@ -26,6 +26,7 @@ from .trees import (
     EPSILON,
     XTree,
     _root,
+    _sorted_tree,
     _with_end,
     canonical_code,
     generator_tree,
@@ -166,7 +167,7 @@ def star_op(t: Element) -> Element:
     """
     if t.flavor is Flavor.LEFT:
         raise FlavorError("star is not in the left-adequate signature")
-    moved = XTree(t.tree.vertices, t.tree.edges, t.tree.end, t.tree.end)
+    moved = _sorted_tree(t.tree.vertices, t.tree.edges, t.tree.end, t.tree.end)
     return make_element(moved, t.flavor, _root(moved))
 
 
@@ -210,10 +211,17 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
             if e.flavor is not flavor:
                 raise FlavorError("assignment flavor mismatch for %s" % node.name)
             s = e.tree.start
-            at = [cur if v == s else n + v - (v > s) for v in range(e.tree.vertices)]
-            edges += [(at[a], at[b], lab) for a, b, lab in e.tree.edges]
-            cur = at[e.tree.end]
-            n += e.tree.vertices - 1
+            if e.tree.vertices == 2:  # one edge, as a generator's: its other end is n
+                (a, _, lab), = e.tree.edges
+                edges.append((cur, n, lab) if a == s else (n, cur, lab))
+                if e.tree.end != s:
+                    cur = n
+                n += 1
+            else:
+                at = [cur if v == s else n + v - (v > s) for v in range(e.tree.vertices)]
+                edges += [(at[a], at[b], lab) for a, b, lab in e.tree.edges]
+                cur = at[e.tree.end]
+                n += e.tree.vertices - 1
         elif kind is terms_mod.Plus:
             if flavor is Flavor.RIGHT:
                 raise FlavorError("plus operator not valid for the right flavor")

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .algebra import Element, Flavor
 from .retract import is_retract_free
-from .trees import XTree, _rooted_tree, _with_end, canonical_code, validate
+from .trees import XTree, _rooted_tree, _sorted_tree, _with_end, canonical_code, validate
 
 GENERIC_LEFT_BOUND = 12
 LEFT_SPHERE_BOUND = 30
@@ -156,7 +156,8 @@ def _left_rows(n: int):
     `DISTINCT_PARTS`.  The first branch hangs off trunk vertex
     l = k - max(Y), and l is None when Y is empty.  Trunk vertices are
     0..k, start 0 and end k; the branches follow, by ascending distance,
-    each a path numbered away from its trunk vertex.
+    each a path numbered away from its trunk vertex.  Each edge list is
+    sorted once, and the tree carries no rooting.
     """
     _check_size(n, LEFT_SPHERE_BOUND, "left sphere")
     while len(DISTINCT_PARTS) <= n:
@@ -184,7 +185,8 @@ def _left_rows(n: int):
                         edges.append((k - y, nv, "a"))
                         edges += chain[nv:nv + y + excess - 1]
                         nv += y + excess
-                    yield k, l, XTree(nv, edges, 0, k)
+                    edges.sort()
+                    yield k, l, _sorted_tree(nv, tuple(edges), 0, k)
 
 
 def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
@@ -336,7 +338,8 @@ def _build(shape, pattern: int, end: int) -> XTree:
     """The a-tree started at vertex 0 and numbered by its level sequence,
     with the rooting `validate` would find: breadth-first, each vertex's
     children whose edge leaves it ascending, then those whose edge enters
-    it, which is the order of their sorted edges."""
+    it, which is the order of their sorted edges.  The edges are made in
+    vertex order and sorted once."""
     n = len(shape)
     parent, forward = [0] * n, [False] * n
     edges = []
@@ -354,11 +357,12 @@ def _build(shape, pattern: int, end: int) -> XTree:
             forward[v] = True
             edges.append((p, v, "a"))
             away[p].append(v)
+    edges.sort()
     order = [0]
     for v in order:
         order += away[v]
         order += into[v]
-    return _rooted_tree(n, edges, 0, end, parent, forward, [""] + ["a"] * (n - 1), order)
+    return _rooted_tree(n, tuple(edges), 0, end, parent, forward, [""] + ["a"] * (n - 1), order)
 
 
 def _birooted(bundles) -> XTree:
@@ -535,11 +539,12 @@ def zigzag_tree(z: tuple[bool, ...]) -> XTree:
     a-tree whose i-th path edge, counted from the common start/end
     extremity, points away from the start when z[i] is True.  The
     height of z is sum(z).  The path is built rooted at its start:
-    vertex i + 1 hangs off vertex i, in breadth-first order."""
+    vertex i + 1 hangs off vertex i, in breadth-first order.  The i-th
+    edge joins vertices i and i + 1, so the edges come in sorted order."""
     n = len(z) + 1
     edges = [(i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z)]
     parent, forward = [0, *range(n - 1)], [False, *map(bool, z)]
-    return _rooted_tree(n, edges, 0, 0, parent, forward, [""] + ["a"] * len(z), list(range(n)))
+    return _rooted_tree(n, tuple(edges), 0, 0, parent, forward, [""] + ["a"] * len(z), list(range(n)))
 
 
 def p_zigzag(n: int, i: int) -> tuple[bool, ...]:

@@ -25,7 +25,8 @@ class XTree:
     Edge order is normalised (sorted) so structurally equal trees with
     the same indexing compare equal.  `rooting` is set by `validate`,
     `_root` or `_rooted_tree`; it is not part of the tree's value, so
-    `==`, `hash` and `repr` ignore it.
+    `==`, `hash` and `repr` ignore it.  The package's own builders make
+    their trees through `_sorted_tree`, which skips the sort.
     """
 
     vertices: int
@@ -44,7 +45,7 @@ class XTree:
         return len(self.edges)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TrunkInfo:
     """The unique directed start-to-end path of a valid tree, with the
     rooting at the start that found it.
@@ -58,7 +59,9 @@ class TrunkInfo:
     only.  Every builder of a rooting (`validate`, `_rooted_tree`'s
     callers) keeps that order.  It is computed once per tree object and
     kept on it, so the lists are shared by every reader and must not be
-    changed.
+    changed.  It is not frozen only because one is built with nearly
+    every tree and a frozen dataclass's `__init__` costs several times
+    as much; no reader assigns to it.
     """
 
     vertices: tuple[int, ...]
@@ -71,6 +74,30 @@ class TrunkInfo:
     @property
     def length(self) -> int:
         return len(self.edges)
+
+
+_new = object.__new__
+_set_vertices, _set_edges, _set_start, _set_end, _set_rooting = (
+    getattr(XTree, name).__set__ for name in ("vertices", "edges", "start", "end", "rooting")
+)
+
+
+def _sorted_tree(
+    vertices: int, edges: tuple[tuple[int, int, str], ...], start: int, end: int,
+    rooting: TrunkInfo | None = None,
+) -> XTree:
+    """`XTree(vertices, edges, start, end)` with `rooting` stored, for a
+    builder of the package whose `edges` are a tuple of (src, dst, label)
+    tuples already in sorted order, which is taken on trust: the fields
+    are set directly, without `__init__`'s sort.  Equal to the public
+    constructor's tree, so `==` and `hash` agree with it."""
+    t = _new(XTree)
+    _set_vertices(t, vertices)
+    _set_edges(t, edges)
+    _set_start(t, start)
+    _set_end(t, end)
+    _set_rooting(t, rooting)
+    return t
 
 
 EPSILON = XTree(1, (), 0, 0)
@@ -145,7 +172,9 @@ def _check_edges(t: XTree) -> None:
     for src, dst, lab in t.edges:
         if not (0 <= src < n and 0 <= dst < n):
             raise InvalidTreeError("not a tree: edge endpoint out of range")
-        if not (isinstance(lab, str) and lab):
+        if not isinstance(lab, str):
+            raise InvalidTreeError("not a tree: edge label %r is not a string" % (lab,))
+        if not lab:
             raise InvalidTreeError("not a tree: empty edge label")
         if not _RESERVED.isdisjoint(lab):
             raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
@@ -202,12 +231,11 @@ def _rooted_tree(
     vertices: int, edges, start: int, end: int,
     parent: list[int], forward: list[bool], label: list[str], order: list[int],
 ) -> XTree:
-    """The tree with the rooting at the start its builder already knows:
-    the arrays must be the ones `validate` would compute, which is taken
-    on trust.  The trunk and its errors are `_trunk`'s."""
-    t = XTree(vertices, edges, start, end)
-    object.__setattr__(t, "rooting", _trunk(start, end, parent, forward, label, order))
-    return t
+    """The tree with the rooting at the start its builder already knows,
+    through `_sorted_tree`: `edges` must be a tuple in sorted order and
+    the arrays the ones `validate` would compute, both taken on trust.
+    The trunk and its errors are `_trunk`'s."""
+    return _sorted_tree(vertices, edges, start, end, _trunk(start, end, parent, forward, label, order))
 
 
 def _with_end(t: XTree, end: int) -> XTree:

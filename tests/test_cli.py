@@ -146,6 +146,13 @@ class TestRetract:
         assert code == 2 and out == ""
         assert "malformed JSON at $.edges[0]" in err
 
+    @pytest.mark.parametrize("label", ["5", "null", "[\"a\"]"])
+    def test_non_string_label_rejected(self, capsys, label):
+        text = '{"vertices":2,"start":0,"end":1,"edges":[[0,1,%s]]}' % label
+        code, out, err = run(capsys, "retract", "--json", text)
+        assert code == 2 and out == ""
+        assert "malformed JSON at $.edges[0]" in err
+
 
 class TestEnumeration:
     def test_sphere_count_only(self, capsys):

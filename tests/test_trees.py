@@ -1,10 +1,13 @@
 """Birooted tree structure, validation, canonical codes, serialization."""
 
+import collections
+import dataclasses
 import gc
 import itertools
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -12,12 +15,23 @@ import weakref
 
 import pytest
 
+import adequa.algebra
+import adequa.growth
 import adequa.trees
-from adequa.algebra import Flavor, make_element
-from adequa.growth import oriented_trees
+from adequa.algebra import Flavor, generator, make_element, multiply, plus_op, star_op
+from adequa.growth import (
+    generic_left_trees,
+    oriented_trees,
+    structural_left_trees,
+    two_sided_sphere,
+    zigzag_census,
+    zigzag_tree,
+)
+from adequa.retract import retract
 from adequa.trees import (
     EPSILON,
     InvalidTreeError,
+    TrunkInfo,
     XTree,
     _with_end,
     canonical_code,
@@ -113,6 +127,16 @@ class TestValidation:
         with pytest.raises(InvalidTreeError, match="bad edge label"):
             validate(t)
 
+    @pytest.mark.parametrize("label", [5, None, b"a", ("a",)])
+    def test_non_string_label_is_named(self, label):
+        # a non-string label was once reported as an empty one
+        t = XTree(2, ((0, 1, label),), 0, 1)
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError, match="edge label %s is not a string" % re.escape(repr(label))):
+                validate(t)
+        with pytest.raises(InvalidTreeError, match="empty edge label"):
+            validate(XTree(2, ((0, 1, ""),), 0, 1))
+
     def test_labels_cannot_forge_a_code(self):
         # "a()>b" once wrote the same code bytes as two sibling edges a, b
         pair = XTree(3, ((0, 1, "a"), (0, 2, "b")), 0, 0)
@@ -197,6 +221,70 @@ class TestValidation:
             assert info.vertices[-1] == t.end
             for (a, b, _), nxt in zip(info.edges, info.vertices[1:]):
                 assert b == nxt
+
+
+def recorded_builds(monkeypatch) -> list[tuple[str, XTree]]:
+    """Every tree `trees._sorted_tree` makes from here on, as (builder,
+    tree): the builder is the function that called it, or that called
+    `_rooted_tree`."""
+    built = []
+    make = adequa.trees._sorted_tree
+
+    def recording(*args):
+        t = make(*args)
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_rooted_tree":
+            caller = sys._getframe(2).f_code.co_name
+        built.append((caller, t))
+        return t
+
+    for module in (adequa.trees, adequa.growth, adequa.algebra):
+        monkeypatch.setattr(module, "_sorted_tree", recording)
+    return built
+
+
+class TestBuilderContract:
+    """The package's own builders make their trees without the public
+    constructor's sort, on the promise that their edges come sorted; a
+    tree so built must be the public constructor's tree, and a rooting
+    handed with it the one `validate` finds."""
+
+    def test_every_builder_keeps_the_contract(self, monkeypatch):
+        built = recorded_builds(monkeypatch)
+        for n in range(1, 14):
+            for row in zigzag_census(n).values():
+                for z in row["members"]:
+                    zigzag_tree(z)
+        for n in range(13):
+            structural_left_trees(n)
+        for n in range(10):
+            generic_left_trees(n)
+        for n in range(7):
+            two_sided_sphere(n)
+        for t in itertools.islice(oriented_trees(6), 0, None, 7):  # _with_end
+            retract(t)  # _delete
+        rng = random.Random(5)
+        gens = [generator(lab, Flavor.TWO_SIDED) for lab in "ab"]
+        for _ in range(300):
+            x = gens[rng.randrange(2)]
+            for _ in range(rng.randrange(1, 6)):
+                y = rng.choice(gens)
+                x = rng.choice((multiply(x, y), multiply(y, x), star_op(x), plus_op(x)))
+            star_op(x)
+        counts = collections.Counter(builder for builder, _ in built)
+        for builder in ("zigzag_tree", "_left_rows", "_build", "_delete", "_with_end", "star_op"):
+            assert counts[builder] > 100, (builder, counts)
+        for builder, t in built:
+            assert type(t.edges) is tuple and all(type(e) is tuple for e in t.edges), builder
+            assert t.edges == tuple(sorted(t.edges)), (builder, t)
+            public = XTree(t.vertices, t.edges, t.start, t.end)
+            shuffled = XTree(t.vertices, t.edges[::-1], t.start, t.end)
+            assert t == public == shuffled and public == t, (builder, t)
+            assert hash(t) == hash(public) == hash(shuffled), (builder, t)
+            if t.rooting is not None:
+                want = validate(public)
+                for f in dataclasses.fields(TrunkInfo):
+                    assert getattr(t.rooting, f.name) == getattr(want, f.name), (builder, f.name, t)
 
 
 class TestClassify:
