@@ -6,10 +6,12 @@ Usage:
         [--seeds 1 2 3 104729] [--seconds 20] [--baseline REV] [--smoke]
 
 Each run is one `perfbench/run.py --trace 0` process on one workload and
-one seed, on the working tree.  With --baseline REV every run is paired
-with the same run of REV's own `perfbench/run.py`, taken from a
-`git archive` export in a temporary directory; the side that runs first
-alternates from pair to pair.  The file records the machine, the Python
+one seed, on a copy of the working tree's files (those git tracks or does
+not ignore) in a temporary directory.  With --baseline REV every run is
+paired with the same run of REV's own `perfbench/run.py`, taken from a
+`git archive` export in the same directory, so that the two sides of a
+pair differ only in their files; the side that runs first alternates
+from pair to pair.  The file records the machine, the Python
 version, both commits, every run, and per side the median and quartiles
 of each end-to-end metric named in BENCHMARK.json, plus how many pairs
 the working tree won on each metric (ties count for neither side) and,
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -48,6 +51,22 @@ def export(rev, into):
     """Extract the committed files of rev into the directory into."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(into, filter="data")
+
+
+def copy_worktree(into):
+    """Copy the working tree's files, as they are on disk, into the
+    directory into: those git tracks or does not ignore, or every file
+    but git's own and byte code outside a git checkout."""
+    try:
+        names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    except (OSError, subprocess.CalledProcessError):
+        shutil.copytree(ROOT, into, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        return
+    for name in filter(None, names.decode().split("\0")):
+        path = os.path.join(ROOT, name)
+        if os.path.isfile(path):  # a tracked file may be deleted
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(path, os.path.join(into, name))
 
 
 def machine():
@@ -148,8 +167,9 @@ def main(argv=None):
     except (OSError, subprocess.CalledProcessError):
         head, dirty = None, None
     commits = {"change": {"rev": head, "uncommitted_changes": dirty}}
-    sides = {"change": ROOT}
     with tempfile.TemporaryDirectory() as tmp:
+        sides = {"change": os.path.join(tmp, "change")}
+        copy_worktree(sides["change"])
         if args.baseline:
             rev = git("rev-parse", "--verify", args.baseline + "^{commit}").decode().strip()
             commits["baseline"] = {"rev": rev}

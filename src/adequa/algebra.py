@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import terms as terms_mod
-from .retract import Walked, retract
+from .retract import Adjacency, retract
 from .trees import (
     EPSILON,
     XTree,
@@ -95,17 +95,17 @@ class Element:
         return validate(self.tree).length
 
 
-def make_element(tree: XTree, flavor: Flavor, walked: Walked | None = None) -> Element:
+def make_element(tree: XTree, flavor: Flavor, adj: Adjacency | None = None) -> Element:
     """Retract eagerly and check the flavor's tree-shape invariant; the
     element's code is built when it is first read.
 
-    `retract` picks its engine.  Without `walked` it validates the input
-    in full; the builders of this module pass the rooting walk
-    (`trees._root`) of a tree they glued from checked trees instead.  A
+    `retract` picks its engine.  Without `adj` it validates the input in
+    full; the builders of this module pass the adjacency of the rooting
+    walk (`trees._root`) of a tree they glued from checked trees instead.  A
     left (right) element must then reach every vertex from its start
     along the edges (from its end against them).
     """
-    tree = retract(tree, walked)
+    tree = retract(tree, adj)
     if flavor is Flavor.LEFT and not is_left(tree):
         raise FlavorError("tree is not a left tree")
     if flavor is Flavor.RIGHT and not is_right(tree):

@@ -119,16 +119,17 @@ def _first_branch_index(t: XTree) -> int | None:
 
 
 def _census(n: int, rows) -> CensusRow:
-    """The census of n-edge trees from (trunk length, first branch) pairs."""
+    """The census of n-edge trees from (trunk length, first branch) pairs;
+    a first branch of None is not counted."""
     rows = list(rows)
     by_trunk = dict(Counter(k for k, _ in rows))
     by_kl = dict(Counter(kl for kl in rows if kl[1] is not None))
     return CensusRow(n, len(rows), by_trunk, by_kl, by_trunk.get(0, 0))
 
 
-def _coded(rows) -> list[tuple[bytes, XTree]]:
-    """The trees of (k, l, tree) rows with their codes, in code order."""
-    return sorted(((canonical_code(t), t) for _, _, t in rows), key=lambda ct: ct[0])
+def _coded(trees) -> list[tuple[bytes, XTree]]:
+    """The trees with their codes, in code order."""
+    return sorted(((canonical_code(t), t) for t in trees), key=lambda ct: ct[0])
 
 
 # -------------------------------------------------- structural left sphere
@@ -208,7 +209,7 @@ def _capped_subsets(m: int, r: int, cap: int, lo: int = 0):
 def left_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """The structural left sphere as elements in code order, with its census."""
     rows = list(_left_rows(n))
-    elements = [Element(t, code, Flavor.LEFT) for code, t in _coded(rows)]
+    elements = [Element(t, code, Flavor.LEFT) for code, t in _coded(t for _, _, t in rows)]
     return elements, _census(n, ((k, l) for k, l, _ in rows))
 
 
@@ -251,32 +252,24 @@ def _level_sequence_to_edges(L: list[int]) -> list[tuple[int, int, str]]:
     return edges
 
 
-def _oriented_ends(base: list[tuple[int, int, str]], mask: int, twin: int = -1):
-    """The shape with edge i, which joins vertex i + 1 to its parent,
-    reversed where bit i of mask is set, started at vertex 0, at each end
-    the start reaches, ascending, or at `twin` alone if twin >= 0.  The
-    tree is built and validated once, if some end is left."""
-    reach = [True]
-    for i, (a, _, _) in enumerate(base):
-        reach.append(reach[a] and not (mask >> i) & 1)
-    ends = [v for v, r in enumerate(reach) if r and twin in (-1, v)]
-    if ends:
-        edges = [(e[1], e[0], e[2]) if (mask >> i) & 1 else e for i, e in enumerate(base)]
-        t = XTree(len(reach), edges, 0, 0)
-        yield from (_with_end(t, end) for end in ends)
-
-
 def oriented_trees(n: int):
     """Every a-tree with n edges, rooted at vertex 0, in raw form.
 
     Each shape in level-sequence order, each of its 2**n edge
     orientations, each end a directed path from the start reaches, in
-    ascending order, sharing one rooting; isomorphic trees recur.
+    ascending order, sharing one rooting; isomorphic trees recur.  Edge
+    i of a shape joins vertex i + 1 to its parent, and bit i of the mask
+    reverses it.
     """
     for L in rooted_tree_level_sequences(n + 1):
         base = _level_sequence_to_edges(L)
         for mask in range(1 << n):
-            yield from _oriented_ends(base, mask)
+            reach = [True]
+            for i, (a, _, _) in enumerate(base):
+                reach.append(reach[a] and not (mask >> i) & 1)
+            edges = [(e[1], e[0], e[2]) if (mask >> i) & 1 else e for i, e in enumerate(base)]
+            t = XTree(n + 1, edges, 0, 0)
+            yield from (_with_end(t, end) for end, r in enumerate(reach) if r)
 
 
 # ------------------------------------------------ spheres from rooted cores
@@ -460,8 +453,7 @@ def _one_branch_less(core):
 
 def _free_rows(n: int, kinds: tuple[int, ...]):
     """Each retract-free a-tree with n edges of these kinds off the trunk,
-    once, as (k, l, tree): k its trunk length and l the first trunk
-    vertex with an away edge off the trunk, None if there is none.
+    once, as (k, tree), k its trunk length.
 
     A birooted tree is its trunk with one rooted core hanging at each
     trunk vertex, and the class fixes the trunk and each core, so each
@@ -474,20 +466,19 @@ def _free_rows(n: int, kinds: tuple[int, ...]):
     first among equal siblings.
     """
 
-    def hang(i, budget, below, end, filled, first):
+    def hang(i, budget, below, end, filled):
         for m in range(budget + 1) if i else (budget,):
             if i and budget - m not in fits[i - 1]:
                 continue
             more = filled + (m > 0)
             for blocks in places[i][m]:
                 node, offset = _attach(blocks, below)
-                here = i if any(not p & 1 for _, p in blocks) else first
                 if i:
-                    yield from hang(i - 1, budget - m, node, end + offset, more, here)
+                    yield from hang(i - 1, budget - m, node, end + offset, more)
                 else:
                     t = _build(*node, end + offset)
                     if more < 2 or is_retract_free(t):
-                        yield k, here, t
+                        yield k, t
 
     for k in range(n + 1):
         budget = n - k
@@ -505,30 +496,32 @@ def _free_rows(n: int, kinds: tuple[int, ...]):
         for place in places[1:]:
             fits.append({b + m for b in fits[-1] for m in range(budget + 1 - b) if place[m]})
         if budget in fits[k]:
-            yield from hang(k, budget, None, 0, 0, None)
+            yield from hang(k, budget, None, 0, 0)
 
 
 def generic_left_trees(n: int) -> list[XTree]:
     """All retract-free left a-trees with n edges, in code order, from the
     rooted cores of away edges (bare paths) on every trunk."""
     _check_size(n, GENERIC_LEFT_BOUND, "generic left")
-    return [t for _, t in _coded(_free_rows(n, _AWAY))]
+    return [t for _, t in _coded(t for _, t in _free_rows(n, _AWAY))]
 
 
 def two_sided_sphere(n: int) -> tuple[list[Element], CensusRow]:
     """All retract-free a-trees with n edges in code order, with their
-    census, from the rooted cores on every trunk."""
+    census, from the rooted cores on every trunk.  The census counts
+    trunk lengths only: its first-branch refinement is empty."""
     _check_size(n, TWO_SIDED_BOUND, "two-sided")
     rows = list(_free_rows(n, _BOTH))
-    elements = [Element(t, c, Flavor.TWO_SIDED) for c, t in _coded(rows)]
-    return elements, _census(n, ((k, l) for k, l, _ in rows))
+    elements = [Element(t, c, Flavor.TWO_SIDED) for c, t in _coded(t for _, t in rows)]
+    return elements, _census(n, ((k, None) for k, _ in rows))
 
 
 def two_sided_census(n: int) -> CensusRow:
-    """The two-sided sphere's census, counted as the generator builds
-    each tree: no tree is coded, sorted or kept."""
+    """The two-sided sphere's census, as `two_sided_sphere` gives it,
+    counted as the generator builds each tree: no tree is coded, sorted
+    or kept."""
     _check_size(n, TWO_SIDED_BOUND, "two-sided")
-    return _census(n, ((k, l) for k, l, _ in _free_rows(n, _BOTH)))
+    return _census(n, ((k, None) for k, _ in _free_rows(n, _BOTH)))
 
 
 # ------------------------------------------------------------------ zig-zags
@@ -634,7 +627,9 @@ def growth_report(n_max: int, rank: int = 1, two_sided_max: int = 5) -> dict:
     """Exact counts next to the reported growth estimates and bounds;
     ReportCheckError when a two-sided count misses its published value
     or the binomial bound."""
-    _check_size(n_max, LEFT_SPHERE_BOUND, "left sphere")  # before any row is built
+    # both bounds before any row is built
+    _check_size(n_max, LEFT_SPHERE_BOUND, "left sphere")
+    _check_size(max(min(n_max, two_sided_max), 0), TWO_SIDED_BOUND, "two-sided")
     if rank < 1:
         raise ValueError("rank must be at least 1")
     rows = []

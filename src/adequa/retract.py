@@ -77,8 +77,6 @@ from .trees import (
 ORACLE_EDGE_BOUND = 8
 
 Adjacency = list[list[tuple[int, bool, str]]]
-# `trees._walk`'s rooting with the adjacency its walk built, if it built one
-Walked = tuple[TrunkInfo, Adjacency | None]
 
 
 @dataclass(frozen=True)
@@ -189,11 +187,11 @@ def _pinned(trunk: TrunkInfo, level: list[int], on_trunk: set[int]) -> set[int]:
     return pinned
 
 
-def _folds(t: XTree, walked: Walked) -> Iterator[int]:
+def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
     """The heads of the branches that fold, leaves first.
 
-    `walked` is `_walk(t)`: t's rooting, and the adjacency its walk
-    built, if it built one.  The branches are the non-trunk vertices of
+    t is rooted, and `adj` is the adjacency its rooting walk built, or
+    None if it built none.  The branches are the non-trunk vertices of
     the rooting's order, each with its parent as anchor; a head's kind,
     its edge seen from its anchor, is (parent, forward, label) in the
     rooting.  One loop over the order, parents first, sets each vertex's
@@ -211,7 +209,7 @@ def _folds(t: XTree, walked: Walked) -> Iterator[int]:
     built before the first search, when the walk built none, so a pass
     that searches nothing builds none.
     """
-    trunk, adj = walked
+    trunk = t.rooting
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
     order = trunk.order
     level = [0] * len(parent)
@@ -255,15 +253,15 @@ def _folds(t: XTree, walked: Walked) -> Iterator[int]:
             yield b
 
 
-def find_foldable_branch(t: XTree, walked: Walked | None = None) -> int | None:
+def find_foldable_branch(t: XTree, adj: Adjacency | None = None) -> int | None:
     """The head of a branch mapping into the rest of the tree, or None if
     retract-free.
 
     Deterministic: the first foldable branch of the leaves-first pass.
-    The head may be vertex 0, so test the result against None.  `walked`
-    is `_walk(t)` when the caller has already taken it.
+    The head may be vertex 0, so test the result against None.  `adj` is
+    what `_walk(t)` returned when the caller has already taken it.
     """
-    return next(_folds(t, walked or _walk(t)), None)
+    return next(_folds(t, adj or _walk(t)), None)
 
 
 def _delete(t: XTree, trunk: TrunkInfo, gone: set[int]) -> XTree:
@@ -325,22 +323,22 @@ def _left_monogenic_kept(t: XTree, trunk: TrunkInfo) -> list[int] | None:
     return kept
 
 
-def retract(t: XTree, walked: Walked | None = None) -> XTree:
+def retract(t: XTree, adj: Adjacency | None = None) -> XTree:
     """The retract-free retract; independent of deletion order.
 
     A monogenic left tree is retracted by the height rule of
     `_left_monogenic_kept`; any other tree by the leaves-first pass.
-    `walked` is the rooting walk the package's own builders take
-    (`trees._root`); without it, a tree not yet validated is checked and
-    walked once by `_walk`.
+    `adj` is the adjacency of the rooting walk the package's own builders
+    take (`trees._root`), which leaves t rooted; without it, a tree not
+    yet validated is checked and walked once by `_walk`.
     """
-    walked = walked or _walk(t)
-    trunk = walked[0]
+    adj = adj or _walk(t)
+    trunk = t.rooting
     kept = _left_monogenic_kept(t, trunk)
     if kept is not None:
         gone = set(range(t.vertices)).difference(kept)
     else:
-        gone = set(_folds(t, walked))
+        gone = set(_folds(t, adj))
         for v in trunk.order:  # parents come first, so each dead head takes its subtree
             if trunk.parent[v] in gone:
                 gone.add(v)
@@ -356,11 +354,11 @@ def is_retract_free(t: XTree, engine: str = "auto") -> bool:
     """
     if engine not in ("auto", "generic"):
         raise ValueError("unknown engine: %r" % engine)
-    walked = _walk(t)
-    kept = _left_monogenic_kept(t, walked[0]) if engine == "auto" else None
+    adj = _walk(t)
+    kept = _left_monogenic_kept(t, t.rooting) if engine == "auto" else None
     if kept is not None:
         return len(kept) == t.vertices
-    return find_foldable_branch(t, walked) is None
+    return find_foldable_branch(t, adj) is None
 
 
 def endomorphism_oracle(t: XTree) -> Iterator[Endomorphism]:

@@ -47,8 +47,9 @@ class XTree:
 
 @dataclass(slots=True)
 class TrunkInfo:
-    """The unique directed start-to-end path of a valid tree, with the
-    rooting at the start that found it.
+    """The unique directed start-to-end path of a valid tree, as its
+    `vertices` from start to end, with the rooting at the start that
+    found it.
 
     The rooting is flat per-vertex arrays: `parent[v]` is v's neighbour
     towards the start (the start is its own parent), `forward[v]` says
@@ -65,7 +66,6 @@ class TrunkInfo:
     """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, str], ...]
     parent: list[int]
     forward: list[bool]
     label: list[str]
@@ -73,7 +73,7 @@ class TrunkInfo:
 
     @property
     def length(self) -> int:
-        return len(self.edges)
+        return len(self.vertices) - 1
 
 
 _new = object.__new__
@@ -141,17 +141,17 @@ def validate(t: XTree) -> TrunkInfo:
     the rooting walk, `_root`, and `_rooted_tree`'s callers derive their
     rooting without one.
     """
-    if t.rooting is not None:
-        return t.rooting
-    return _walk(t)[0]
+    if t.rooting is None:
+        _walk(t)
+    return t.rooting
 
 
-def _walk(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]] | None]:
+def _walk(t: XTree) -> list[list[tuple[int, bool, str]]] | None:
     """`validate`'s checks and walk, for a caller that also wants the
-    adjacency the walk built: (rooting, adjacency) when the rooting is not
-    known yet, and (rooting, None) when it is."""
+    adjacency the walk built: the adjacency when the rooting is not known
+    yet, and None when it is.  Either way the rooting is then stored."""
     if t.rooting is not None:
-        return t.rooting, None
+        return None
     _check_edges(t)
     return _root(t)
 
@@ -180,10 +180,10 @@ def _check_edges(t: XTree) -> None:
             raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
 
 
-def _root(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]]]:
+def _root(t: XTree) -> list[list[tuple[int, bool, str]]]:
     """The rooting walk of `validate`, without `_check_edges`: breadth
     first from the start, the connectivity check and `_trunk`.  Stores the
-    rooting on t and returns it with the adjacency the walk built.
+    rooting on t and returns the adjacency the walk built.
 
     Called alone only on a tree the package glued, moved or reversed
     from checked trees, whose counts, ranges and labels hold by
@@ -206,9 +206,8 @@ def _root(t: XTree) -> tuple[TrunkInfo, list[list[tuple[int, bool, str]]]]:
                 order.append(w)
     if len(order) != n:
         raise InvalidTreeError("not a tree: graph is disconnected")
-    info = _trunk(t.start, t.end, parent, forward, label, order)
-    object.__setattr__(t, "rooting", info)
-    return info, adj
+    _set_rooting(t, _trunk(t.start, t.end, parent, forward, label, order))
+    return adj
 
 
 def _trunk(
@@ -223,8 +222,7 @@ def _trunk(
             raise InvalidTreeError("no trunk: no directed start-to-end path")
         path.append(parent[path[-1]])
     path.reverse()
-    edges = tuple((parent[b], b, label[b]) for b in path[1:])
-    return TrunkInfo(tuple(path), edges, parent, forward, label, order)
+    return TrunkInfo(tuple(path), parent, forward, label, order)
 
 
 def _rooted_tree(
@@ -303,10 +301,7 @@ def canonical_code(t: XTree) -> bytes:
 def theta(t: XTree) -> XTree:
     """The trunk-only subtree: same start/end, all branches removed."""
     trunk = validate(t)
-    relabel = {v: i for i, v in enumerate(trunk.vertices)}
-    edges = tuple(
-        (relabel[a], relabel[b], lab) for a, b, lab in trunk.edges
-    )
+    edges = tuple((i, i + 1, trunk.label[v]) for i, v in enumerate(trunk.vertices[1:]))
     return XTree(trunk.length + 1, edges, 0, trunk.length)
 
 

@@ -467,6 +467,22 @@ class TestReproduction:
         assert code == 2 and out == ""
         assert err == "error: n=31 exceeds the left sphere bound 30"
 
+    def test_growth_report_past_the_two_sided_bound_builds_no_row(self, capsys, monkeypatch):
+        from adequa import growth
+
+        # the bound applies to the rows the report has: min(max, two-sided-max)
+        code, out, err = run(capsys, "growth-report", "--max", "2", "--two-sided-max", "13", "--json")
+        assert code == 0, err
+        assert [row["two_sided_sphere"] for row in json.loads(out)["rows"]] == [1, 3, 6]
+
+        def refused(n):
+            raise AssertionError("a two-sided census was built")
+
+        monkeypatch.setattr(growth, "two_sided_census", refused)
+        code, out, err = run(capsys, "growth-report", "--max", "14", "--two-sided-max", "13")
+        assert code == 2 and out == ""
+        assert err == "error: n=13 exceeds the two-sided bound 12"
+
     def test_growth_report_json(self, capsys):
         code, out, err = run(capsys, "growth-report", "--max", "6", "--json")
         assert code == 0, err

@@ -51,5 +51,5 @@ def test_expected_cell_trees_are_valid():
     t1, t2 = reproduce.expected_refined_cell_trees()
     for t in (t1, t2):
         info = validate(t)
-        assert t.edge_count == 6 and len(info.edges) == 2
+        assert t.edge_count == 6 and len(info.vertices) == 3
     assert canonical_code(t1) != canonical_code(t2)

@@ -115,7 +115,7 @@ class TestFolding:
     def test_trunk_never_deleted(self):
         for t in itertools.islice(oriented_trees(5), 0, None, 17):
             r = retract(t)
-            assert len(validate(r).edges) == len(validate(t).edges)
+            assert trunk_word(r) == trunk_word(t)
             assert r.edge_count <= t.edge_count
 
     def test_found_branch_keeps_retract(self):
@@ -218,6 +218,12 @@ def core_with_copies(rng, n_edges):
     return XTree(nv, tuple(edges), 0, k), core
 
 
+def trunk_word(t):
+    """The labels along t's trunk, from the start."""
+    r = validate(t)
+    return [r.label[v] for v in r.vertices[1:]]
+
+
 def folded_heads(t):
     """The heads of the branches that the retraction pass deletes."""
     return set(_folds(t, _walk(t)))
@@ -277,17 +283,16 @@ class TestRooting:
 
     def test_rooting_is_flat(self):
         # a kept rooting holds per-vertex arrays of scalars and the trunk's
-        # own edge triples, nothing the garbage collector must walk into
+        # vertices, nothing the garbage collector must walk into
         for t in rooting_sample():
             r = validate(t)
             for f in fields(TrunkInfo):
                 value = getattr(r, f.name)
                 assert isinstance(value, (tuple, list)), f.name
-                items = [x for e in value for x in e] if f.name == "edges" else value
-                assert all(type(x) in (int, bool, str) for x in items), f.name
+                assert all(type(x) in (int, bool, str) for x in value), f.name
                 if f.name in ("parent", "forward", "label", "order"):
                     assert len(value) == t.vertices, f.name
-            assert all(len(e) == 3 for e in r.edges) and len(r.edges) == r.length
+            assert type(r.vertices) is tuple and len(r.vertices) == r.length + 1
 
     def test_rooted_branches_follow_their_parents(self):
         # the leaves-first pass reads the rooting as it is: each non-trunk
@@ -299,8 +304,8 @@ class TestRooting:
             adj = undirected_adjacency(t)
             # a fresh copy is validated by the walk that builds its adjacency
             fresh = XTree(t.vertices, t.edges, t.start, t.end)
-            assert _walk(fresh) == (trunk, adj) and fresh.rooting == trunk
-            assert _walk(t) == (trunk, None)
+            assert _walk(fresh) == adj and fresh.rooting == trunk
+            assert _walk(t) is None
             on_trunk = set(trunk.vertices)
             placed = set(on_trunk)
             for v in trunk.order:
@@ -335,8 +340,8 @@ class TestRooting:
             validated.append(t.rooting)
             if r is not t:
                 deleted.append(r.rooting)
-        built = [t.rooting for n in range(9) for _, _, t in _free_rows(n, (0, 1))]
-        built += [t.rooting for n in range(11) for _, _, t in _free_rows(n, (0,))]
+        built = [t.rooting for n in range(9) for _, t in _free_rows(n, (0, 1))]
+        built += [t.rooting for n in range(11) for _, t in _free_rows(n, (0,))]
         zigzags = [
             zigzag_tree(z).rooting for n in range(1, 11) for z in itertools.product((False, True), repeat=n)
         ]
@@ -344,7 +349,7 @@ class TestRooting:
             assert len(rootings) > 2000, len(rootings)
             assert all(runs_hold(r) for r in rootings)
         # the check sees a split run
-        split = TrunkInfo((0,), (), [0, 0, 1, 0], [False, True, True, True], ["", "a", "a", "a"], [0, 1, 2, 3])
+        split = TrunkInfo((0,), [0, 0, 1, 0], [False, True, True, True], ["", "a", "a", "a"], [0, 1, 2, 3])
         assert not runs_hold(split)
 
     def test_generic_retract_builds_the_adjacency_once(self, monkeypatch, searches):
@@ -509,11 +514,11 @@ def all_kinds_pinned(trunk, level):
     return pinned
 
 
-def all_kinds_folds(t, walked):
+def all_kinds_folds(t, adj):
     """The leaves-first pass as it was before it counted kinds only inside
     sibling runs: a count for every child edge of every vertex, and
     `all_kinds_pinned`.  The oracle of the pass's head sequence."""
-    trunk, adj = walked
+    trunk = t.rooting
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
     level = [0] * len(parent)
     count = {}
@@ -602,9 +607,9 @@ class TestKindFilter:
         )
         folded = 0
         for t in itertools.chain(kind_sample(), derived_sample(), zigzags):
-            walked = _walk(t)
-            heads = list(_folds(t, walked))
-            assert heads == list(all_kinds_folds(t, walked)), t
+            adj = _walk(t)
+            heads = list(_folds(t, adj))
+            assert heads == list(all_kinds_folds(t, adj)), t
             folded += bool(heads)
         assert folded > 20000
 
@@ -920,6 +925,6 @@ class TestIdempotentShape:
     def test_trunk_length_preserved(self):
         # retraction cannot create or destroy trunk edges
         for t in itertools.islice(oriented_trees(5), 0, None, 7):
-            before = len(validate(t).edges)
-            after = len(validate(retract(t)).edges)
+            before = len(validate(t).vertices)
+            after = len(validate(retract(t)).vertices)
             assert before == after

@@ -17,7 +17,7 @@ def run_script(name, *args):
     )
 
 
-def test_bench_smoke(tmp_path):
+def test_bench_smoke(tmp_path, monkeypatch):
     out = tmp_path / "BENCH_smoke.json"
     baseline = ["--baseline", "HEAD"] if os.path.isdir(os.path.join(ROOT, ".git")) else []
     proc = run_script("bench.py", "--smoke", "--workloads", "arith", "--seeds", "1",
@@ -42,6 +42,30 @@ def test_bench_smoke(tmp_path):
         for name, medians in arith["regressions"].items():
             assert name in report["better"]
             assert set(medians) == {"baseline", "change"}
+
+    # each side runs from a fresh copy in one temporary directory, never
+    # from the working tree itself; the change side, which runs first in
+    # the first pair, from a copy of the working tree's files
+    bench = load_bench()
+    runs = []
+
+    def spy(root, workload, seed, seconds, smoke):
+        with open(os.path.join(root, "src", "adequa", "trees.py"), "rb") as fh:
+            runs.append((root, fh.read()))
+        assert os.path.isfile(os.path.join(root, "perfbench", "run.py"))
+        return {"failed_ratio": 0, "attempted": 1, "correct": True,
+                **{name: 1.0 for name in report["better"]}}
+
+    monkeypatch.setattr(bench, "run_once", spy)
+    assert bench.main(["--workloads", "arith", "--seeds", "1", "--out", str(out), *baseline]) == 0
+    roots = [root for root, _ in runs]
+    assert len(set(roots)) == len(roots) == len(sides)
+    with open(os.path.join(ROOT, "src", "adequa", "trees.py"), "rb") as fh:
+        assert runs[0][1] == fh.read()
+    for root in roots:
+        assert os.path.dirname(root) == os.path.dirname(roots[0])
+        assert os.path.commonpath([root, ROOT]) != ROOT
+        assert not os.path.exists(root)
 
 
 def load_bench():
