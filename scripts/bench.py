@@ -19,7 +19,10 @@ as `regressions`, the metrics whose working-tree median is worse than
 the baseline median by more than the metric's bound in BENCHMARK.json
 (a fraction of the baseline median; any rise of failed_ratio counts),
 and `correct` when a working-tree run gave a wrong answer and no
-baseline run did.
+baseline run did.  With --baseline, each workload's pairs end with one
+line on stderr: both medians of ops_per_s, the working tree's wins out
+of the pairs, the baseline's interquartile range of ops_per_s, and the
+names of the regressions ("none" when there are none).
 Each run also records its `attempted` operation count and each side the
 median of those as `operations`, outside the wins and the regressions, so
 that a `peak_rss_mb` rise can be read against the number of operations run.
@@ -136,6 +139,20 @@ def regressions(entry, better, bound):
     return out
 
 
+def pair_line(workload, entry, pairs):
+    """One line on a workload's pairs: both sides' median ops_per_s, the
+    change's wins out of the pairs, the baseline's interquartile range of
+    ops_per_s, and the names of the regressions."""
+    base, change = entry["baseline"]["ops_per_s"], entry["change"]["ops_per_s"]
+    return (
+        "%s: ops_per_s median %.6g -> %.6g, change won %d/%d pairs, "
+        "baseline IQR %.6g, regressions: %s" % (
+            workload, base["median"], change["median"], entry["change_wins"]["ops_per_s"],
+            pairs, base["q3"] - base["q1"], ", ".join(sorted(entry["regressions"])) or "none",
+        )
+    )
+
+
 def build_parser(benchmark):
     """The options; --workloads defaults to every workload `benchmark`
     (BENCHMARK.json's contents) declares."""
@@ -202,6 +219,7 @@ def main(argv=None):
                     for name, way in better.items()
                 }
                 entry["regressions"] = regressions(entry, better, bound)
+                print(pair_line(workload, entry, len(args.seeds)), file=sys.stderr)
             results[workload] = entry
 
     report = {

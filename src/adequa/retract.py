@@ -107,34 +107,44 @@ def hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> 
     n = len(adj)
     memo: dict[int, bool] = {}
     # A frame tries to map pattern vertex p to host vertex h.  It holds
-    # [p, h, p's unmatched pattern children, host candidates for the
-    # current child, the current child]; `done` carries the answer of a
-    # finished frame to the one below.  The root frame maps a to itself.
+    # [p, h, an iterator over adj[p], p's parent, host candidates for the
+    # current child, the current child]: p's pattern children are the
+    # entries of adj[p] other than its parent and the dead, skipped as
+    # the iterator reaches them.  A leaf of the pattern gets no frame, as
+    # it maps wherever its edge does.  `done` carries the answer of a
+    # finished frame to the one below.  The root frame maps a to itself,
+    # with b its only child.
     _, out, lab = next(e for e in adj[b] if e[0] == a)
-    stack = [[a, a, iter(((b, not out, lab),)), None, None]]
+    stack = [[a, a, iter(((b, not out, lab),)), -1, None, None]]
     done = None
     while stack:
         frame = stack[-1]
         if done:
-            frame[3] = None  # the current child is matched
+            frame[4] = None  # the current child is matched
         done = None
-        p, h, children, candidates, child = frame
+        p, h, children, up, candidates, child = frame
         if candidates is None:
-            child = frame[4] = next(children, None)
-            if child is None:
+            for child in children:
+                c = child[0]
+                if c != up and alive[c]:
+                    break
+            else:
                 memo[p * n + h] = done = True
                 stack.pop()
                 continue
-            candidates = frame[3] = iter(adj[h])
+            frame[5] = child
+            candidates = frame[4] = iter(adj[h])
         c, out, lab = child
         for w, out2, lab2 in candidates:
             if out2 != out or lab2 != lab or w == b or not alive[w]:
                 continue
+            around = adj[c]
+            if len(around) == 1:  # a leaf: its only edge is the one just matched
+                done = True
+                break
             known = memo.get(c * n + w)
             if known is None:
-                pc = parent[c]
-                kids = [e for e in adj[c] if e[0] != pc and alive[e[0]]]
-                stack.append([c, w, iter(kids), None, None])
+                stack.append([c, w, iter(around), p, None, None])
                 break
             if known:
                 done = True
@@ -264,25 +274,27 @@ def find_foldable_branch(t: XTree, adj: Adjacency | None = None) -> int | None:
     return next(_folds(t, adj or _walk(t)), None)
 
 
-def _delete(t: XTree, trunk: TrunkInfo, gone: set[int]) -> XTree:
-    """t without the vertices in `gone`, a union of whole branches, with
-    t's rooting carried over.  Renumbering the kept vertices in order
-    keeps the sorted edge order, so the rooting restricted to them is
-    the breadth-first walk `validate` would make of the result."""
-    keep = [v for v in range(t.vertices) if v not in gone]
-    relabel = dict(zip(keep, range(len(keep))))
-    edges = tuple(
+def _delete(t: XTree, trunk: TrunkInfo, dead: list[bool]) -> XTree:
+    """t without the vertices v with `dead[v]`, a union of whole branches,
+    with t's rooting carried over.  Renumbering the kept vertices in
+    order keeps the sorted edge order, so the rooting restricted to them
+    is the breadth-first walk `validate` would make of the result."""
+    keep = [v for v in range(t.vertices) if not dead[v]]
+    relabel = [-1] * t.vertices
+    for i, v in enumerate(keep):
+        relabel[v] = i
+    edges = tuple([
         (relabel[a], relabel[b], lab)
         for a, b, lab in t.edges
-        if a not in gone and b not in gone
-    )
+        if not (dead[a] or dead[b])
+    ])
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
     return _rooted_tree(
         len(keep), edges, relabel[t.start], relabel[t.end],
         [relabel[parent[v]] for v in keep],
         [forward[v] for v in keep],
         [label[v] for v in keep],
-        [relabel[v] for v in trunk.order if v not in gone],
+        [relabel[v] for v in trunk.order if not dead[v]],
     )
 
 
@@ -336,13 +348,23 @@ def retract(t: XTree, adj: Adjacency | None = None) -> XTree:
     trunk = t.rooting
     kept = _left_monogenic_kept(t, trunk)
     if kept is not None:
-        gone = set(range(t.vertices)).difference(kept)
+        if len(kept) == t.vertices:
+            return t
+        dead = [True] * t.vertices
+        for v in kept:
+            dead[v] = False
     else:
-        gone = set(_folds(t, adj))
+        heads = list(_folds(t, adj))
+        if not heads:
+            return t
+        dead = [False] * t.vertices
+        for b in heads:
+            dead[b] = True
+        parent = trunk.parent
         for v in trunk.order:  # parents come first, so each dead head takes its subtree
-            if trunk.parent[v] in gone:
-                gone.add(v)
-    return _delete(t, trunk, gone) if gone else t
+            if dead[parent[v]]:
+                dead[v] = True
+    return _delete(t, trunk, dead)
 
 
 def is_retract_free(t: XTree, engine: str = "auto") -> bool:

@@ -152,14 +152,17 @@ def _walk(t: XTree) -> list[list[tuple[int, bool, str]]] | None:
     yet, and None when it is.  Either way the rooting is then stored."""
     if t.rooting is not None:
         return None
-    _check_edges(t)
-    return _root(t)
+    return _root_over(t, _checked_adjacency(t))
 
 
-def _check_edges(t: XTree) -> None:
-    """The checks of `validate` that read the counts and the edge list:
-    at least one vertex, roots and endpoints in range, n - 1 edges, and
-    labels that are non-empty strings without a `_RESERVED` byte."""
+def _checked_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
+    """`undirected_adjacency`, built by the loop that makes the checks of
+    `validate` that read the counts and the edge list: at least one
+    vertex, roots and endpoints in range, n - 1 edges, and labels that
+    are non-empty strings without a `_RESERVED` byte.  The edges are
+    checked in order, each one's endpoints before its label, so the first
+    bad edge names the error.  A label is tested for being a string on
+    every edge, before it is hashed, and for the rest once."""
     n = t.vertices
     if n < 1:
         raise InvalidTreeError("not a tree: need at least one vertex")
@@ -169,29 +172,44 @@ def _check_edges(t: XTree) -> None:
         raise InvalidTreeError(
             "not a tree: expected %d edges, got %d" % (n - 1, len(t.edges))
         )
+    adj: list[list[tuple[int, bool, str]]] = [[] for _ in range(n)]
+    good: set[str] = set()  # the labels checked so far
     for src, dst, lab in t.edges:
         if not (0 <= src < n and 0 <= dst < n):
             raise InvalidTreeError("not a tree: edge endpoint out of range")
         if not isinstance(lab, str):
             raise InvalidTreeError("not a tree: edge label %r is not a string" % (lab,))
-        if not lab:
-            raise InvalidTreeError("not a tree: empty edge label")
-        if not _RESERVED.isdisjoint(lab):
-            raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
+        if lab not in good:
+            if not lab:
+                raise InvalidTreeError("not a tree: empty edge label")
+            if not _RESERVED.isdisjoint(lab):
+                raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
+            good.add(lab)
+        adj[src].append((dst, True, lab))
+        adj[dst].append((src, False, lab))
+    return adj
 
 
 def _root(t: XTree) -> list[list[tuple[int, bool, str]]]:
-    """The rooting walk of `validate`, without `_check_edges`: breadth
-    first from the start, the connectivity check and `_trunk`.  Stores the
-    rooting on t and returns the adjacency the walk built.
+    """The rooting walk of `validate` over the unchecked
+    `undirected_adjacency`.  Stores the rooting on t and returns the
+    adjacency.
 
-    Called alone only on a tree the package glued, moved or reversed
-    from checked trees, whose counts, ranges and labels hold by
-    construction; the errors it raises are still those of `validate`."""
+    Called only on a tree the package glued, moved or reversed from
+    checked trees, whose counts, ranges and labels hold by construction;
+    the errors it raises are still those of `validate`."""
+    return _root_over(t, undirected_adjacency(t))
+
+
+def _root_over(
+    t: XTree, adj: list[list[tuple[int, bool, str]]]
+) -> list[list[tuple[int, bool, str]]]:
+    """The walk of `_root` and `_walk` over t's adjacency `adj`: breadth
+    first from the start, the connectivity check and `_trunk`.  Stores
+    the rooting on t and returns `adj`."""
     # BFS from the start; each vertex records its parent and the direction
     # and label of the edge it was reached by.
     n = t.vertices
-    adj = undirected_adjacency(t)
     parent = [-1] * n
     forward = [False] * n
     label = [""] * n

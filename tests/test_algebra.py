@@ -36,6 +36,8 @@ from adequa.trees import (
     validate,
 )
 
+from .test_trees import spy_walks
+
 
 def a_power(n: int, flavor=Flavor.LEFT) -> Element:
     acc = identity_element(flavor)
@@ -61,6 +63,7 @@ class TestBasics:
             # another tree in validate's memo, then no full check may run
             trees.validate(trees.generator_tree("a"))
             with monkeypatch.context() as m:
+                m.setattr(trees, "_checked_adjacency", None)
                 m.setattr(trees, "undirected_adjacency", None)
                 assert identity_element(flavor) is e
 
@@ -81,22 +84,13 @@ class TestBasics:
     def test_plus_shares_the_operands_rooting(self, monkeypatch):
         # the moved tree takes the operand's rooting at the start, and a
         # folded result the rooting derived from it, so no full check runs
-        from adequa import trees
-
         rng = random.Random(17)
         ops = [
             random_monogenic_element(rng, flavor, 8)
             for flavor in (Flavor.LEFT, Flavor.TWO_SIDED)
             for _ in range(100)
         ]
-        walked = []
-
-        def counted(t):
-            walked.append(t)
-            return adjacency(t)
-
-        adjacency = trees.undirected_adjacency
-        monkeypatch.setattr(trees, "undirected_adjacency", counted)
+        walked = spy_walks(monkeypatch, [])
         results = [plus_op(e) for e in ops]
         folded = sum(r.edge_count < e.edge_count for e, r in zip(ops, results))
         assert len(walked) == 0 < folded < len(ops)

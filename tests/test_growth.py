@@ -40,7 +40,6 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import endomorphism_oracle, is_retract_free
-import adequa.trees
 from adequa.trees import (
     InvalidTreeError,
     TrunkInfo,
@@ -52,7 +51,7 @@ from adequa.trees import (
     validate,
 )
 
-from .test_trees import SRC
+from .test_trees import SRC, spy_walks
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -275,15 +274,7 @@ class TestRootedTreeShapes:
 
 def count_full_validations(monkeypatch) -> list:
     """Record every tree `validate` builds an adjacency for."""
-    walked = []
-
-    def counted(t):
-        walked.append(t)
-        return adjacency(t)
-
-    adjacency = adequa.trees.undirected_adjacency
-    monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
-    return walked
+    return spy_walks(monkeypatch, [])
 
 
 class TestLeftSpheres:

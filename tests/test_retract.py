@@ -21,6 +21,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import (
+    Adjacency,
     _folds,
     _left_monogenic_kept,
     _pinned,
@@ -43,7 +44,7 @@ from adequa.trees import (
     validate,
 )
 
-from .test_trees import relabel_tree
+from .test_trees import relabel_tree, spy_walks
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
@@ -354,17 +355,10 @@ class TestRooting:
 
     def test_generic_retract_builds_the_adjacency_once(self, monkeypatch, searches):
         import adequa.retract
-        import adequa.trees
 
-        built = []
-        adjacency = adequa.trees.undirected_adjacency
-
-        def counted(t):
-            built.append(t)
-            return adjacency(t)
-
-        monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
-        monkeypatch.setattr(adequa.retract, "undirected_adjacency", counted)
+        built = spy_walks(monkeypatch, [])
+        adjacency = adequa.retract.undirected_adjacency
+        monkeypatch.setattr(adequa.retract, "undirected_adjacency", lambda t: built.append(t) or adjacency(t))
         rng = random.Random(23)
         sample = [random_tree(rng, rng.randint(2, 12), "ab") for _ in range(50)]
         sample = [t for t in sample if len({lab for _, _, lab in t.edges}) == 2]
@@ -444,11 +438,9 @@ class TestDerivedRooting:
 
     def test_a_folded_retract_is_not_walked_again(self, monkeypatch, searches):
         import adequa.retract
-        import adequa.trees
 
-        checks, passes = [], []
-        adjacency = adequa.trees.undirected_adjacency
-        monkeypatch.setattr(adequa.trees, "undirected_adjacency", lambda t: checks.append(t) or adjacency(t))
+        checks, passes = spy_walks(monkeypatch, []), []
+        adjacency = adequa.retract.undirected_adjacency
         monkeypatch.setattr(adequa.retract, "undirected_adjacency", lambda t: passes.append(t) or adjacency(t))
         rng = random.Random(37)
         sample = [random_tree(rng, rng.randint(4, 12), "ab") for _ in range(200)]
@@ -587,6 +579,94 @@ def searches(monkeypatch):
 
     monkeypatch.setattr("adequa.retract.hom_exists", counted)
     return calls
+
+
+def reference_hom_exists(adj: Adjacency, parent: list[int], alive: list[bool], b: int) -> bool:
+    """Does the branch headed by b map into the rest of the tree?
+
+    `parent` is the rooting's, so a = parent[b] is the branch's anchor.
+    The morphism fixes a, preserves edge directions and labels, and may
+    fold.  Pattern and host avoid every vertex that is not alive, and
+    with it the subtree it heads; the host never steps onto b, its only
+    way into the branch.  Depth-first over (pattern, host) vertex pairs
+    with an explicit stack and a memo local to this test.
+    """
+    a = parent[b]
+    n = len(adj)
+    memo: dict[int, bool] = {}
+    # A frame tries to map pattern vertex p to host vertex h.  It holds
+    # [p, h, p's unmatched pattern children, host candidates for the
+    # current child, the current child]; `done` carries the answer of a
+    # finished frame to the one below.  The root frame maps a to itself.
+    _, out, lab = next(e for e in adj[b] if e[0] == a)
+    stack = [[a, a, iter(((b, not out, lab),)), None, None]]
+    done = None
+    while stack:
+        frame = stack[-1]
+        if done:
+            frame[3] = None  # the current child is matched
+        done = None
+        p, h, children, candidates, child = frame
+        if candidates is None:
+            child = frame[4] = next(children, None)
+            if child is None:
+                memo[p * n + h] = done = True
+                stack.pop()
+                continue
+            candidates = frame[3] = iter(adj[h])
+        c, out, lab = child
+        for w, out2, lab2 in candidates:
+            if out2 != out or lab2 != lab or w == b or not alive[w]:
+                continue
+            known = memo.get(c * n + w)
+            if known is None:
+                pc = parent[c]
+                kids = [e for e in adj[c] if e[0] != pc and alive[e[0]]]
+                stack.append([c, w, iter(kids), None, None])
+                break
+            if known:
+                done = True
+                break
+        else:
+            memo[p * n + h] = done = False
+            stack.pop()
+    return bool(done)
+
+
+class TestSearchOracle:
+    """`hom_exists` reads each pattern vertex's children straight from
+    the adjacency; `reference_hom_exists` is the search that first listed
+    them in a new list per frame.  Both see the same dead heads."""
+
+    def test_same_answers_as_the_listing_search(self, monkeypatch):
+        answers = []
+
+        def both(adj, parent, alive, b):
+            got = hom_exists(adj, parent, alive, b)
+            answers.append((got, reference_hom_exists(adj, parent, alive, b)))
+            return got
+
+        monkeypatch.setattr("adequa.retract.hom_exists", both)
+        trees = itertools.chain(itertools.chain.from_iterable(map(oriented_trees, range(8))), big_trees())
+        for t in trees:
+            list(_folds(t, _walk(t)))
+        assert all(got == want for got, want in answers)
+        assert sum(not got for got, _ in answers) > 500
+        assert sum(got for got, _ in answers) > 500
+
+    def test_same_answers_with_any_dead_heads(self):
+        # heads the pass would not have killed, inside the pattern too
+        rng = random.Random(41)
+        differ = 0
+        for t in itertools.islice(oriented_trees(7), 0, None, 7):
+            trunk, adj = validate(t), undirected_adjacency(t)
+            off = [v for v in range(t.vertices) if v not in trunk.vertices]
+            for b in off:
+                alive = [v == b or rng.random() < 0.7 for v in range(t.vertices)]
+                got = hom_exists(adj, trunk.parent, alive, b)
+                assert got == reference_hom_exists(adj, trunk.parent, alive, b), (t, alive, b)
+                differ += got != hom_exists(adj, trunk.parent, [True] * t.vertices, b)
+        assert differ > 100
 
 
 class TestKindFilter:

@@ -17,7 +17,7 @@ def run_script(name, *args):
     )
 
 
-def test_bench_smoke(tmp_path, monkeypatch):
+def test_bench_smoke(tmp_path, monkeypatch, capsys):
     out = tmp_path / "BENCH_smoke.json"
     baseline = ["--baseline", "HEAD"] if os.path.isdir(os.path.join(ROOT, ".git")) else []
     proc = run_script("bench.py", "--smoke", "--workloads", "arith", "--seeds", "1",
@@ -42,6 +42,14 @@ def test_bench_smoke(tmp_path, monkeypatch):
         for name, medians in arith["regressions"].items():
             assert name in report["better"]
             assert set(medians) == {"baseline", "change"}
+        # one summary line per workload, on stderr only
+        base, change = arith["baseline"]["ops_per_s"], arith["change"]["ops_per_s"]
+        line = "arith: ops_per_s median %.6g -> %.6g, change won %d/1 pairs, baseline IQR 0, regressions: %s" % (
+            base["median"], change["median"], arith["change_wins"]["ops_per_s"],
+            ", ".join(sorted(arith["regressions"])) or "none",
+        )
+        assert proc.stderr.splitlines().count(line) == 1, proc.stderr
+        assert "ops_per_s median" not in proc.stdout
 
     # each side runs from a fresh copy in one temporary directory, never
     # from the working tree itself; the change side, which runs first in
@@ -57,7 +65,14 @@ def test_bench_smoke(tmp_path, monkeypatch):
                 **{name: 1.0 for name in report["better"]}}
 
     monkeypatch.setattr(bench, "run_once", spy)
+    capsys.readouterr()
     assert bench.main(["--workloads", "arith", "--seeds", "1", "--out", str(out), *baseline]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    if baseline:
+        assert printed.err.splitlines()[-1] == (
+            "arith: ops_per_s median 1 -> 1, change won 0/1 pairs, baseline IQR 0, regressions: none"
+        )
     roots = [root for root, _ in runs]
     assert len(set(roots)) == len(roots) == len(sides)
     with open(os.path.join(ROOT, "src", "adequa", "trees.py"), "rb") as fh:

@@ -53,6 +53,17 @@ def trunk_edges(info) -> tuple[tuple[int, int, str], ...]:
     return tuple((a, b, info.label[b]) for a, b in zip(v, v[1:]))
 
 
+def spy_walks(monkeypatch, walks: list) -> list:
+    """Append to `walks` each tree a rooting walk builds an adjacency for,
+    in `trees`: the entry walk's checked one (`_checked_adjacency`) and
+    the unchecked one of the trees the package builds (`_root`'s
+    `undirected_adjacency`).  Returns `walks`."""
+    for name in ("_checked_adjacency", "undirected_adjacency"):
+        build = getattr(adequa.trees, name)
+        monkeypatch.setattr(adequa.trees, name, lambda t, build=build: walks.append(t) or build(t))
+    return walks
+
+
 def relabel_tree(t: XTree, perm) -> XTree:
     """Apply a vertex bijection; semantics-preserving by construction."""
     return XTree(
@@ -142,6 +153,35 @@ class TestValidation:
         with pytest.raises(InvalidTreeError, match="empty edge label"):
             validate(XTree(2, ((0, 1, ""),), 0, 1))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # the first bad edge names the error, its endpoints before its label
+            (((0, 1, "a(b"), (1, 9, "a")), "bad edge label 'a(b': has one of ( ) < > \" \\"),
+            (((0, 9, "a"), (1, 2, "a(b")), "not a tree: edge endpoint out of range"),
+            (((0, 1, "a"), (1, 2, 5), (2, 9, "a")), "not a tree: edge label 5 is not a string"),
+            (((0, 1, ""), (1, 2, "a"), (2, 9, "a")), "not a tree: empty edge label"),
+            # a label accepted once is accepted again, and a later edge still checked
+            (((0, 1, "a"), (1, 2, "a"), (2, 3, "")), "not a tree: empty edge label"),
+            (((0, 1, "a"), (1, 2, "a"), (2, 3, "b)")), "bad edge label 'b)': has one of ( ) < > \" \\"),
+            (((0, 1, "a"), (1, 2, "a"), (2, 9, "a")), "not a tree: edge endpoint out of range"),
+            (((0, 1, "a"), (1, 2, "a"), (2, 3, None)), "not a tree: edge label None is not a string"),
+        ],
+    )
+    def test_first_bad_edge_names_the_error(self, edges, message):
+        t = XTree(len(edges) + 1, edges, 0, 1)
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError) as caught:
+                validate(t)
+            assert str(caught.value) == message
+
+    def test_unhashable_label_is_named(self):
+        # the label's type is tested before it is hashed
+        t = XTree(2, ((0, 1, ["a"]),), 0, 1)
+        with pytest.raises(InvalidTreeError) as caught:
+            validate(t)
+        assert str(caught.value) == "not a tree: edge label ['a'] is not a string"
+
     def test_labels_cannot_forge_a_code(self):
         # "a()>b" once wrote the same code bytes as two sibling edges a, b
         pair = XTree(3, ((0, 1, "a"), (0, 2, "b")), 0, 0)
@@ -170,14 +210,7 @@ class TestValidation:
 
     def test_each_tree_is_checked_once(self, monkeypatch):
         # t, another tree, t again: the second check of t reads its rooting
-        walks = []
-
-        def counted(t):
-            walks.append(t)
-            return adjacency(t)
-
-        adjacency = adequa.trees.undirected_adjacency
-        monkeypatch.setattr(adequa.trees, "undirected_adjacency", counted)
+        walks = spy_walks(monkeypatch, [])
         t = XTree(3, ((0, 1, "a"), (1, 2, "b")), 0, 2)
         other = XTree(3, ((0, 1, "a"), (0, 2, "a")), 0, 1)
         first = validate(t)
