@@ -8,11 +8,11 @@ unretracted tree and retracting once.  Every flavour shares one path:
 `retract` chooses its engine, and `canonical_code` codes the result when
 it is asked for.
 
-A tree is checked in full where it enters: `make_element`, `generator`
-and `Element` construction.  The trees built here from elements (a
-product, a term's raw tree, a moved start, a reversal) are glued from
-checked trees, so they take only the rooting walk, `trees._root`, whose
-adjacency the retraction reuses.
+A tree's fields are checked where it is built with `XTree(...)`.  The
+trees built here from elements (a product, a term's raw tree, a moved
+start, a reversal) are glued from checked trees, so they are built
+through `trees._sorted_tree` without that check, and take the rooting
+walk, `trees._root`, whose adjacency the retraction reuses.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ class FlavorError(ValueError):
 class Element:
     """A free adequate monoid element: a retract-free tree and its flavor.
 
-    `Element(tree, code, flavor)` validates the tree, which returns at
-    once for a tree whose rooting is stored, as every tree the package
-    builds has.  `code` is the tree's canonical code when the caller has
-    it, else None: the code is then built the first time `code`, `==` or
-    `hash` reads it, and kept.
+    `Element(tree, code, flavor)` roots the tree with `validate`, which
+    returns at once for a tree whose rooting is stored, as every tree the
+    package builds has.  `code` is the tree's canonical code when the
+    caller has it, else None: the code is then built the first time
+    `code`, `==` or `hash` reads it, and kept.
     """
 
     tree: XTree
@@ -99,11 +99,11 @@ def make_element(tree: XTree, flavor: Flavor, adj: Adjacency | None = None) -> E
     """Retract eagerly and check the flavor's tree-shape invariant; the
     element's code is built when it is first read.
 
-    `retract` picks its engine.  Without `adj` it validates the input in
-    full; the builders of this module pass the adjacency of the rooting
-    walk (`trees._root`) of a tree they glued from checked trees instead.  A
-    left (right) element must then reach every vertex from its start
-    along the edges (from its end against them).
+    `retract` picks its engine.  Without `adj` it roots the input with
+    the rooting walk, unless it is rooted already; the builders of this
+    module pass the adjacency of that walk (`trees._root`), taken on the
+    tree they glued.  A left (right) element must then reach every vertex
+    from its start along the edges (from its end against them).
     """
     tree = retract(tree, adj)
     if flavor is Flavor.LEFT and not is_left(tree):
@@ -129,7 +129,7 @@ _GENERATORS: dict[tuple[str, Flavor], Element] = {}
 
 def generator(label: str, flavor: Flavor) -> Element:
     """The generator `label` of the flavor, built on first use and shared
-    afterwards; a label that `validate` rejects raises on every call."""
+    afterwards; a label that `XTree(...)` rejects raises on every call."""
     e = _GENERATORS.get((label, flavor))
     if e is None:
         e = _GENERATORS[label, flavor] = make_element(generator_tree(label), flavor)
@@ -141,7 +141,7 @@ def glue(s: XTree, t: XTree) -> XTree:
     shift = s.vertices
     relabel = lambda v: s.end if v == t.start else (v + shift - (1 if v > t.start else 0))
     edges = s.edges + tuple((relabel(a), relabel(b), lab) for a, b, lab in t.edges)
-    return XTree(s.vertices + t.vertices - 1, edges, s.start, relabel(t.end))
+    return _sorted_tree(s.vertices + t.vertices - 1, tuple(sorted(edges)), s.start, relabel(t.end))
 
 
 def multiply(s: Element, t: Element) -> Element:
@@ -249,5 +249,5 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
         index = {v: i for i, v in enumerate(sorted(set(rep)))}
         edges = [(index[rep[a]], index[rep[b]], lab) for a, b, lab in edges]
         n, cur = len(index), index[rep[cur]]
-    raw = XTree(n, edges, 0, cur)
+    raw = _sorted_tree(n, tuple(sorted(edges)), 0, cur)
     return make_element(raw, flavor, _root(raw))

@@ -342,7 +342,7 @@ def retract(t: XTree, adj: Adjacency | None = None) -> XTree:
     `_left_monogenic_kept`; any other tree by the leaves-first pass.
     `adj` is the adjacency of the rooting walk the package's own builders
     take (`trees._root`), which leaves t rooted; without it, a tree not
-    yet validated is checked and walked once by `_walk`.
+    yet rooted is walked once by `_walk`.
     """
     adj = adj or _walk(t)
     trunk = t.rooting

@@ -17,16 +17,23 @@ class InvalidTreeError(ValueError):
     """Raised when a vertex/edge structure is not a valid birooted tree."""
 
 
+# bytes that delimit labels in canonical_code or end a quoted DOT label
+_RESERVED = frozenset('()<>"\\')
+
+
 @dataclass(frozen=True, slots=True, weakref_slot=True)
 class XTree:
     """A birooted edge-labelled directed tree.
 
     Vertices are 0..vertices-1; edges are (src, dst, label) triples.
     Edge order is normalised (sorted) so structurally equal trees with
-    the same indexing compare equal.  `rooting` is set by `validate`,
-    `_root` or `_rooted_tree`; it is not part of the tree's value, so
-    `==`, `hash` and `repr` ignore it.  The package's own builders make
-    their trees through `_sorted_tree`, which skips the sort.
+    the same indexing compare equal.  The constructor checks the fields
+    (`_check_fields`) before it sorts; connectivity and the trunk are
+    checked by the rooting walk, at the first `validate`.  `rooting` is
+    set by `validate` or `_rooted_tree`; it is not part of the tree's
+    value, so `==`, `hash` and `repr` ignore it.  The package's own
+    builders make their trees through `_sorted_tree`, which skips the
+    check and the sort.
     """
 
     vertices: int
@@ -38,11 +45,60 @@ class XTree:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(map(tuple, self.edges))))
+        object.__setattr__(self, "edges", tuple(sorted(_check_fields(self))))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+
+def _check_fields(t: XTree) -> tuple[tuple, ...]:
+    """The public constructor's checks of t's fields as given: an int
+    count of at least one vertex, int roots in range, n - 1 edges, and
+    each edge a (src, dst, label) triple of int endpoints in range and a
+    non-empty string label without a `_RESERVED` byte.  The edges are
+    checked in the order given, each one's endpoints before its label, so
+    the first bad edge names the error.  A label is tested for being a
+    string on every edge, before it is hashed, and for the rest once.
+    Returns the edges as a tuple of tuples, for the constructor's sort."""
+    n = t.vertices
+    if type(n) is not int:
+        raise InvalidTreeError("not a tree: vertex count %r is not an int" % (n,))
+    if n < 1:
+        raise InvalidTreeError("not a tree: need at least one vertex")
+    for name, root in (("start", t.start), ("end", t.end)):
+        if type(root) is not int:
+            raise InvalidTreeError("not a tree: %s %r is not an int" % (name, root))
+    if not (0 <= t.start < n and 0 <= t.end < n):
+        raise InvalidTreeError("not a tree: root out of range")
+    try:
+        given = tuple(map(tuple, t.edges))
+    except TypeError:
+        raise InvalidTreeError("not a tree: an edge is not a (src, dst, label) triple") from None
+    if len(given) != n - 1:
+        raise InvalidTreeError("not a tree: expected %d edges, got %d" % (n - 1, len(given)))
+    good: set[str] = set()  # the labels checked so far
+    for e in given:
+        try:
+            src, dst, lab = e
+        except ValueError:
+            raise InvalidTreeError(
+                "not a tree: edge %r is not a (src, dst, label) triple" % (e,)) from None
+        if type(src) is not int or type(dst) is not int:
+            raise InvalidTreeError(
+                "not a tree: edge endpoint %r is not an int" % (dst if type(src) is int else src,)
+            )
+        if not (0 <= src < n and 0 <= dst < n):
+            raise InvalidTreeError("not a tree: edge endpoint out of range")
+        if not isinstance(lab, str):
+            raise InvalidTreeError("not a tree: edge label %r is not a string" % (lab,))
+        if lab not in good:
+            if not lab:
+                raise InvalidTreeError("not a tree: empty edge label")
+            if not _RESERVED.isdisjoint(lab):
+                raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
+            good.add(lab)
+    return given
 
 
 @dataclass(slots=True)
@@ -117,98 +173,35 @@ def undirected_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
     return adj
 
 
-# bytes that delimit labels in canonical_code or end a quoted DOT label
-_RESERVED = frozenset('()<>"\\')
-
-
 def validate(t: XTree) -> TrunkInfo:
-    """Check the tree and trunk invariants; return the trunk and the
-    rooting on success.
+    """Root the tree at its start; return its trunk and the rooting.
 
-    Raises InvalidTreeError("not a tree") on disconnection, bad counts or
-    out-of-range indices, and InvalidTreeError("no trunk") when there is
-    no directed start-to-end path.  Labels may not be empty or contain
-    the bytes that delimit them in `canonical_code` or `to_dot`.  A
-    success is stored in the tree's `rooting`, which later calls return
-    without checking again; a failure is not stored, so an invalid tree
-    raises on every call.
-
-    A tree is checked in full where it enters the package: here, and so
-    in `from_json`, `canonical_code`, `retract`, `is_retract_free`,
-    `algebra.make_element`, `algebra.generator` and the construction of
-    an `algebra.Element`.  The trees the package builds from checked ones
-    (a product, a term's raw tree, a moved root, a reversal) take only
-    the rooting walk, `_root`, and `_rooted_tree`'s callers derive their
-    rooting without one.
+    The constructor has checked the fields, so what is left to check is
+    the rooting walk's: InvalidTreeError("not a tree") on disconnection
+    and InvalidTreeError("no trunk") when there is no directed
+    start-to-end path.  A success is stored in the tree's `rooting`,
+    which later calls return without walking again; a failure is not
+    stored, so an invalid tree raises on every call.
     """
     if t.rooting is None:
-        _walk(t)
+        _root(t)
     return t.rooting
 
 
 def _walk(t: XTree) -> list[list[tuple[int, bool, str]]] | None:
-    """`validate`'s checks and walk, for a caller that also wants the
-    adjacency the walk built: the adjacency when the rooting is not known
-    yet, and None when it is.  Either way the rooting is then stored."""
-    if t.rooting is not None:
-        return None
-    return _root_over(t, _checked_adjacency(t))
-
-
-def _checked_adjacency(t: XTree) -> list[list[tuple[int, bool, str]]]:
-    """`undirected_adjacency`, built by the loop that makes the checks of
-    `validate` that read the counts and the edge list: at least one
-    vertex, roots and endpoints in range, n - 1 edges, and labels that
-    are non-empty strings without a `_RESERVED` byte.  The edges are
-    checked in order, each one's endpoints before its label, so the first
-    bad edge names the error.  A label is tested for being a string on
-    every edge, before it is hashed, and for the rest once."""
-    n = t.vertices
-    if n < 1:
-        raise InvalidTreeError("not a tree: need at least one vertex")
-    if not (0 <= t.start < n and 0 <= t.end < n):
-        raise InvalidTreeError("not a tree: root out of range")
-    if len(t.edges) != n - 1:
-        raise InvalidTreeError(
-            "not a tree: expected %d edges, got %d" % (n - 1, len(t.edges))
-        )
-    adj: list[list[tuple[int, bool, str]]] = [[] for _ in range(n)]
-    good: set[str] = set()  # the labels checked so far
-    for src, dst, lab in t.edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise InvalidTreeError("not a tree: edge endpoint out of range")
-        if not isinstance(lab, str):
-            raise InvalidTreeError("not a tree: edge label %r is not a string" % (lab,))
-        if lab not in good:
-            if not lab:
-                raise InvalidTreeError("not a tree: empty edge label")
-            if not _RESERVED.isdisjoint(lab):
-                raise InvalidTreeError("bad edge label %r: has one of ( ) < > \" \\" % lab)
-            good.add(lab)
-        adj[src].append((dst, True, lab))
-        adj[dst].append((src, False, lab))
-    return adj
+    """`validate`'s walk, for a caller that also wants the adjacency the
+    walk built: the adjacency when the rooting is not known yet, and None
+    when it is.  Either way the rooting is then stored."""
+    return None if t.rooting is not None else _root(t)
 
 
 def _root(t: XTree) -> list[list[tuple[int, bool, str]]]:
-    """The rooting walk of `validate` over the unchecked
-    `undirected_adjacency`.  Stores the rooting on t and returns the
-    adjacency.
-
-    Called only on a tree the package glued, moved or reversed from
-    checked trees, whose counts, ranges and labels hold by construction;
-    the errors it raises are still those of `validate`."""
-    return _root_over(t, undirected_adjacency(t))
-
-
-def _root_over(
-    t: XTree, adj: list[list[tuple[int, bool, str]]]
-) -> list[list[tuple[int, bool, str]]]:
-    """The walk of `_root` and `_walk` over t's adjacency `adj`: breadth
-    first from the start, the connectivity check and `_trunk`.  Stores
-    the rooting on t and returns `adj`."""
+    """The rooting walk: breadth first from the start over
+    `undirected_adjacency`, the connectivity check and `_trunk`.  Stores
+    the rooting on t and returns the adjacency."""
     # BFS from the start; each vertex records its parent and the direction
     # and label of the edge it was reached by.
+    adj = undirected_adjacency(t)
     n = t.vertices
     parent = [-1] * n
     forward = [False] * n
@@ -320,14 +313,14 @@ def theta(t: XTree) -> XTree:
     """The trunk-only subtree: same start/end, all branches removed."""
     trunk = validate(t)
     edges = tuple((i, i + 1, trunk.label[v]) for i, v in enumerate(trunk.vertices[1:]))
-    return XTree(trunk.length + 1, edges, 0, trunk.length)
+    return _sorted_tree(trunk.length + 1, edges, 0, trunk.length)
 
 
 def reverse_tree(t: XTree) -> XTree:
     """Flip every edge and swap the roots (the left/right anti-isomorphism)."""
-    return XTree(
+    return _sorted_tree(
         t.vertices,
-        tuple((b, a, lab) for a, b, lab in t.edges),
+        tuple(sorted((b, a, lab) for a, b, lab in t.edges)),
         t.end,
         t.start,
     )
@@ -368,7 +361,8 @@ def from_json(text: str) -> XTree:
         ):
             raise InvalidTreeError("malformed JSON at $.edges[%d]" % i)
         edges.append((e[0], e[1], e[2]))
-    t = XTree(obj["vertices"], tuple(edges), obj["start"], obj["end"])
+    # sorted, so that the first bad edge in the tree's own order names the error
+    t = XTree(obj["vertices"], tuple(sorted(edges)), obj["start"], obj["end"])
     validate(t)
     return t
 

@@ -36,7 +36,7 @@ from adequa.trees import (
     validate,
 )
 
-from .test_trees import spy_walks
+from .test_trees import spy_checks, spy_walks
 
 
 def a_power(n: int, flavor=Flavor.LEFT) -> Element:
@@ -63,7 +63,7 @@ class TestBasics:
             # another tree in validate's memo, then no full check may run
             trees.validate(trees.generator_tree("a"))
             with monkeypatch.context() as m:
-                m.setattr(trees, "_checked_adjacency", None)
+                m.setattr(trees, "_check_fields", None)
                 m.setattr(trees, "undirected_adjacency", None)
                 assert identity_element(flavor) is e
 
@@ -90,7 +90,7 @@ class TestBasics:
             for flavor in (Flavor.LEFT, Flavor.TWO_SIDED)
             for _ in range(100)
         ]
-        walked = spy_walks(monkeypatch, [])
+        walked = spy_checks(monkeypatch, spy_walks(monkeypatch, []))
         results = [plus_op(e) for e in ops]
         folded = sum(r.edge_count < e.edge_count for e, r in zip(ops, results))
         assert len(walked) == 0 < folded < len(ops)
@@ -374,34 +374,56 @@ class TestEvalMatchesFold:
 BAD_LABELS = ["a" + byte for byte in '()<>"\\'] + [""]
 
 
-def bad_tree(label):
-    return XTree(3, ((0, 1, "a"), (0, 2, label)), 0, 1)
+def bad_edges(label):
+    return ((0, 1, "a"), (0, 2, label))
+
+
+def bad_label_message(label):
+    if not label:
+        return "not a tree: empty edge label"
+    return "bad edge label %r: has one of ( ) < > \" \\" % label
 
 
 class TestEntryChecks:
-    """A tree is checked in full where it enters the package, on every
-    call, whatever the package has built meanwhile."""
+    """A tree is checked where it enters the package, on every call,
+    whatever the package has built meanwhile: its fields when it is
+    built, its shape at its first read."""
 
     @pytest.mark.parametrize("label", BAD_LABELS)
     def test_every_entry_point_rejects_a_bad_label(self, label):
-        t = bad_tree(label)
-        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in t.edges]})
+        edges = bad_edges(label)
+        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in edges]})
         for flavor in Flavor:
             entries = [
+                (XTree, 3, edges, 0, 1),
+                (from_json, text),
+                (generator, label, flavor),
+            ]
+            for _ in range(2):
+                for fn, *args in entries:
+                    with pytest.raises(InvalidTreeError) as caught:
+                        fn(*args)
+                    assert str(caught.value) == bad_label_message(label)
+                # an operation in between stores rootings on its own trees only
+                multiply(generator("a", flavor), generator("b", flavor))
+
+    def test_every_reader_rejects_a_trunkless_tree(self):
+        # the fields hold, so the tree is built; each reader roots it and raises
+        t = XTree(3, ((0, 1, "a"), (2, 1, "a")), 0, 2)
+        for flavor in Flavor:
+            entries = [
+                (validate, t),
                 (retract, t),
                 (is_retract_free, t),
                 (canonical_code, t),
-                (from_json, text),
-                (generator, label, flavor),
                 (make_element, t, flavor),
                 (Element, t, None, flavor),
                 (Element, t, b"(E)", flavor),
             ]
             for _ in range(2):
                 for fn, *args in entries:
-                    with pytest.raises(InvalidTreeError):
+                    with pytest.raises(InvalidTreeError, match="no trunk"):
                         fn(*args)
-                # an operation in between stores rootings on its own trees only
                 multiply(generator("a", flavor), generator("b", flavor))
         assert t.rooting is None
 

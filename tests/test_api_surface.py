@@ -84,6 +84,26 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_public_tree_constructor_on_hot_paths():
+    # the public XTree(...) checks every field; the operations build their
+    # trees through trees._sorted_tree instead.  growth.oriented_trees,
+    # the brute-force oracle of the spheres, may use it.
+    found = []
+    for name in ("algebra.py", "retract.py", "growth.py"):
+        tree = parse(os.path.join(PACKAGE, name))
+        allowed = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "oriented_trees":
+                allowed = {id(node) for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "XTree":
+                    found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
 def test_tracer_targets_exist():
     # the benchmark's tracer wraps these functions by name; a rename must
     # fail here, not only in a traced benchmark run

@@ -15,7 +15,7 @@ from adequa.growth import generic_left_trees
 from adequa.terms import parse_term
 from adequa.trees import canonical_code, from_json, generator_tree, to_json
 
-from .test_algebra import BAD_LABELS, bad_tree
+from .test_algebra import BAD_LABELS, bad_edges
 from .test_trees import run_capped
 
 
@@ -133,11 +133,17 @@ class TestRetract:
 
     @pytest.mark.parametrize("label", BAD_LABELS)
     def test_bad_label_rejected(self, capsys, label):
-        t = bad_tree(label)
-        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in t.edges]})
+        text = json.dumps({"vertices": 3, "start": 0, "end": 1, "edges": [list(e) for e in bad_edges(label)]})
         for _ in range(2):
             code, out, err = run(capsys, "retract", "--json", text)
             assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_first_bad_edge_in_the_trees_order_names_the_error(self, capsys):
+        # the tree's edges are sorted: (0, 9) comes before (1, 2)
+        text = '{"vertices":3,"start":0,"end":1,"edges":[[1,2,"a("],[0,9,"a"]]}'
+        code, out, err = run(capsys, "retract", "--json", text)
+        assert code == 2 and out == ""
+        assert err == "error: not a tree: edge endpoint out of range"
 
     @pytest.mark.parametrize("edge", ["[false,true,\"a\"]", "[0,true,\"a\"]", "[true,1,\"a\"]"])
     def test_boolean_endpoint_rejected(self, capsys, edge):

@@ -51,7 +51,7 @@ from adequa.trees import (
     validate,
 )
 
-from .test_trees import SRC, spy_walks
+from .test_trees import SRC, spy_checks, spy_walks
 
 BENCH_SPEC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spec.json"
@@ -286,7 +286,7 @@ class TestLeftSpheres:
                 assert cen.by_trunk.get(k, 0) == P(n + 1, k + 1)
 
     def test_census_from_construction_matches_validated_census(self, monkeypatch):
-        walked = count_full_validations(monkeypatch)
+        walked = spy_checks(monkeypatch, count_full_validations(monkeypatch))
         for n in range(31):
             cen = left_census(n)
             assert walked == []

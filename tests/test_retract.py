@@ -32,6 +32,7 @@ from adequa.retract import (
     retract,
 )
 from adequa.trees import (
+    InvalidTreeError,
     TrunkInfo,
     XTree,
     _walk,
@@ -945,7 +946,9 @@ class TestFastPath:
     def test_engine_is_checked_before_the_tree(self):
         # a bad engine is reported as such, on an invalid tree too, and a
         # valid tree is not walked for it
-        for t in (XTree(3, ((0, 1, "a"),), 0, 1), XTree(2, ((0, 1, "a"),), 0, 1)):
+        with pytest.raises(InvalidTreeError, match="expected 2 edges, got 1"):
+            XTree(3, ((0, 1, "a"),), 0, 1)
+        for t in (XTree(3, ((0, 1, "a"), (2, 1, "a")), 0, 2), XTree(2, ((0, 1, "a"),), 0, 1)):
             with pytest.raises(ValueError, match="unknown engine"):
                 is_retract_free(t, engine="nope")
             assert t.rooting is None

@@ -18,7 +18,15 @@ import pytest
 import adequa.algebra
 import adequa.growth
 import adequa.trees
-from adequa.algebra import Flavor, generator, make_element, multiply, plus_op, star_op
+from adequa.algebra import (
+    Flavor,
+    eval_term,
+    generator,
+    multiply,
+    plus_op,
+    reverse_element,
+    star_op,
+)
 from adequa.growth import (
     generic_left_trees,
     oriented_trees,
@@ -28,6 +36,7 @@ from adequa.growth import (
     zigzag_tree,
 )
 from adequa.retract import retract
+from adequa.terms import parse_term
 from adequa.trees import (
     EPSILON,
     InvalidTreeError,
@@ -53,15 +62,24 @@ def trunk_edges(info) -> tuple[tuple[int, int, str], ...]:
     return tuple((a, b, info.label[b]) for a, b in zip(v, v[1:]))
 
 
+def spy(monkeypatch, name: str, seen: list) -> list:
+    """Append to `seen` each tree `trees.<name>` is called on from here
+    on.  Returns `seen`."""
+    call = getattr(adequa.trees, name)
+    monkeypatch.setattr(adequa.trees, name, lambda t: seen.append(t) or call(t))
+    return seen
+
+
 def spy_walks(monkeypatch, walks: list) -> list:
-    """Append to `walks` each tree a rooting walk builds an adjacency for,
-    in `trees`: the entry walk's checked one (`_checked_adjacency`) and
-    the unchecked one of the trees the package builds (`_root`'s
-    `undirected_adjacency`).  Returns `walks`."""
-    for name in ("_checked_adjacency", "undirected_adjacency"):
-        build = getattr(adequa.trees, name)
-        monkeypatch.setattr(adequa.trees, name, lambda t, build=build: walks.append(t) or build(t))
-    return walks
+    """Append to `walks` each tree the rooting walk (`_root`) builds an
+    adjacency for.  Returns `walks`."""
+    return spy(monkeypatch, "undirected_adjacency", walks)
+
+
+def spy_checks(monkeypatch, checks: list) -> list:
+    """Append to `checks` each tree the public constructor checks
+    (`_check_fields`).  Returns `checks`."""
+    return spy(monkeypatch, "_check_fields", checks)
 
 
 def relabel_tree(t: XTree, perm) -> XTree:
@@ -116,14 +134,17 @@ class TestValidation:
         assert info.vertices == (0, 1) and info.label[1] == "a"
 
     def test_disconnected_rejected(self):
-        t = XTree(4, ((0, 1, "a"), (2, 3, "a")), 0, 1)
         with pytest.raises(InvalidTreeError, match="not a tree"):
-            validate(t)
+            XTree(4, ((0, 1, "a"), (2, 3, "a")), 0, 1)
+        # with n - 1 edges, a disconnected graph has a cycle: the walk finds it
+        t = XTree(4, ((0, 1, "a"), (2, 3, "a"), (3, 2, "a")), 0, 1)
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError, match="not a tree: graph is disconnected"):
+                validate(t)
 
     def test_cycle_rejected(self):
-        t = XTree(3, ((0, 1, "a"), (1, 2, "a"), (2, 0, "a")), 0, 1)
         with pytest.raises(InvalidTreeError, match="not a tree"):
-            validate(t)
+            XTree(3, ((0, 1, "a"), (1, 2, "a"), (2, 0, "a")), 0, 1)
 
     def test_no_directed_trunk_rejected(self):
         # path exists undirected but the middle edge points the wrong way
@@ -139,19 +160,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("char", list('()<>"\\'))
     def test_reserved_label_bytes_rejected(self, char):
-        t = XTree(2, ((0, 1, "a%sb" % char),), 0, 1)
         with pytest.raises(InvalidTreeError, match="bad edge label"):
-            validate(t)
+            XTree(2, ((0, 1, "a%sb" % char),), 0, 1)
 
     @pytest.mark.parametrize("label", [5, None, b"a", ("a",)])
     def test_non_string_label_is_named(self, label):
         # a non-string label was once reported as an empty one
-        t = XTree(2, ((0, 1, label),), 0, 1)
         for _ in range(2):
             with pytest.raises(InvalidTreeError, match="edge label %s is not a string" % re.escape(repr(label))):
-                validate(t)
+                XTree(2, ((0, 1, label),), 0, 1)
         with pytest.raises(InvalidTreeError, match="empty edge label"):
-            validate(XTree(2, ((0, 1, ""),), 0, 1))
+            XTree(2, ((0, 1, ""),), 0, 1)
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -166,29 +185,56 @@ class TestValidation:
             (((0, 1, "a"), (1, 2, "a"), (2, 3, "b)")), "bad edge label 'b)': has one of ( ) < > \" \\"),
             (((0, 1, "a"), (1, 2, "a"), (2, 9, "a")), "not a tree: edge endpoint out of range"),
             (((0, 1, "a"), (1, 2, "a"), (2, 3, None)), "not a tree: edge label None is not a string"),
+            # an edge's shape and its endpoints' type come before its label
+            (((0, 1, "a("), (1, 2.0, "a")), "bad edge label 'a(': has one of ( ) < > \" \\"),
+            (((0, 1.0, "a"), (1, 2, "")), "not a tree: edge endpoint 1.0 is not an int"),
+            (((0, 1, ""), (1, 2)), "not a tree: empty edge label"),
+            (((0, 1), (1, 2, "")), "not a tree: edge (0, 1) is not a (src, dst, label) triple"),
+            # checked before the sort, which would compare "a" with None
+            (((0, 1, "a"), (0, 1, None)), "not a tree: edge label None is not a string"),
         ],
     )
     def test_first_bad_edge_names_the_error(self, edges, message):
-        t = XTree(len(edges) + 1, edges, 0, 1)
         for _ in range(2):
             with pytest.raises(InvalidTreeError) as caught:
-                validate(t)
+                XTree(len(edges) + 1, edges, 0, 1)
             assert str(caught.value) == message
 
     def test_unhashable_label_is_named(self):
         # the label's type is tested before it is hashed
-        t = XTree(2, ((0, 1, ["a"]),), 0, 1)
         with pytest.raises(InvalidTreeError) as caught:
-            validate(t)
+            XTree(2, ((0, 1, ["a"]),), 0, 1)
         assert str(caught.value) == "not a tree: edge label ['a'] is not a string"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, ((0, 1.0, "a"),), 0, 1), "not a tree: edge endpoint 1.0 is not an int"),
+            ((2.0, ((0, 1, "a"),), 0, 1), "not a tree: vertex count 2.0 is not an int"),
+            ((2, ((0, 1, "a"),), 0.0, 1), "not a tree: start 0.0 is not an int"),
+            ((2, ((0, 1, "a"),), 0, 1.0), "not a tree: end 1.0 is not an int"),
+            ((2, ((0, 1),), 0, 1), "not a tree: edge (0, 1) is not a (src, dst, label) triple"),
+            ((2, ((0, True, "a"),), 0, 1), "not a tree: edge endpoint True is not an int"),
+            ((2, (5,), 0, 1), "not a tree: an edge is not a (src, dst, label) triple"),
+        ],
+        ids=[
+            "float-endpoint", "float-vertex-count", "float-start", "float-end", "pair-edge",
+            "bool-endpoint", "int-edge",
+        ],
+    )
+    def test_a_bad_field_is_named_at_construction(self, args, message):
+        # these once escaped as a TypeError or ValueError from list indexing,
+        # tuple unpacking or the sort
+        with pytest.raises(InvalidTreeError) as caught:
+            XTree(*args)
+        assert str(caught.value) == message
 
     def test_labels_cannot_forge_a_code(self):
         # "a()>b" once wrote the same code bytes as two sibling edges a, b
         pair = XTree(3, ((0, 1, "a"), (0, 2, "b")), 0, 0)
-        forged = XTree(2, ((0, 1, "a()>b"),), 0, 0)
         assert canonical_code(pair) == b"(E>a()>b())"
         with pytest.raises(InvalidTreeError):
-            make_element(forged, Flavor.TWO_SIDED)
+            XTree(2, ((0, 1, "a()>b"),), 0, 0)
 
     def test_moved_end_shares_the_rooting(self):
         t = XTree(4, ((0, 1, "a"), (1, 2, "b"), (3, 1, "c")), 0, 0)
@@ -209,14 +255,16 @@ class TestValidation:
         assert t.rooting is None
 
     def test_each_tree_is_checked_once(self, monkeypatch):
-        # t, another tree, t again: the second check of t reads its rooting
-        walks = spy_walks(monkeypatch, [])
+        # built: one check each; t, another tree, t again: the second
+        # rooting of t reads the stored one
+        checks, walks = spy_checks(monkeypatch, []), spy_walks(monkeypatch, [])
         t = XTree(3, ((0, 1, "a"), (1, 2, "b")), 0, 2)
         other = XTree(3, ((0, 1, "a"), (0, 2, "a")), 0, 1)
         first = validate(t)
         validate(other)
         assert validate(t) is first is t.rooting
-        assert walks == [t, other]
+        assert checks == walks == [t, other]
+        assert checks[0] is t and checks[1] is other
 
     def test_rooting_is_not_part_of_the_value(self):
         for t in itertools.islice(oriented_trees(4), 0, None, 3):
@@ -281,11 +329,36 @@ def recorded_builds(monkeypatch) -> list[tuple[str, XTree]]:
     return built
 
 
+def random_operations(rng, count):
+    """Run `count` seeded two-sided operations on generators a and b:
+    products, ^+, ^*, reverse_element and eval_term of a term with ^+ and
+    ^*, each on the value built so far."""
+    gens = [generator(lab, Flavor.TWO_SIDED) for lab in "ab"]
+    terms = [parse_term(text) for text in ("(xy)^+x", "x(yx)^*", "((xy)^*y)^+")]
+    x = gens[0]
+    for i in range(count):
+        y = rng.choice(gens)
+        kind = i % 5
+        if kind == 0:
+            x = rng.choice((multiply(x, y), multiply(y, x)))
+        elif kind == 1:
+            x = plus_op(x)
+        elif kind == 2:
+            x = star_op(x)
+        elif kind == 3:
+            x = reverse_element(x)
+        else:
+            x = eval_term(rng.choice(terms), {"x": x, "y": y}, Flavor.TWO_SIDED)
+        if x.edge_count > 12:
+            x = y
+
+
 class TestBuilderContract:
     """The package's own builders make their trees without the public
-    constructor's sort, on the promise that their edges come sorted; a
-    tree so built must be the public constructor's tree, and a rooting
-    handed with it the one `validate` finds."""
+    constructor's check and sort, on the promise that their fields hold
+    and their edges come sorted; a tree so built must pass the check and
+    be the public constructor's tree, and a rooting handed with it the
+    one `validate` finds."""
 
     def test_every_builder_keeps_the_contract(self, monkeypatch):
         built = recorded_builds(monkeypatch)
@@ -301,6 +374,8 @@ class TestBuilderContract:
             two_sided_sphere(n)
         for t in itertools.islice(oriented_trees(6), 0, None, 7):  # _with_end
             retract(t)  # _delete
+        for t in oriented_trees(4):
+            theta(t)
         rng = random.Random(5)
         gens = [generator(lab, Flavor.TWO_SIDED) for lab in "ab"]
         for _ in range(300):
@@ -309,12 +384,17 @@ class TestBuilderContract:
                 y = rng.choice(gens)
                 x = rng.choice((multiply(x, y), multiply(y, x), star_op(x), plus_op(x)))
             star_op(x)
+        random_operations(rng, 600)
         counts = collections.Counter(builder for builder, _ in built)
-        for builder in ("zigzag_tree", "_left_rows", "_build", "_delete", "_with_end", "star_op"):
+        for builder in (
+            "zigzag_tree", "_left_rows", "_build", "_delete", "_with_end",
+            "star_op", "glue", "eval_term", "reverse_tree", "theta",
+        ):
             assert counts[builder] > 100, (builder, counts)
         for builder, t in built:
             assert type(t.edges) is tuple and all(type(e) is tuple for e in t.edges), builder
             assert t.edges == tuple(sorted(t.edges)), (builder, t)
+            assert sorted(adequa.trees._check_fields(t)) == list(t.edges), (builder, t)
             public = XTree(t.vertices, t.edges, t.start, t.end)
             shuffled = XTree(t.vertices, t.edges[::-1], t.start, t.end)
             assert t == public == shuffled and public == t, (builder, t)
@@ -323,6 +403,13 @@ class TestBuilderContract:
                 want = validate(public)
                 for f in dataclasses.fields(TrunkInfo):
                     assert getattr(t.rooting, f.name) == getattr(want, f.name), (builder, f.name, t)
+
+    def test_operations_run_no_constructor_check(self, monkeypatch):
+        # the generators are built, and checked, before the spy
+        random_operations(random.Random(11), 5)
+        checks = spy_checks(monkeypatch, [])
+        random_operations(random.Random(7), 300)
+        assert checks == []
 
 
 class TestClassify:
