@@ -6,7 +6,9 @@ Multiplication glues end-to-start and retracts; the unary operations
 relocate a root and retract.  A term is evaluated by building its
 unretracted tree and retracting once.  Every flavour shares one path:
 `retract` chooses its engine, and `canonical_code` codes the result when
-it is asked for.
+it is asked for.  `eval_code` gives the code of a term's value alone,
+which is all an identity check compares; for the left flavor it builds
+no element, and `eval_term` is its oracle.
 
 A tree's fields are checked where it is built with `XTree(...)`.  The
 trees built here from elements (a product, a term's raw tree, a moved
@@ -251,3 +253,181 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
         n, cur = len(index), index[rep[cur]]
     raw = _sorted_tree(n, tuple(sorted(edges)), 0, cur)
     return make_element(raw, flavor, _root(raw))
+
+
+def eval_code(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavor) -> bytes:
+    """`eval_term(t, assignment, flavor).code`, byte for byte.
+
+    The left flavor is coded without building an element.  Its raw tree
+    is an out-tree, so a branch b folds at its anchor exactly when it
+    maps, b to c, into another alive child c of the anchor with b's
+    label; a retract-free result keeps no such branch.  One iterative
+    pass over the term builds the raw tree as child lists, its vertices
+    numbered parents first; a letter's tree is copied in the order of
+    its stored rooting, and a ^+ returns to the vertex where it began.
+    One pass from the last vertex to the first then drops, at each
+    vertex, every child off the trunk (the end and its ancestors) that
+    maps into a sibling (`_maps_into`), and writes the `canonical_code`
+    bytes of the children it keeps.  Over one label a branch maps into a
+    sibling exactly when it is no higher: the height rule of the
+    monogenic retraction, which the search tests first.  The other
+    flavors, and a left element whose tree is not a left tree, go
+    through `eval_term`.  The errors are eval_term's, raised at the same
+    node.
+    """
+    if flavor is not Flavor.LEFT:
+        return eval_term(t, assignment, flavor).code
+    par = [0]  # par[v]: v's parent; the start is its own
+    # edge[v]: the bytes `canonical_code` writes for the edge into v,
+    # b">" and its label, so that equal labels have equal bytes
+    edge = [b""]
+    kids: list[list[int]] = [[]]  # v's children, then those kept
+    n = 1
+    cur = 0
+    plans: dict[str, tuple] = {}  # letter -> `_copy_plan` of its tree
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is terms_mod.Product:
+            todo += (node.right, node.left)
+        elif kind is terms_mod.Letter:
+            plan = plans.get(node.name)
+            if plan is None:  # the letter's first occurrence
+                try:
+                    e = assignment[node.name]
+                except KeyError:
+                    raise ValueError("unassigned letter: %s" % node.name) from None
+                if e.flavor is not flavor:
+                    raise FlavorError("assignment flavor mismatch for %s" % node.name)
+                plan = plans[node.name] = _copy_plan(e.tree)
+                if plan is None:  # not a left tree: eval_term says what it is
+                    return eval_term(t, assignment, flavor).code
+            steps, end = plan
+            base = n - 1  # the plan's i-th vertex becomes base + i
+            for p, lb in steps:
+                a = base + p if p else cur
+                par.append(a)
+                edge.append(lb)
+                kids.append([])
+                kids[a].append(n)
+                n += 1
+            if end:
+                cur = base + end
+        elif kind is terms_mod.Plus:
+            todo += (cur, node.child)
+        elif kind is int:  # a ^+ ends where it began
+            cur = node
+        elif kind is terms_mod.Star:
+            raise FlavorError("star operator not valid for the left flavor")
+        elif kind is not terms_mod.Identity:
+            raise TypeError("not a term: %r" % (node,))
+    if type(t) is terms_mod.Letter:  # its value is its element
+        return e.code
+    end = cur
+    trunk = bytearray(n)
+    v = end
+    while v:
+        trunk[v] = 1
+        v = par[v]
+    trunk[0] = 1
+    height = [0] * n
+    code: list = [None] * n  # v's code, until its parent's is written
+    memo: dict[int, bool] = {}
+    for v in range(n - 1, -1, -1):
+        ks = kids[v]
+        if not ks:
+            code[v] = b"(E)" if v == end else b"()"
+            if not height[par[v]]:
+                height[par[v]] = 1
+            continue
+        if len(ks) > 1:
+            kept = ks[:]
+            for b in ks:
+                if trunk[b]:
+                    continue
+                eb, hb, cb = edge[b], height[b], code[b]
+                for c in kept:
+                    if c != b and edge[c] == eb and height[c] >= hb and (
+                        code[c] == cb or _maps_into(b, c, kids, edge, height, memo, n)
+                    ):
+                        kept.remove(b)
+                        break
+            kids[v] = ks = kept
+        if len(ks) == 1:
+            c = ks[0]
+            body = edge[c] + code[c]
+        else:
+            parts = [edge[c] + code[c] for c in ks]
+            parts.sort()
+            body = b"".join(parts)
+        for c in ks:
+            code[c] = None
+        code[v] = (b"(E" if v == end else b"(") + body + b")"
+        h = height[v] + 1
+        if h > height[par[v]]:
+            height[par[v]] = h
+    return code[0]
+
+
+def _copy_plan(t: XTree) -> tuple | None:
+    """How `eval_code` copies a left tree: its non-start vertices in the
+    order of its rooting, each as (its parent's place in that order, the
+    start's being 0, the bytes of its edge), and the end's place; None if
+    t is not a left tree."""
+    if t.vertices == 2:  # one edge, as a generator's
+        (a, _, lab), = t.edges
+        if a != t.start:
+            return None
+        lb = b">" + lab.encode()
+        return ((0, lb),), 0 if t.end == t.start else 1
+    r = validate(t)
+    order, parent, forward, label = r.order, r.parent, r.forward, r.label
+    place = {v: i for i, v in enumerate(order)}
+    steps = []
+    for v in order[1:]:
+        if not forward[v]:
+            return None
+        steps.append((place[parent[v]], b">" + label[v].encode()))
+    return steps, place[t.end]
+
+
+def _maps_into(b: int, c: int, kids: list[list[int]], edge: list[bytes], height: list[int],
+               memo: dict[int, bool], n: int) -> bool:
+    """Does the subtree at b map into the one at c, b to c, keeping edge
+    labels?  Both are subtrees of one out-tree, so each child of a
+    pattern vertex must go to a child of its image with the same edge
+    and no smaller height.  Depth first with an explicit stack; `memo`
+    holds the answers of one `eval_code` call by pair p * n + h."""
+    stack = [(b, c)]
+    while stack:
+        p, h = stack[-1]
+        holds = True
+        wait = None  # a pair whose answer this one needs first
+        for x in kids[p]:
+            ex, hx = edge[x], height[x]
+            found = False
+            for y in kids[h]:
+                if edge[y] != ex or height[y] < hx:
+                    continue
+                if not kids[x]:
+                    found = True
+                    break
+                m = memo.get(x * n + y)
+                if m is None:
+                    wait = (x, y)
+                    break
+                if m:
+                    found = True
+                    break
+            if wait is not None:
+                break
+            if not found:
+                holds = False
+                break
+        if wait is not None:
+            stack.append(wait)
+        else:
+            memo[p * n + h] = holds
+            stack.pop()
+    return memo[b * n + c]

@@ -235,7 +235,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    spec = IdentitySpec.parse(args.lhs, args.rhs)
+    spec = IdentitySpec.parse(*_terms(args.lhs, args.rhs))
     flavor = Flavor.LEFT if args.monoid == "flad1" else Flavor.RIGHT
     witness = falsify_by_substitution(spec, flavor, budget=args.budget)
     _emit({"budget": args.budget, "witness": _witness_obj(witness)})
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("falsify", help="search for a substitution separating two terms")
     q.add_argument("--monoid", choices=["flad1", "frad1"], required=True)
     q.add_argument("--budget", type=int, required=True)
-    q.add_argument("lhs")
-    q.add_argument("rhs")
+    q.add_argument("lhs", help=STDIN_HELP)
+    q.add_argument("rhs", help=STDIN_HELP)
     q.set_defaults(fn=_cmd_falsify)
 
     q = sub.add_parser("reproduce-paper", help="re-derive the published results")

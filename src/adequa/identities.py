@@ -20,6 +20,7 @@ from . import terms as T
 from .algebra import (
     Element,
     Flavor,
+    eval_code,
     eval_term,
     generator,
     identity_element,
@@ -210,11 +211,10 @@ def check_plain(spec: IdentitySpec, side: str) -> CheckResult:
 
 
 def check_fladX(spec: IdentitySpec) -> CheckResult:
-    """Higher-rank left identities: equality of the two generator-images."""
+    """Higher-rank left identities: equality of the two generator-images,
+    compared by their codes (`eval_code`)."""
     assign = {x: generator(x, Flavor.LEFT) for x in spec.alphabet}
-    lhs = eval_term(spec.lhs, assign, Flavor.LEFT)
-    rhs = eval_term(spec.rhs, assign, Flavor.LEFT)
-    if lhs.code == rhs.code:
+    if eval_code(spec.lhs, assign, Flavor.LEFT) == eval_code(spec.rhs, assign, Flavor.LEFT):
         return CheckResult(True)
     return CheckResult(False, "tree-inequality", dict(assign))
 
@@ -446,13 +446,13 @@ def _assignments(flavor: Flavor, letters: int) -> _Assignments:
 def _cached_eval(
     t: T.Term, side: tuple[str, str, tuple[str, ...]], d: int, seq: _Assignments
 ) -> bytes:
-    """The code of eval_term's value on t, the term printed in side, at
+    """The code of t's value, t the term printed in side, at
     seq.distinct[d]: read from side's codes if they reach d, else
-    evaluated, and appended to them if they end at d."""
+    evaluated by `eval_code`, and appended to them if they end at d."""
     codes = _EVAL_CACHE.side(side)
     if d < len(codes):
         return codes[d]
-    code = eval_term(t, dict(zip(side[2], seq.distinct[d])), seq.flavor).code
+    code = eval_code(t, dict(zip(side[2], seq.distinct[d])), seq.flavor)
     if d == len(codes):
         _EVAL_CACHE.append(codes, code)
     return code
@@ -502,7 +502,6 @@ def falsify_by_substitution(
             return dict(zip(letters, seq.distinct[d]))
     for elements in seq.past(budget):
         assignment = dict(zip(letters, elements))
-        lhs = eval_term(spec.lhs, assignment, flavor)
-        if lhs.code != eval_term(spec.rhs, assignment, flavor).code:
+        if eval_code(spec.lhs, assignment, flavor) != eval_code(spec.rhs, assignment, flavor):
             return assignment
     return None

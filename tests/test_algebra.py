@@ -12,6 +12,7 @@ from adequa.algebra import (
     Element,
     Flavor,
     FlavorError,
+    eval_code,
     eval_term,
     generator,
     glue,
@@ -22,7 +23,8 @@ from adequa.algebra import (
     reverse_element,
     star_op,
 )
-from adequa.identities import random_monogenic_element
+from adequa.identities import monogenic_pool, random_monogenic_element
+from adequa.reproduce import _enriched_corpus
 from adequa.terms import Identity, Letter, Plus, Product, Star, _fold, parse_term
 from adequa.retract import is_retract_free, retract
 from adequa.trees import (
@@ -368,6 +370,98 @@ class TestEvalMatchesFold:
         assert eval_term(t, assignment, flavor).code == fold_eval(t, assignment, flavor).code
         bare = parse_term("(" * 3000 + "xy" + (")^" + "+*"[ops[-1] is Star]) * 3000)
         assert eval_term(bare, assignment, flavor).code == fold_eval(bare, assignment, flavor).code
+
+
+
+def random_left_term(rng, letters, n):
+    """A term with n leaves, bracketed at random, with ^+ on about a
+    third of its nodes and a few 1 leaves.  Random splits keep the
+    nesting near logarithmic in n."""
+    if n == 1:
+        t = Identity() if rng.random() < 0.05 else Letter(rng.choice(letters))
+    else:
+        k = rng.randint(1, n - 1)
+        t = Product(random_left_term(rng, letters, k), random_left_term(rng, letters, n - k))
+    return Plus(t) if rng.random() < 0.3 else t
+
+
+def branching_left_element(rng):
+    """A random left element over the labels a, b, c, which branches."""
+    gens = {x: generator(x, Flavor.LEFT) for x in "abc"}
+    return eval_term(random_left_term(rng, "abc", rng.randint(2, 6)), gens, Flavor.LEFT)
+
+
+class TestEvalCode:
+    """`eval_code` is `eval_term(...).code`, which stays the arbiter."""
+
+    def same(self, t, assignment, flavor=Flavor.LEFT):
+        assert eval_code(t, assignment, flavor) == eval_term(t, assignment, flavor).code
+
+    def test_terms_over_the_monogenic_pool(self):
+        rng = random.Random(3601)
+        pool = monogenic_pool(Flavor.LEFT)
+        for _ in range(3000):
+            t = random_left_term(rng, "xyz", rng.randint(1, 12))
+            self.same(t, {x: rng.choice(pool) for x in "xyz"})
+
+    def test_terms_over_branching_elements(self):
+        rng = random.Random(3602)
+        for _ in range(3000):
+            t = random_left_term(rng, "xyz", rng.randint(1, 12))
+            self.same(t, {x: branching_left_element(rng) for x in "xyz"})
+
+    def test_enriched_corpus_on_generators(self):
+        gens = {x: generator(x, Flavor.LEFT) for x in "xy"}
+        for t in _enriched_corpus():
+            self.same(t, gens)
+
+    def test_long_terms(self):
+        rng = random.Random(3603)
+        pool = monogenic_pool(Flavor.LEFT)
+        for i in range(200):
+            t = random_left_term(rng, "xy", rng.randint(1000, 1200))
+            if i % 2:
+                assignment = {x: rng.choice(pool) for x in "xy"}
+            else:
+                assignment = {x: branching_left_element(rng) for x in "xy"}
+            self.same(t, assignment)
+
+    @pytest.mark.parametrize("flavor", [Flavor.RIGHT, Flavor.TWO_SIDED])
+    def test_other_flavors(self, flavor):
+        gens = {x: generator(x, flavor) for x in "xy"}
+        op = "*" if flavor is Flavor.RIGHT else "+"
+        for text in ["1", "x", "xy", "(xy)^%s x" % op, "(x(y)^*)^%s y" % op]:
+            self.same(parse_term(text), gens, flavor)
+
+    def test_a_left_flagged_tree_that_is_not_left(self):
+        # only eval_term can say what becomes of it, so eval_code asks it
+        odd = Element(XTree(2, ((1, 0, "a"),), 0, 0), None, Flavor.LEFT)
+        gens = {"y": generator("y", Flavor.LEFT), "x": odd}
+        self.same(parse_term("x"), gens)
+        for text in ["xy", "y(x)^+"]:
+            with pytest.raises(FlavorError) as want:
+                eval_term(parse_term(text), gens, Flavor.LEFT)
+            with pytest.raises(FlavorError) as got:
+                eval_code(parse_term(text), gens, Flavor.LEFT)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text, assignment", [
+        ("xz", {"x": generator("x", Flavor.LEFT)}),
+        ("x(y)^+", {"x": generator("x", Flavor.LEFT), "y": generator("y", Flavor.RIGHT)}),
+        ("x^*", {"x": generator("x", Flavor.LEFT)}),
+        # the star is rejected before its unassigned argument is visited
+        ("(z)^*", {}),
+        ("x((z)^*)^+", {"x": generator("x", Flavor.LEFT)}),
+    ], ids=["unassigned", "wrong-flavor", "star", "star-first", "star-nested"])
+    def test_errors_match_eval_term(self, text, assignment):
+        t = parse_term(text)
+        with pytest.raises(ValueError) as want:
+            eval_term(t, assignment, Flavor.LEFT)
+        with pytest.raises(ValueError) as got:
+            eval_code(t, assignment, Flavor.LEFT)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        if "*" in text:
+            assert str(got.value) == "star operator not valid for the left flavor"
 
 
 # each byte `canonical_code` or `to_dot` reads as a delimiter, and the empty label

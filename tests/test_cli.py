@@ -325,8 +325,9 @@ class TestLongTerms:
         ("identity", "--monoid", "frad1", "--enriched"),
         ("identity", "--monoid", "flad1", "--plain"),
         ("identity", "--monoid", "fad1"),
+        ("identity", "--monoid", "fladX"),
         ("falsify", "--monoid", "flad1", "--budget", "3"),
-    ], ids=["flad1-enriched", "frad1-enriched", "flad1-plain", "fad1", "falsify"])
+    ], ids=["flad1-enriched", "frad1-enriched", "flad1-plain", "fad1", "fladX", "falsify"])
     def test_long_identity(self, capsys, argv):
         code, out, _ = run(capsys, *argv, self.W, self.W)
         assert code == 0
@@ -362,13 +363,24 @@ class TestStdin:
         (("equal", "--flavor", "frad"), ["xy", "yx"]),
         (("identity", "--monoid", "fad1"), ["xy", "yx"]),
         (("identity", "--monoid", "flad1", "--enriched"), ["x^+^+(xy)^+y", "y"]),
-    ], ids=["eval", "equal", "equal-false", "identity-fad1", "identity-flad1"])
+        (("falsify", "--monoid", "flad1", "--budget", "50"), ["x^+y", "yx^+"]),
+        (("falsify", "--monoid", "frad1", "--budget", "50"), ["x(x)^*", "x"]),
+    ], ids=["eval", "equal", "equal-false", "identity-fad1", "identity-flad1",
+            "falsify-found", "falsify-none"])
     def test_same_output_both_ways(self, capsys, argv, terms):
         code, out, _ = run(capsys, *argv, *terms)
         for i, term in enumerate(terms):
             args = terms[:i] + ["-"] + terms[i + 1:]
             proc = run_with_stdin(term, *argv, *args)
             assert (proc.returncode, proc.stdout.decode().strip()) == (code, out)
+
+    def test_long_fladX_word(self):
+        # a 20 000-letter word nests 20 000 deep; x^+x = x on both sides
+        word = "".join(random.Random(20001).choice("xy") for _ in range(20000))
+        proc = run_with_stdin(word, "identity", "--monoid", "fladX", "-", "(%s)^+%s" % (word, word))
+        assert b"RecursionError" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert json.loads(proc.stdout) == {"satisfied": True, "failing_condition": None, "witness": None}
 
     def test_one_term_from_stdin(self):
         proc = run_with_stdin("x", "equal", "--flavor", "flad", "-", "-")

@@ -555,17 +555,20 @@ class TestFalsifierCaches:
     def test_eval_cache_bound(self, fresh_caches, monkeypatch):
         # the bound is on codes held over all sides, not on sides
         monkeypatch.setattr(I, "_EVAL_CACHE_LIMIT", 8)
-        inner = I.eval_term
+        inner = I.eval_code
 
         def held():
             assert I._EVAL_CACHE.held == sum(map(len, I._EVAL_CACHE.values()))
             return I._EVAL_CACHE.held
 
+        ran = [0]
+
         def eval_within_bound(*args):
             assert held() <= 8
+            ran[0] += 1
             return inner(*args)
 
-        monkeypatch.setattr(I, "eval_term", eval_within_bound)
+        monkeypatch.setattr(I, "eval_code", eval_within_bound)
         for u, v in sweep_pairs(Flavor.LEFT):
             s = spec(u, v)
             want = codes(reference_falsify(s, Flavor.LEFT, 400))
@@ -575,6 +578,7 @@ class TestFalsifierCaches:
                 # older sides make room for the latest pair
                 sides = [(term_to_str(t), Flavor.LEFT.value, s.alphabet) for t in (s.lhs, s.rhs)]
                 assert any(I._EVAL_CACHE.get(side) for side in sides)
+        assert ran[0] > 0  # the falsifier evaluates through the patched name
 
     @pytest.mark.parametrize("edges", [4, 0])
     def test_listing_stops_at_the_kept_draws(self, edges, fresh_caches, monkeypatch):
@@ -645,6 +649,7 @@ class TestFalsifierCaches:
             before = calls[0]
             assert codes(falsify_by_substitution(s, flavor, budget=budget)) == want
             assert calls[0] == before, (u, v)
+        assert calls[0] > 0
 
     def test_known_sides_evaluate_nothing(self, fresh_caches, monkeypatch):
         # the sides of a new pair are known from two satisfied pairs
@@ -652,6 +657,7 @@ class TestFalsifierCaches:
         for u, v in [("x^+x", "x"), ("(x^+)^+", "x^+"), ("x^+y^+", "y^+x^+")]:
             assert falsify_by_substitution(spec(u, v), Flavor.LEFT, budget=400) is None
         before = calls[0]
+        assert before > 0
         for u, v in [("x^+x", "x^+"), ("x", "(x^+)^+"), ("x^+y^+", "y^+x^+")]:
             s = spec(u, v)
             want = codes(reference_falsify(s, Flavor.LEFT, 400))
@@ -690,13 +696,13 @@ class TestFalsifierCaches:
 
 
 def count_evals(monkeypatch):
-    """Patch the falsifier's eval_term to count its calls in calls[0]."""
+    """Patch the falsifier's eval_code to count its calls in calls[0]."""
     calls = [0]
-    inner = I.eval_term
+    inner = I.eval_code
 
     def counting(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(I, "eval_term", counting)
+    monkeypatch.setattr(I, "eval_code", counting)
     return calls
