@@ -32,13 +32,17 @@ from .algebra import (
 from .exactlp import convex_dominates
 from .growth import left_sphere, two_sided_sphere
 from .terms import (
+    Identity,
+    Letter,
     NonNestedWord,
+    Product,
     letters_of,
     parse_term,
-    reverse_term,
     term_to_str,
     to_nonnested,
 )
+
+_LEFT = Flavor.LEFT  # a global reads faster than an enum member
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,10 +144,10 @@ def _condition_iii(side: tuple, rows: list, other_rows: list, alphabet, dominate
     return None
 
 
-def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
-    """The four-condition classification over the monogenic left monoid."""
+def _check_enriched(spec: IdentitySpec, mirror: bool) -> CheckResult:
+    """The four conditions on both sides' normal forms, read mirrored if set."""
     alphabet = spec.alphabet
-    u, v = _side(to_nonnested(spec.lhs)), _side(to_nonnested(spec.rhs))
+    u, v = _side(to_nonnested(spec.lhs, mirror)), _side(to_nonnested(spec.rhs, mirror))
     # (i) letter counts agree
     if sorted(u[0]) != sorted(v[0]):
         return CheckResult(False, "i")
@@ -167,13 +171,14 @@ def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
     return CheckResult(True)
 
 
+def check_enriched_flad1(spec: IdentitySpec) -> CheckResult:
+    """The four-condition classification over the monogenic left monoid."""
+    return _check_enriched(spec, False)
+
+
 def check_enriched_frad1(spec: IdentitySpec) -> CheckResult:
     """Right-signature identities, via the anti-isomorphism."""
-    try:
-        return check_enriched_flad1(IdentitySpec(reverse_term(spec.lhs), reverse_term(spec.rhs)))
-    except T.NestedTermError:
-        # the reversal turned the user's ^+ into the ^* that flad1 rejects
-        raise T.NestedTermError("^+ is not in the right-adequate signature") from None
+    return _check_enriched(spec, True)
 
 
 def _require_plain(t: T.Term) -> str:
@@ -181,11 +186,12 @@ def _require_plain(t: T.Term) -> str:
     todo = [t]
     while todo:
         node = todo.pop()
-        if isinstance(node, T.Product):
-            todo += (node.right, node.left)
-        elif isinstance(node, T.Letter):
+        while type(node) is Product:  # down the left spine
+            todo.append(node.right)
+            node = node.left
+        if type(node) is Letter:
             letters.append(node.name)
-        elif not isinstance(node, T.Identity):
+        elif type(node) is not Identity:
             raise ValueError("plain word expected, found a unary operator")
     return "".join(letters)
 
@@ -213,8 +219,8 @@ def check_plain(spec: IdentitySpec, side: str) -> CheckResult:
 def check_fladX(spec: IdentitySpec) -> CheckResult:
     """Higher-rank left identities: equality of the two generator-images,
     compared by their codes (`eval_code`)."""
-    assign = {x: generator(x, Flavor.LEFT) for x in spec.alphabet}
-    if eval_code(spec.lhs, assign, Flavor.LEFT) == eval_code(spec.rhs, assign, Flavor.LEFT):
+    assign = {x: generator(x, _LEFT) for x in spec.alphabet}
+    if eval_code(spec.lhs, assign, _LEFT) == eval_code(spec.rhs, assign, _LEFT):
         return CheckResult(True)
     return CheckResult(False, "tree-inequality", dict(assign))
 

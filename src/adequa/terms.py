@@ -165,22 +165,25 @@ def term_to_str(t: Term) -> str:
     todo: list = [(t, True)]
     while todo:
         item = todo.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
             continue
         node, as_seq = item
-        if isinstance(node, Product):
-            if as_seq:
-                todo += ((node.right, False), (node.left, True))
-            else:
-                out.append("(")
-                todo += (")", (node, True))
-        elif isinstance(node, Letter):
+        kind = type(node)
+        if kind is Product and not as_seq:
+            out.append("(")
+            todo.append(")")
+            as_seq = True
+        while kind is Product:  # down the left spine; each right operand a factor
+            todo.append((node.right, False))
+            node = node.left
+            kind = type(node)
+        if kind is Letter:
             out.append(node.name)
-        elif isinstance(node, Identity):
+        elif kind is Plus or kind is Star:
+            todo += ("^+" if kind is Plus else "^*", (node.child, False))
+        elif kind is Identity:
             out.append("1" if as_seq else "(1)")
-        elif isinstance(node, (Plus, Star)):
-            todo += ("^+" if isinstance(node, Plus) else "^*", (node.child, False))
         else:
             raise TypeError("not a term: %r" % (node,))
     return "".join(out)
@@ -204,12 +207,6 @@ def letters_of(t: Term) -> set[str]:
         elif isinstance(node, (Plus, Star)):
             todo.append(node.child)
     return found
-
-
-def reverse_term(t: Term) -> Term:
-    """The left/right anti-isomorphism: reverse every product and exchange
-    ^+ with ^*; an involution."""
-    return _fold(t, _keep, lambda left, right: Product(right, left), Star, Plus)
 
 
 # ------------------------------------------------------- non-nested words
@@ -250,11 +247,11 @@ class NestedTermError(ValueError):
     pass
 
 
-# marks, on to_nonnested's stack, the end of a ^+ whose atoms are open
+# marks, on to_nonnested's stack, the end of a block whose atoms are open
 _CLOSE = object()
 
 
-def to_nonnested(t: Term) -> NonNestedWord:
+def to_nonnested(t: Term, mirror: bool = False) -> NonNestedWord:
     """Normal form under ε⁺→ε, (x⁺)⁺→x⁺, (xy⁺z)⁺→(xy)⁺(xz)⁺.
 
     Innermost-first rewriting; sound for the left signature only, so Star
@@ -262,17 +259,26 @@ def to_nonnested(t: Term) -> NonNestedWord:
     each letter stands for: with distinct generators a and b, (aa⁺b)⁺ and
     (aa)⁺(ab)⁺ differ.  One loop without recursion: letters append to the
     innermost open atom list, and a ^+ opens a list that its end rewrites.
+    With mirror, t is read in place as its left/right anti-isomorphic
+    image (every product reversed, ^+ and ^* exchanged): products right
+    to left, a ^* opens a block, and a ^+ is rejected.
     """
+    if mirror:
+        opener, foreign, error = Star, Plus, "^+ is not in the right-adequate signature"
+    else:
+        opener, foreign, error = Plus, Star, "^* is not in the left-adequate signature"
     lists: list[list[Atom]] = [[]]
     todo: list = [t]
     while todo:
         node = todo.pop()
         kind = type(node)
+        while kind is Product:  # down the left (mirrored: right) spine
+            later, node = (node.left, node.right) if mirror else (node.right, node.left)
+            todo.append(later)
+            kind = type(node)
         if kind is Letter:
             lists[-1].append(node.name)
-        elif kind is Product:
-            todo += (node.right, node.left)
-        elif kind is Plus:
+        elif kind is opener:
             lists.append([])
             todo += (_CLOSE, node.child)
         elif node is _CLOSE:
@@ -288,8 +294,8 @@ def to_nonnested(t: Term) -> NonNestedWord:
                     out.append(PlusBlock(prefix + a.word) if prefix else a)
             if prefix:
                 out.append(PlusBlock(prefix))
-        elif kind is Star:
-            raise NestedTermError("^* is not in the left-adequate signature")
+        elif kind is foreign:
+            raise NestedTermError(error)
         elif kind is not Identity:
             raise TypeError("not a term: %r" % (node,))
     return NonNestedWord(tuple(lists[0]))

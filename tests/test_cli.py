@@ -333,6 +333,21 @@ class TestLongTerms:
         assert code == 0
         assert json.loads(out)["witness"] is None
 
+    def test_deep_star_in_the_right_monoid(self, capsys):
+        # x^*^*...^*, nested 100 000 deep, is x^* in the right signature
+        code, out, err = run(capsys, "identity", "--monoid", "frad1", "x" + "^*" * 100_000, "x^*")
+        assert "Traceback" not in err
+        assert code == 0, err
+        assert json.loads(out) == {"satisfied": True, "failing_condition": None, "witness": None}
+
+    def test_long_word_in_the_right_monoid_from_stdin(self):
+        # the right side has fewer plain letters: condition (i) fails
+        word = "".join(random.Random(20002).choice("xy") for _ in range(200_000))
+        proc = run_with_stdin(word, "identity", "--monoid", "frad1", "-", "(%s)^*" % word[:50_000])
+        assert b"Traceback" not in proc.stderr
+        assert proc.returncode == 1, proc.stderr.decode()[-500:]
+        assert json.loads(proc.stdout) == {"satisfied": False, "failing_condition": "i", "witness": None}
+
 
 def run_with_stdin(text, *argv):
     """Run the CLI in a fresh interpreter with text on stdin."""
@@ -580,6 +595,16 @@ class TestByteDeterminism:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()[-500:]
         assert hashlib.sha256(proc.stdout).hexdigest() == self.CODED_DIGEST
+
+    # stdout of identity-sweep --rounds 200 --seed 5 --budget 200, taken
+    # while the right checker still reversed its terms into new ones
+    SWEEP_DIGEST = "c2c97aadc91259a7845aa4c575268c40a7c70c1b3a17e21d7b29ca396877286b"
+
+    def test_identity_sweep_digest(self):
+        proc = run_with_hash_seed(0, "identity-sweep", "--rounds", "200", "--seed", "5",
+                                  "--budget", "200")
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.SWEEP_DIGEST
 
     def test_identity_reports_the_first_failing_block(self):
         # u's plus blocks are tried in atom order: x before xy

@@ -23,14 +23,15 @@ from adequa.identities import (
 )
 from adequa.exactlp import convex_dominates
 from adequa.terms import (
+    Identity,
     Letter,
     Plus,
     PlusBlock,
     Product,
+    _fold,
     parse_term,
     pqr_sets,
     prefix_through_last,
-    reverse_term,
     suff,
     term_length,
     term_to_str,
@@ -38,7 +39,14 @@ from adequa.terms import (
 )
 from adequa.trees import to_json
 
-from .test_terms import letter_counts, plain_projection
+from .test_terms import (
+    letter_counts,
+    plain_projection,
+    random_plus_term,
+    reverse_term,
+    right_nested,
+    terms_strategy,
+)
 
 
 def spec(u: str, v: str) -> IdentitySpec:
@@ -186,16 +194,17 @@ def reference_check_enriched_flad1(s):
     return True, None
 
 
-def shaped_term(rng, letters, n_letters):
-    """A random non-nested term: letters and plus blocks of up to three
-    letters (1^+ for none), as the benchmark's identity questions are."""
+def shaped_term(rng, letters, n_letters, star=False):
+    """A random non-nested term: letters and plus (star) blocks of up to
+    three letters (1^+ or 1^* for none), as the benchmark's identity
+    questions are."""
     parts = []
     left = n_letters
     while left > 0 or not parts:
         if rng.random() < 0.4:
             k = min(left, rng.randint(0, 3))
             block = "".join(rng.choice(letters) for _ in range(k))
-            parts.append("(%s)^+" % (block or "1"))
+            parts.append("(%s)^%s" % (block or "1", "*" if star else "+"))
             left -= k
         else:
             parts.append(rng.choice(letters))
@@ -203,18 +212,20 @@ def shaped_term(rng, letters, n_letters):
     return "".join(parts)
 
 
-def shaped_pairs(seed, count, letters, max_letters):
+def shaped_pairs(seed, count, letters, max_letters, star=False):
     """Seeded pairs u ~ v: v is another random term, a permutation of a
-    plain u, or u rewritten by x^+x = x (u itself or (u)^+(u))."""
+    plain u, or u rewritten by x^+x = x (u itself or (u)^+(u)); with
+    star, the blocks are star blocks and the law is xx^* = x ((u)(u)^*)."""
     rng = random.Random(seed)
+    law = "(%s)(%s)^*" if star else "(%s)^+(%s)"
     for _ in range(count):
-        u = shaped_term(rng, letters, rng.randint(1, max_letters))
+        u = shaped_term(rng, letters, rng.randint(1, max_letters), star)
         if rng.random() < 0.5:
-            v = shaped_term(rng, letters, rng.randint(1, max_letters))
+            v = shaped_term(rng, letters, rng.randint(1, max_letters), star)
         elif "(" not in u:
             v = "".join(rng.sample(u, len(u)))
         else:
-            v = u if rng.random() < 0.5 else "(%s)^+(%s)" % (u, u)
+            v = u if rng.random() < 0.5 else law % (u, u)
         yield u, v
 
 
@@ -267,6 +278,120 @@ class TestAgainstReference:
         assert verdict(check_enriched_flad1(s)) == want
         right = IdentitySpec(reverse_term(lhs), reverse_term(rhs))
         assert verdict(check_enriched_frad1(right)) == want
+
+
+def outcome(fn, arg):
+    """fn(arg), or the type and message of the ValueError it raises."""
+    try:
+        return fn(arg)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def enriched_answer(check, s):
+    """check(s)'s verdict and tag, or the `outcome` of its error."""
+    result = outcome(check, s)
+    return result if type(result) is tuple else (result.satisfied, result.failing_condition)
+
+
+class TestEnrichedDigest:
+    # sha256 of both enriched checkers' answers, verdict and tag or error,
+    # on every pair of a fixed seeded corpus of plus and star pairs; taken
+    # while the right checker still reversed its terms into new ones
+    DIGEST = "d5000efa1a641c7ed039bc71a78ccd2374e2cbc88fead3f1ee6e050b83e31934"
+
+    def test_answers_digest(self):
+        digest = hashlib.sha256()
+        corpus = itertools.chain(
+            shaped_pairs(31, 3000, "xyz", 6),
+            shaped_pairs(32, 3000, "xyz", 6, star=True),
+            shaped_pairs(33, 1000, "wxyz", 14),
+            shaped_pairs(34, 1000, "wxyz", 14, star=True),
+        )
+        for u, v in corpus:
+            s = spec(u, v)
+            for name, check in (("flad1", check_enriched_flad1), ("frad1", check_enriched_frad1)):
+                digest.update(repr((name, u, v, enriched_answer(check, s))).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestMirroredChecker:
+    """`check_enriched_frad1` reads each side mirrored in place; its oracle
+    is the left checker on both sides reversed into new terms."""
+
+    def test_workload_shaped_pairs(self):
+        tags = set()
+        corpus = itertools.chain(
+            shaped_pairs(41, 5000, "xyz", 6, star=True),
+            shaped_pairs(42, 2000, "wxyz", 14, star=True),
+        )
+        for u, v in corpus:
+            s = spec(u, v)
+            got = check_enriched_frad1(s)
+            assert got == check_enriched_flad1(IdentitySpec(reverse_term(s.lhs), reverse_term(s.rhs))), (u, v)
+            tags.add(got.failing_condition and got.failing_condition.split(":")[0])
+        assert tags == {None, "i", "iia/b", "ii-duala/b", "iiia/b", "iv-dual"}
+
+    def test_plus_pairs_are_rejected_alike(self):
+        # a side with a ^+ reverses to a ^* that the left checker rejects
+        for u, v in shaped_pairs(43, 2000, "xyz", 6):
+            s = spec(u, v)
+            want = enriched_answer(
+                check_enriched_flad1, IdentitySpec(reverse_term(s.lhs), reverse_term(s.rhs))
+            )
+            got = enriched_answer(check_enriched_frad1, s)
+            if want[0] == "NestedTermError":
+                assert got == (want[0], "^+ is not in the right-adequate signature"), (u, v)
+            else:
+                assert got == want, (u, v)
+
+
+def reference_require_plain(t) -> str:
+    """The plain-word reader as it dispatched with isinstance, two pushes
+    per product: the reference of `identities._require_plain`."""
+    letters: list[str] = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Product):
+            todo += (node.right, node.left)
+        elif isinstance(node, Letter):
+            letters.append(node.name)
+        elif not isinstance(node, Identity):
+            raise ValueError("plain word expected, found a unary operator")
+    return "".join(letters)
+
+
+class TestPlainReader:
+    @given(terms_strategy())
+    @settings(max_examples=300)
+    def test_drawn_terms(self, t):
+        assert outcome(I._require_plain, t) == outcome(reference_require_plain, t)
+
+    def test_seeded_terms_of_any_association(self):
+        # products grouped at random, with 1 leaves: rejected with their
+        # ^+ nodes, read once those are dropped
+        keep = lambda x: x
+        rng = random.Random(10)
+        for _ in range(5000):
+            t = random_plus_term(rng, rng.randint(0, 12))
+            for term in (t, _fold(t, keep, Product, keep, keep)):
+                assert outcome(I._require_plain, term) == outcome(reference_require_plain, term)
+
+    @pytest.mark.parametrize("t, word", [
+        (Product(Letter("a"), Product(Letter("b"), Letter("c"))), "abc"),
+        (Product(Product(Letter("a"), Identity()), Product(Identity(), Letter("b"))), "ab"),
+        (Product(Identity(), Product(Letter("a"), Identity())), "a"),
+        (Identity(), ""),
+    ])
+    def test_hand_built_words(self, t, word):
+        assert I._require_plain(t) == reference_require_plain(t) == word
+
+    def test_long_words_without_recursion(self):
+        word = "".join(random.Random(11).choice("xyz") for _ in range(200_000))
+        assert I._require_plain(parse_term(word)) == word
+        assert I._require_plain(right_nested(word)) == word
+        assert check_plain(IdentitySpec(parse_term(word), right_nested(word)), "right").satisfied
 
 
 class TestPlainCheckers:

@@ -23,12 +23,56 @@ from adequa.terms import (
     letters_of,
     parse_term,
     pqr_sets,
-    reverse_term,
     suff,
     term_length,
     term_to_str,
     to_nonnested,
 )
+
+
+def reverse_term(t):
+    """The left/right anti-isomorphism: reverse every product and exchange
+    ^+ with ^*; an involution.  The oracle of `to_nonnested`'s mirrored
+    reading."""
+    keep = lambda x: x
+    return _fold(t, keep, lambda left, right: Product(right, left), Star, Plus)
+
+
+def reference_term_to_str(t) -> str:
+    """The printer as it dispatched with isinstance, two pushes per product:
+    the reference of `term_to_str`."""
+    out: list[str] = []
+    todo: list = [(t, True)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, as_seq = item
+        if isinstance(node, Product):
+            if as_seq:
+                todo += ((node.right, False), (node.left, True))
+            else:
+                out.append("(")
+                todo += (")", (node, True))
+        elif isinstance(node, Letter):
+            out.append(node.name)
+        elif isinstance(node, Identity):
+            out.append("1" if as_seq else "(1)")
+        elif isinstance(node, (Plus, Star)):
+            todo += ("^+" if isinstance(node, Plus) else "^*", (node.child, False))
+        else:
+            raise TypeError("not a term: %r" % (node,))
+    return "".join(out)
+
+
+def right_nested(word):
+    """word as products nested to the right, a(b(c...)), which the parser
+    never makes."""
+    t = Letter(word[-1])
+    for ch in reversed(word[:-1]):
+        t = Product(Letter(ch), t)
+    return t
 
 
 def letter_counts(u: NonNestedWord) -> dict[str, int]:
@@ -149,6 +193,55 @@ class TestGrammar:
         assert term_length(parse_term("1")) == 0
 
 
+class TestPrinter:
+    """`term_to_str` walks each product's left spine; its reference pushes
+    both operands.  The two print the same bytes."""
+
+    @given(terms_strategy())
+    @settings(max_examples=300)
+    def test_drawn_terms(self, t):
+        assert term_to_str(t) == reference_term_to_str(t)
+
+    def test_seeded_terms_of_any_association(self):
+        # random_plus_term groups products at random; its reversal puts
+        # the stars where the pluses were
+        rng = random.Random(8)
+        for _ in range(5000):
+            t = random_plus_term(rng, rng.randint(0, 12))
+            for term in (t, reverse_term(t)):
+                assert term_to_str(term) == reference_term_to_str(term)
+
+    @pytest.mark.parametrize("t, text", [
+        (Product(Letter("a"), Product(Letter("b"), Letter("c"))), "a(bc)"),
+        (Product(Product(Letter("a"), Letter("b")), Product(Letter("c"), Letter("d"))), "ab(cd)"),
+        (Product(Identity(), Identity()), "1(1)"),
+        (Product(Letter("a"), Product(Identity(), Letter("b"))), "a(1b)"),
+        (Product(Letter("a"), Identity()), "a(1)"),
+        (Plus(Product(Letter("a"), Product(Letter("b"), Star(Identity())))), "(a(b(1)^*))^+"),
+        (Star(Product(Product(Identity(), Letter("a")), Letter("b"))), "(1ab)^*"),
+        (Product(Plus(Identity()), Product(Star(Letter("a")), Identity())), "(1)^+(a^*(1))"),
+    ])
+    def test_hand_built_terms(self, t, text):
+        assert term_to_str(t) == reference_term_to_str(t) == text
+        assert parse_term(text) == t
+
+    def test_long_words_without_recursion(self):
+        word = "".join(random.Random(9).choice("xyz") for _ in range(200_000))
+        assert term_to_str(parse_term(word)) == word
+        t = right_nested(word)
+        text = term_to_str(t)
+        assert text == reference_term_to_str(t)
+        assert text == "(".join(word[:-1]) + word[-1] + ")" * (len(word) - 2)
+
+    @pytest.mark.parametrize("bad", [None, "x", Product(Letter("x"), 3), Plus(Product(Star(1.5), Letter("a")))])
+    def test_non_term_node(self, bad):
+        with pytest.raises(TypeError) as got:
+            term_to_str(bad)
+        with pytest.raises(TypeError) as want:
+            reference_term_to_str(bad)
+        assert str(got.value) == str(want.value)
+
+
 class TestDuality:
     @given(terms_strategy())
     def test_reverse_involution(self, t):
@@ -214,6 +307,61 @@ class TestNonNested:
         for _ in range(100_000):
             t = Plus(t)
         assert to_nonnested(t) == NonNestedWord((PlusBlock("yx"), PlusBlock("y")))
+
+    @given(terms_strategy())
+    @settings(max_examples=300)
+    def test_mirrored_reading_on_drawn_terms(self, t):
+        self.mirrors(t)
+
+    def test_mirrored_reading_on_seeded_terms(self):
+        # each ^+ term is rejected mirrored; its reversal, a ^* term, is read
+        rng = random.Random(6)
+        for _ in range(10_000):
+            t = random_plus_term(rng, rng.randint(0, 20))
+            self.mirrors(t)
+            self.mirrors(reverse_term(t))
+
+    @staticmethod
+    def mirrors(t):
+        """to_nonnested(t, mirror=True) is the normal form of reverse_term(t);
+        where that has a ^*, t has a ^+, and the error names it."""
+        try:
+            want = to_nonnested(reverse_term(t))
+        except NestedTermError:
+            with pytest.raises(NestedTermError) as got:
+                to_nonnested(t, mirror=True)
+            assert str(got.value) == "^+ is not in the right-adequate signature"
+        else:
+            assert to_nonnested(t, mirror=True) == want
+
+    def test_deep_star_mirrored_without_recursion(self):
+        t = Letter("x")
+        for _ in range(100_000):
+            t = Star(t)
+        assert to_nonnested(t, mirror=True) == NonNestedWord((PlusBlock("x"),))
+        assert to_nonnested(reverse_term(t)) == NonNestedWord((PlusBlock("x"),))
+        # read right to left: y, then the block of x
+        t = Product(t, Letter("y"))
+        for _ in range(100_000):
+            t = Star(t)
+        want = NonNestedWord((PlusBlock("yx"), PlusBlock("y")))
+        assert to_nonnested(t, mirror=True) == to_nonnested(reverse_term(t)) == want
+
+    @pytest.mark.parametrize("text", ["x^+", "x^*(yx^+)^*", "(xy^*)^+", "((x)^*)^+y"])
+    def test_plus_rejected_mirrored(self, text):
+        t = parse_term(text)
+        with pytest.raises(NestedTermError):
+            to_nonnested(reverse_term(t))
+        with pytest.raises(NestedTermError, match=r"^\^\+ is not in the right-adequate signature$"):
+            to_nonnested(t, mirror=True)
+
+    @pytest.mark.parametrize("bad", [None, Product(Letter("x"), "y"), Star(Product(3, Letter("x")))])
+    def test_non_term_node_mirrored(self, bad):
+        with pytest.raises(TypeError) as got:
+            to_nonnested(bad, mirror=True)
+        with pytest.raises(TypeError) as want:
+            to_nonnested(reverse_term(bad))
+        assert str(got.value) == str(want.value)
 
     @given(terms_strategy(), st.data())
     @settings(max_examples=150, deadline=None)
