@@ -46,6 +46,7 @@ class Flavor(enum.Enum):
 
 
 _LEFT = Flavor.LEFT  # a global reads faster than an enum member
+_RIGHT = Flavor.RIGHT
 
 
 class FlavorError(ValueError):
@@ -111,9 +112,9 @@ def make_element(tree: XTree, flavor: Flavor, adj: Adjacency | None = None) -> E
     from its start along the edges (from its end against them).
     """
     tree = retract(tree, adj)
-    if flavor is Flavor.LEFT and not is_left(tree):
+    if flavor is _LEFT and not is_left(tree):
         raise FlavorError("tree is not a left tree")
-    if flavor is Flavor.RIGHT and not is_right(tree):
+    if flavor is _RIGHT and not is_right(tree):
         raise FlavorError("tree is not a right tree")
     return Element(tree, None, flavor)
 
@@ -143,10 +144,12 @@ def generator(label: str, flavor: Flavor) -> Element:
 
 def glue(s: XTree, t: XTree) -> XTree:
     """Glue t to s start-to-end, without retracting."""
-    shift = s.vertices
-    relabel = lambda v: s.end if v == t.start else (v + shift - (1 if v > t.start else 0))
-    edges = s.edges + tuple((relabel(a), relabel(b), lab) for a, b, lab in t.edges)
-    return _sorted_tree(s.vertices + t.vertices - 1, tuple(sorted(edges)), s.start, relabel(t.end))
+    n, ts = s.vertices, t.start
+    at = [s.end if v == ts else n + v - (v > ts) for v in range(t.vertices)]
+    edges = list(s.edges)
+    edges += [(at[a], at[b], lab) for a, b, lab in t.edges]
+    edges.sort()
+    return _sorted_tree(n + t.vertices - 1, tuple(edges), s.start, at[t.end])
 
 
 def multiply(s: Element, t: Element) -> Element:
@@ -159,7 +162,7 @@ def multiply(s: Element, t: Element) -> Element:
 def plus_op(t: Element) -> Element:
     """Move the end marker to the start vertex, sharing the operand's
     rooting at the start, then retract."""
-    if t.flavor is Flavor.RIGHT:
+    if t.flavor is _RIGHT:
         raise FlavorError("plus is not in the right-adequate signature")
     return make_element(_with_end(t.tree, t.tree.start), t.flavor)
 
@@ -170,7 +173,7 @@ def star_op(t: Element) -> Element:
     Reversal is an anti-isomorphism that commutes with retraction, so
     this is reverse . plus . reverse.
     """
-    if t.flavor is Flavor.LEFT:
+    if t.flavor is _LEFT:
         raise FlavorError("star is not in the left-adequate signature")
     moved = _sorted_tree(t.tree.vertices, t.tree.edges, t.tree.end, t.tree.end)
     return make_element(moved, t.flavor, _root(moved))
@@ -228,11 +231,11 @@ def eval_term(t: "terms_mod.Term", assignment: dict[str, Element], flavor: Flavo
                 cur = at[e.tree.end]
                 n += e.tree.vertices - 1
         elif kind is terms_mod.Plus:
-            if flavor is Flavor.RIGHT:
+            if flavor is _RIGHT:
                 raise FlavorError("plus operator not valid for the right flavor")
             todo += ((_END, cur, False), node.child)
         elif kind is terms_mod.Star:
-            if flavor is Flavor.LEFT:
+            if flavor is _LEFT:
                 raise FlavorError("star operator not valid for the left flavor")
             todo += ((_END, cur, True), node.child)
             cur = n

@@ -38,6 +38,12 @@ the count drops as heads die; an only child has count 1, and the edge to
 the anchor's own parent is added at test time.  The test is the first
 step of the search itself, so the branches that fold are the same.
 
+A leaf whose kind repeats folds without a search.  Another edge of its
+kind at its anchor a is alive: a sibling's, or a's own edge to its
+parent, as the pass reaches a only after b.  Sending the leaf b to that
+edge's far end, with a fixed, is a fold.  That far end sits at b's level
+(see below) outside b's subtree, so such a leaf is never pinned either.
+
 Levels rule out more.  Give the start level 0 and each vertex the level
 of its parent plus one when their edge points away from the start, minus
 one otherwise: every edge joins two adjacent levels, and a morphism
@@ -48,10 +54,10 @@ the alive tree keeps its set of levels through the pass.  A branch whose
 subtree holds every vertex at the tree's highest level, or every one at
 its lowest, is pinned: its alive part still reaches that level and
 nothing outside it does, so it never folds.  The pinned branches are
-found at the first branch whose kind repeats, before any search, so a
-pass whose only candidates are pinned searches nothing.  The levels and
-the kind counts come from one loop over the rooting, and the adjacency
-the search reads is built only when a pass searches.
+found before the first search, so a pass whose only candidates are
+pinned or leaves searches nothing.  The levels and the kind counts come
+from one loop over the rooting, and the adjacency the search reads is
+built only when a pass searches.
 
 Monogenic left trees, the trees of the left growth count, skip the
 morphism search: one height walk finds what they keep.  Which engine
@@ -212,12 +218,19 @@ def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
     anchor's only child, of count 1.  An anchor's edge to its own parent
     adds one to its kind at test time.  Each head is marked dead as its
     branch folds, which cuts the whole branch from the tree the later
-    tests see and takes one edge of its kind off its anchor.  A branch is
-    searched only when its kind occurs at least twice among its anchor's
-    alive edges and it is not pinned to an extreme level (`_pinned`,
-    built at the first such branch).  The adjacency the search reads is
-    built before the first search, when the walk built none, so a pass
-    that searches nothing builds none.
+    tests see and takes one edge of its kind off its anchor.  A head
+    whose kind occurs at least twice among its anchor's alive edges
+    folds at once when it is a leaf: the other edge of that kind takes
+    it, and its far end, at the leaf's level and outside it, keeps the
+    leaf from being pinned.  Any other such head is searched unless it is
+    pinned to an extreme level (`_pinned`, built at the first one).  The
+    adjacency the search reads is built before the first search, when
+    the walk built none, so a pass that searches nothing builds none.
+    With the walk's adjacency a leaf is a head with one edge in it, told
+    before the pins are built.  Without it, a head the pins leave is
+    looked up in the set of parents, built just before the first such
+    head's adjacency would be, so a pass that meets no leaf builds that
+    set at most once, beside an adjacency it builds anyway.
     """
     trunk = t.rooting
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
@@ -243,6 +256,7 @@ def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
     on_trunk = set(trunk.vertices)
     alive = [True] * len(parent)
     pinned: set[int] | None = None
+    has_child: set[int] | None = None
     for b in reversed(order):
         if b in on_trunk:
             continue
@@ -251,16 +265,22 @@ def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
         # the anchor; the start's label is "", which no edge carries
         if count.get(key, 1) + (forward[a] != out and label[a] == lab) < 2:
             continue
-        if pinned is None:
-            pinned = _pinned(trunk, level, on_trunk)
-        if b in pinned:
-            continue
-        if adj is None:
-            adj = undirected_adjacency(t)
-        if hom_exists(adj, parent, alive, b):
-            alive[b] = False
-            count[key] = count.get(key, 1) - 1
-            yield b
+        # a leaf folds at once; the start, its own parent, is on the trunk
+        if adj is None or len(adj[b]) > 1:
+            if pinned is None:
+                pinned = _pinned(trunk, level, on_trunk)
+            if b in pinned:
+                continue
+            if adj is None:
+                if has_child is None:
+                    has_child = set(parent)
+                if b in has_child:
+                    adj = undirected_adjacency(t)
+            if adj is not None and not hom_exists(adj, parent, alive, b):
+                continue
+        alive[b] = False
+        count[key] = count.get(key, 1) - 1
+        yield b
 
 
 def find_foldable_branch(t: XTree, adj: Adjacency | None = None) -> int | None:

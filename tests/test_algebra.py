@@ -1,6 +1,7 @@
 """Monoid operations: multiplication, unary ops, flavor gating, axioms."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -34,6 +35,7 @@ from adequa.trees import (
     canonical_code,
     from_json,
     theta,
+    to_json,
     undirected_adjacency,
     validate,
 )
@@ -627,3 +629,50 @@ class TestLazyCodes:
         with pytest.raises(FlavorError):
             twin == Element(a.tree, None, Flavor.TWO_SIDED)
         assert {twin, a} == {a}
+
+
+def arith_term(rng, letters, ops, n):
+    """A term with n letter occurrences, bracketed at random, with one of
+    the unary operators `ops` on about a third of its nodes."""
+    if n == 1:
+        t = Letter(rng.choice(letters))
+    else:
+        k = rng.randint(1, n - 1)
+        t = Product(arith_term(rng, letters, ops, k), arith_term(rng, letters, ops, n - k))
+    return rng.choice(ops)(t) if rng.random() < 0.3 else t
+
+
+def arith_calls(seed, count):
+    """`count` seeded (operation, arguments) pairs: term evaluations of 2
+    to 12 letters, and products and unary operations on the values of
+    terms of 1 to 16 letters, cycling through the flavors, each over 1 to
+    3 generators.  The operands are evaluated as the pairs are drawn."""
+    rng = random.Random(seed)
+    flavors = list(Flavor)
+    for i in range(count):
+        flavor = flavors[i % 3]
+        letters = "xyz"[: rng.randint(1, 3)]
+        gens = {x: generator(label, flavor) for x, label in zip(letters, "abc")}
+        ops = UNARY[flavor]
+        operand = lambda: eval_term(arith_term(rng, letters, ops, rng.randint(1, 16)), gens, flavor)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield eval_term, (arith_term(rng, letters, ops, rng.randint(2, 12)), gens, flavor)
+        elif kind == 1:
+            yield multiply, (operand(), operand())
+        else:
+            yield (plus_op if rng.choice(ops) is Plus else star_op), (operand(),)
+
+
+class TestOperationDigest:
+    def test_operation_digest(self):
+        # the trees of 3000 seeded products, unary operations and term
+        # evaluations, pinned byte for byte
+        h = hashlib.sha256()
+        seen = set()
+        for fn, args in arith_calls(43, 3000):
+            e = fn(*args)
+            seen.add((fn, e.flavor))
+            h.update(to_json(e.tree).encode())
+        assert len(seen) == 10
+        assert h.hexdigest() == "96a6aef66bb4795256376a466783e273b2bd32920b586e851e694f11f59aff3d"

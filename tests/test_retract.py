@@ -45,6 +45,7 @@ from adequa.trees import (
     validate,
 )
 
+from .test_algebra import arith_calls
 from .test_trees import relabel_tree, spy_walks
 
 PERFBENCH = os.path.join(
@@ -708,11 +709,102 @@ class TestKindFilter:
         assert searches == []
 
     def test_a_dead_head_leaves_its_kind_count(self, searches):
-        # three a-leaves out of the start: the last two tested fold, and the
-        # first, with no a-edge left beside it, is not searched
+        # three a-leaves out of the start: the last two tested fold without
+        # a search, being leaves, and the first, with no a-edge left beside
+        # it, is not tested
         t = XTree(5, ((0, 1, "b"), (0, 2, "a"), (0, 3, "a"), (0, 4, "a")), 0, 1)
         assert folded_heads(t) == {3, 4}
-        assert searches == [4, 3]
+        assert searches == []
+
+
+def arith_raw_trees(count):
+    """The first `count` unretracted trees that `make_element` receives
+    while `arith_calls` runs: products, moved roots (^+ and ^*) and the
+    raw trees of terms, over all three flavors, fresh."""
+    import adequa.algebra
+
+    raw = []
+    real = adequa.algebra.retract
+
+    def recorded(t, adj=None):
+        raw.append(fresh(t))
+        return real(t, adj)
+
+    adequa.algebra.retract = recorded
+    try:
+        for fn, args in arith_calls(17, count):
+            fn(*args)
+            if len(raw) >= count:
+                break
+    finally:
+        adequa.algebra.retract = real
+    return raw[:count]
+
+
+def leaf_rule_sample():
+    """`kind_sample()`, `derived_sample()`, every zig-zag of at most 11
+    edges and 3000 arith raw trees, each fresh."""
+    zigzags = (
+        fresh(zigzag_tree(z)) for n in range(1, 12) for z in itertools.product((False, True), repeat=n)
+    )
+    return itertools.chain(map(fresh, kind_sample()), derived_sample(), zigzags, arith_raw_trees(3000))
+
+
+def both_passes(t):
+    """(tree, adj) for the two ways a pass starts: a fresh copy of t with
+    the adjacency of its rooting walk, and a copy rooted beforehand,
+    with None."""
+    walked, rooted = fresh(t), fresh(t)
+    validate(rooted)
+    return (walked, _walk(walked)), (rooted, None)
+
+
+class TestLeafRule:
+    """A head with no child whose kind repeats at its anchor folds without
+    a search: the other alive edge of its kind there takes it."""
+
+    def test_leaves_fold_unsearched_and_the_heads_stay(self, monkeypatch):
+        # on every sample and both ways a pass starts, the heads are the
+        # oracles', no leaf is searched, and a direct search in the alive
+        # state the pass reached takes every head it did not search
+        searched = []
+
+        def spied(adj, parent, alive, b):
+            assert len(adj[b]) > 1, b
+            searched.append(b)
+            return hom_exists(adj, parent, alive, b)
+
+        monkeypatch.setattr("adequa.retract.hom_exists", spied)
+        unsearched = 0
+        for t in leaf_rule_sample():
+            want = searched_folds(t)
+            for u, adj in both_passes(t):
+                trunk, full = validate(u), undirected_adjacency(u)
+                alive = [True] * u.vertices
+                searched.clear()
+                heads = list(_folds(u, adj))
+                assert heads == want == list(all_kinds_folds(u, adj)), (t, adj is None)
+                for b in heads:
+                    if b not in searched:
+                        assert b not in trunk.parent, (t, b)
+                        assert hom_exists(full, trunk.parent, alive, b), (t, b)
+                        unsearched += 1
+                    alive[b] = False
+        assert unsearched > 200000
+
+
+    def test_a_rooted_tree_tells_its_leaves_in_linear_time(self, searches):
+        # a b-leaf and k a-leaves out of the start of a tree rooted
+        # beforehand, so the pass gets no adjacency: every a-leaf but the
+        # first folds, unsearched, and the child test costs one set
+        k = 60000
+        edges = tuple((0, i, "a") for i in range(1, k + 1)) + ((0, k + 1, "b"),)
+        t = XTree(k + 2, edges, 0, 0)
+        validate(t)
+        began = time.perf_counter()
+        r = retract(t)
+        assert time.perf_counter() - began < 1.0
+        assert searches == [] and (r.vertices, r.edges) == (3, ((0, 1, "a"), (0, 2, "b")))
 
 
 def levels(t):
@@ -811,7 +903,7 @@ class TestLevelFilter:
         # of distinct labels, a c-leaf x and a c-edge to w, which an e-edge
         # enters.  The k + 2 vertices at the highest level share the d
         # path vertices as ancestors, all pinned; w is tested first, fails,
-        # and x folds onto w.
+        # and x, a leaf, folds onto w without a search.
         d = k = 16000
         edges = [(i, i + 1, "a") for i in range(d)]
         edges += [(d, d + 1 + j, "b%d" % j) for j in range(k)]
@@ -823,7 +915,7 @@ class TestLevelFilter:
         began = time.perf_counter()
         r = retract(t)
         assert time.perf_counter() - began < 1.0
-        assert searches == [w, x] and r.edge_count == d + k + 2 == 32002
+        assert searches == [w] and r.edge_count == d + k + 2 == 32002
         kept = tuple((a - (a > x), b - (b > x), lab) for a, b, lab in edges if x not in (a, b))
         assert (r.vertices, r.edges, r.start, r.end) == (t.vertices - 1, kept, 0, 0)
 
