@@ -12,10 +12,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import getitem
 
 from .algebra import Element, Flavor
 from .retract import is_retract_free
-from .trees import XTree, _rooted_tree, _sorted_tree, _with_end, canonical_code, validate
+from .trees import (
+    TrunkInfo,
+    XTree,
+    _rooted_tree,
+    _sorted_tree,
+    _with_end,
+    canonical_code,
+    validate,
+)
 
 GENERIC_LEFT_BOUND = 12
 LEFT_SPHERE_BOUND = 30
@@ -527,17 +536,48 @@ def two_sided_census(n: int) -> CensusRow:
 # ------------------------------------------------------------------ zig-zags
 
 
+# _ZIGZAG_PARTS[m]: what every zig-zag of m edges shares, for m up to
+# ZIGZAG_BOUND: its rooting's parent, label and order lists, and per
+# position the edge pointing towards the start and the one pointing away.
+# It grows on demand and is never rebuilt.
+_ZIGZAG_PARTS: dict[int, tuple[list[int], list[str], list[int], list[tuple]]] = {}
+
+
 def zigzag_tree(z: tuple[bool, ...]) -> XTree:
     """The zig-zag with orientation word z: a non-branching idempotent
     a-tree whose i-th path edge, counted from the common start/end
     extremity, points away from the start when z[i] is True.  The
     height of z is sum(z).  The path is built rooted at its start:
-    vertex i + 1 hangs off vertex i, in breadth-first order.  The i-th
-    edge joins vertices i and i + 1, so the edges come in sorted order."""
-    n = len(z) + 1
-    edges = [(i, i + 1, "a") if away else (i + 1, i, "a") for i, away in enumerate(z)]
-    parent, forward = [0, *range(n - 1)], [False, *map(bool, z)]
-    return _rooted_tree(n, tuple(edges), 0, 0, parent, forward, [""] + ["a"] * len(z), list(range(n)))
+    vertex i + 1 hangs off vertex i, in breadth-first order, and the
+    trunk is the start alone.  The i-th edge joins vertices i and i + 1,
+    so the edges come in sorted order.
+
+    Only the rooting's `forward` list depends on z.  Words of one length
+    up to ZIGZAG_BOUND share the rooting's parent, label and order lists
+    and the edge tuples, from `_ZIGZAG_PARTS`; longer words get their
+    own.  Sharing is safe because a rooting's lists are read-only by
+    contract (`TrunkInfo`), as `_with_end` already relies on."""
+    m = len(z)
+    parts = _ZIGZAG_PARTS.get(m)
+    if parts is None:
+        parts = (
+            [0, *range(m)],
+            ["", *["a"] * m],
+            list(range(m + 1)),
+            [((i + 1, i, "a"), (i, i + 1, "a")) for i in range(m)],
+        )
+        if m <= ZIGZAG_BOUND:
+            _ZIGZAG_PARTS[m] = parts
+    parent, label, order, edges = parts
+    forward = [False, *map(bool, z)]
+    # from a list: `tuple` sizes a list's copy once, but grows and then
+    # shrinks a tuple read from a bare iterator, so each freed edge tuple
+    # lands on CPython's free list of another size, about 0.8 MB more at
+    # the enum workload's peak RSS
+    return _sorted_tree(
+        m + 1, tuple([*map(getitem, edges, forward[1:])]), 0, 0,
+        TrunkInfo((0,), parent, forward, label, order),
+    )
 
 
 def p_zigzag(n: int, i: int) -> tuple[bool, ...]:

@@ -59,6 +59,16 @@ pinned or leaves searches nothing.  The levels and the kind counts come
 from one loop over the rooting, and the adjacency the search reads is
 built only when a pass searches.
 
+A rooting with no run of two or more siblings, such as a zig-zag's, is a
+path from the start: its count stays empty and its pass takes a shorter
+way to the same decisions.  A head's only other edge at its anchor is
+the anchor's edge to its parent, so the head is a candidate when that
+edge has its kind, two reads of the rooting.  Every subtree of a path is
+a suffix of the order, so a subtree holds all of a level exactly when it
+starts no later than the level's first vertex, and the pinned branches
+are a prefix: the branches up to the furthest first position of an
+extreme level, found without `_pinned`'s walks.
+
 Monogenic left trees, the trees of the left growth count, skip the
 morphism search: one height walk finds what they keep.  Which engine
 folds a tree is private to this module; callers see `retract` and
@@ -173,6 +183,12 @@ def _pinned(trunk: TrunkInfo, level: list[int], on_trunk: set[int]) -> set[int]:
     the level, that vertex and its ancestors off the trunk.  Each walk up
     from one of them stops at the trunk or at the first vertex an earlier
     walk reached, so every vertex is walked at most once.
+
+    A pass over a rooting without a run of siblings, a path from the
+    start, does not walk: there every subtree is a suffix of the order,
+    so the common ancestors off the trunk of a level's vertices are the
+    branches up to the level's first one, a prefix that `_path_pins`
+    finds by position.
     """
     parent = trunk.parent
     pinned: set[int] = set()
@@ -203,6 +219,25 @@ def _pinned(trunk: TrunkInfo, level: list[int], on_trunk: set[int]) -> set[int]:
     return pinned
 
 
+def _path_pins(order: list[int], level: list[int], length: int) -> int:
+    """The last position of `order` whose vertex is pinned, for a rooting
+    that is a path from the start with a trunk of `length` edges; `length`
+    itself when none is.
+
+    The subtree of the vertex at position i is order[i:], so it holds
+    every vertex at a level exactly when i is at most the level's first
+    position: the pinned vertices, the set `_pinned` finds, are those off
+    the trunk up to the furthest first position of an extreme level
+    beyond the trunk's levels 0 to `length`.
+    """
+    seq = list(map(level.__getitem__, order))
+    last = length
+    for x in (max(seq), min(seq)):
+        if not 0 <= x <= length:
+            last = max(last, seq.index(x))
+    return last
+
+
 def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
     """The heads of the branches that fold, leaves first.
 
@@ -231,6 +266,15 @@ def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
     looked up in the set of parents, built just before the first such
     head's adjacency would be, so a pass that meets no leaf builds that
     set at most once, beside an adjacency it builds anyway.
+
+    When the count stays empty the rooting is a path from the start, and
+    the pass decides the same by position: the trunk is the order's
+    first `length` + 1 vertices, a head is a candidate when its edge and
+    its anchor's edge to its parent are of one kind, tested as
+    `forward[a] != forward[b] and label[a] == label[b]` with no key and
+    no lookup, the last vertex is the one leaf, and the pins are the
+    branches up to the position `_path_pins` gives.  A run-free pass
+    never calls `_pinned`.
     """
     trunk = t.rooting
     parent, forward, label = trunk.parent, trunk.forward, trunk.label
@@ -253,8 +297,29 @@ def _folds(t: XTree, adj: Adjacency | None) -> Iterator[int]:
             first = -1
         key = (a, out, label[v])
         count[key] = count.get(key, 0) + 1
-    on_trunk = set(trunk.vertices)
     alive = [True] * len(parent)
+    if not count:
+        # no run of siblings: a path from the start, decided by position
+        last = len(order) - 1
+        pins = -1  # the last position of a pinned head, once known
+        for i in range(last, trunk.length, -1):
+            b = order[i]
+            a = parent[b]
+            if forward[a] == forward[b] or label[a] != label[b]:
+                continue
+            if i < last:
+                if pins < 0:
+                    pins = _path_pins(order, level, trunk.length)
+                if i <= pins:
+                    continue
+                if adj is None:
+                    adj = undirected_adjacency(t)
+                if not hom_exists(adj, parent, alive, b):
+                    continue
+            alive[b] = False
+            yield b
+        return
+    on_trunk = set(trunk.vertices)
     pinned: set[int] | None = None
     has_child: set[int] | None = None
     for b in reversed(order):

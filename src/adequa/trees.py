@@ -30,10 +30,10 @@ class XTree:
     the same indexing compare equal.  The constructor checks the fields
     (`_check_fields`) before it sorts; connectivity and the trunk are
     checked by the rooting walk, at the first `validate`.  `rooting` is
-    set by `validate` or `_rooted_tree`; it is not part of the tree's
-    value, so `==`, `hash` and `repr` ignore it.  The package's own
-    builders make their trees through `_sorted_tree`, which skips the
-    check and the sort.
+    set by `validate`, `_rooted_tree` or `growth.zigzag_tree`; it is not
+    part of the tree's value, so `==`, `hash` and `repr` ignore it.  The
+    package's own builders make their trees through `_sorted_tree`, which
+    skips the check and the sort.
     """
 
     vertices: int
@@ -114,11 +114,12 @@ class TrunkInfo:
     parent and each vertex's children in one consecutive run: the
     leaves-first pass of `retract` counts edge kinds inside those runs
     only.  Every builder of a rooting (`validate`, `_rooted_tree`'s
-    callers) keeps that order.  It is computed once per tree object and
-    kept on it, so the lists are shared by every reader and must not be
-    changed.  It is not frozen only because one is built with nearly
-    every tree and a frozen dataclass's `__init__` costs several times
-    as much; no reader assigns to it.
+    callers, `growth.zigzag_tree`) keeps that order.  It is computed once
+    per tree object and kept on it, and `_with_end` and `zigzag_tree`
+    share its lists between trees, so the lists are shared by every
+    reader and must not be changed.  It is not frozen only because one
+    is built with nearly every tree and a frozen dataclass's `__init__`
+    costs several times as much; no reader assigns to it.
     """
 
     vertices: tuple[int, ...]

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from itertools import accumulate, combinations, product
 
@@ -677,6 +678,36 @@ class TestZigZags:
             assert sorted(census) == list(range((n - 1) // 2 + 1))
             for i, row in census.items():
                 assert row["members"] == _prefix_dominating(n, i), (n, i)
+
+    def test_words_of_one_length_share_their_rooting(self):
+        # each zig-zag's rooting is validate's, field for field; the words
+        # of one length share its parent, label and order lists and the
+        # edge tuple of each position and direction, but not `forward`
+        names = [f.name for f in fields(TrunkInfo)]
+        for n in range(13):
+            toward, away = zigzag_tree((False,) * n), zigzag_tree((True,) * n)
+            for z in product((False, True), repeat=n):
+                t = zigzag_tree(z)
+                want = validate(XTree(t.vertices, t.edges, t.start, t.end))
+                for name in names:
+                    assert getattr(t.rooting, name) == getattr(want, name), (name, z)
+                r, s = t.rooting, toward.rooting
+                assert r.parent is s.parent and r.label is s.label and r.order is s.order, z
+                assert t is toward or r.forward is not s.forward, z
+                assert all(e is (away if up else toward).edges[i] for i, (e, up) in enumerate(zip(t.edges, z))), z
+
+    def test_a_long_word_is_not_cached(self):
+        # the minimal member of Z(100000, 30000): built with its own lists,
+        # rooted as validate roots it, and verified retract-free in time
+        z = p_zigzag(100000, 30000)
+        began = time.perf_counter()
+        t = zigzag_tree(z)
+        free = is_retract_free(t, engine="generic")
+        assert time.perf_counter() - began < 1.0
+        assert free and len(growth._ZIGZAG_PARTS) <= growth.ZIGZAG_BOUND + 1
+        want = validate(XTree(t.vertices, t.edges, t.start, t.end))
+        for f in fields(TrunkInfo):
+            assert getattr(t.rooting, f.name) == getattr(want, f.name), f.name
 
     def test_members_are_orientation_words(self):
         members = zigzag_census(5)[1]["members"]

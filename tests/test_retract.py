@@ -24,6 +24,7 @@ from adequa.retract import (
     Adjacency,
     _folds,
     _left_monogenic_kept,
+    _path_pins,
     _pinned,
     endomorphism_oracle,
     find_foldable_branch,
@@ -833,6 +834,38 @@ def rooted_levels(trunk):
     return level
 
 
+def seeded_paths(count):
+    """`count` seeded paths from the start, of 0 to 14 edges: a trunk of
+    0 to n edges, the rest of either direction, two labels, and shuffled
+    vertex numbers."""
+    rng = random.Random(41)
+    for _ in range(count):
+        n = rng.randint(0, 14)
+        k = rng.randint(0, n)
+        path = list(range(n + 1))
+        rng.shuffle(path)
+        edges = []
+        for i in range(n):
+            a, b, lab = path[i], path[i + 1], rng.choice("ab")
+            edges.append((a, b, lab) if i < k or rng.random() < 0.5 else (b, a, lab))
+        yield XTree(n + 1, tuple(edges), path[0], path[k])
+
+
+def run_free_passes():
+    """(tree, adj) for each run-free pass of the sample, with the tree
+    its heads are searched on: every orientation word of at most 12 edges
+    as `zigzag_tree` builds it, with None, and as a fresh copy with the
+    adjacency of its rooting walk; and `both_passes` of 20 000
+    `seeded_paths`."""
+    for n in range(13):
+        for z in itertools.product((False, True), repeat=n):
+            t = zigzag_tree(z)
+            walked = fresh(t)
+            yield t, ((t, None), (walked, _walk(walked)))
+    for t in seeded_paths(20000):
+        yield t, both_passes(t)
+
+
 class TestLevelFilter:
     """Before its first search, `_folds` finds the branches whose subtree
     holds every vertex at the tree's highest or lowest level, and skips
@@ -857,6 +890,45 @@ class TestLevelFilter:
                 assert pinned == want, t
             pinned_heads += len(pinned)
         assert pinned_heads > 10000
+
+    def test_a_run_free_pass_pins_a_prefix(self, monkeypatch):
+        # a rooting with no run of siblings is a path from the start: its
+        # pass pins the branches up to the furthest first position of an
+        # extreme level and never walks `_pinned`; those pins and the
+        # heads are the oracles'
+        import adequa.retract
+
+        def walked(*args):
+            raise AssertionError("a run-free pass walked _pinned")
+
+        used = []
+
+        def spied(order, level, length):
+            last = _path_pins(order, level, length)
+            used.append(set(order[length + 1:last + 1]))
+            return last
+
+        monkeypatch.setattr(adequa.retract, "_pinned", walked)
+        monkeypatch.setattr(adequa.retract, "_path_pins", spied)
+        cases = pinned = folded = 0
+        for t, passes in run_free_passes():
+            want = searched_folds(t)
+            for u, adj in passes:
+                trunk = validate(u)
+                children = [trunk.parent[v] for v in trunk.order[1:]]
+                assert len(set(children)) == len(children), u
+                level = rooted_levels(trunk)
+                pins = all_kinds_pinned(trunk, level)
+                last = _path_pins(trunk.order, level, trunk.length)
+                assert set(trunk.order[trunk.length + 1:last + 1]) == pins, u
+                used.clear()
+                heads = list(_folds(u, adj))
+                assert heads == want == list(all_kinds_folds(u, adj)), (u, adj is None)
+                assert all(got == pins for got in used), u
+                cases += 1
+                pinned += bool(used and pins)
+                folded += bool(heads)
+        assert cases > 50000 and pinned > 10000 and folded > 10000
 
     def test_zigzag_searches(self, searches):
         # A retract-free zig-zag of at most 7 edges makes no search, and
