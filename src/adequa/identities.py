@@ -5,6 +5,17 @@ enriched non-nested identities; the right case goes through the product
 anti-isomorphism; higher rank is decided by tree equality; the plain
 two-sided case is trivial with an explicit separating witness.  A
 substitution falsifier doubles as an independent oracle for all of them.
+
+Each check decides on its cheapest invariant first, after it has read
+both sides, so a side it rejects raises as before.  The enriched checks
+accept two sides with one non-nested normal form, since the rewriting
+into that form is sound in the monogenic monoid, and `check_plain`
+accepts two equal words; only other pairs go through the conditions.
+`check_fladX` rejects two sides whose trunk words differ, the letters
+outside every ^+ in order: on distinct generators these label the trunk
+of the raw tree, a retraction keeps the trunk, so the two values differ.
+Only sides with equal trunk words, or a node that evaluation rejects,
+are evaluated and compared by their codes.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .terms import (
     Identity,
     Letter,
     NonNestedWord,
+    Plus,
     Product,
     letters_of,
     parse_term,
@@ -146,8 +158,12 @@ def _condition_iii(side: tuple, rows: list, other_rows: list, alphabet, dominate
 
 def _check_enriched(spec: IdentitySpec, mirror: bool) -> CheckResult:
     """The four conditions on both sides' normal forms, read mirrored if set."""
+    lhs, rhs = to_nonnested(spec.lhs, mirror), to_nonnested(spec.rhs, mirror)
+    if lhs.atoms == rhs.atoms:
+        # normal-form rewriting is sound in the monogenic monoid
+        return CheckResult(True)
     alphabet = spec.alphabet
-    u, v = _side(to_nonnested(spec.lhs, mirror)), _side(to_nonnested(spec.rhs, mirror))
+    u, v = _side(lhs), _side(rhs)
     # (i) letter counts agree
     if sorted(u[0]) != sorted(v[0]):
         return CheckResult(False, "i")
@@ -204,6 +220,8 @@ def check_plain(spec: IdentitySpec, side: str) -> CheckResult:
         u, v = u[::-1], v[::-1]
     elif side != "left":
         raise ValueError("side must be 'left' or 'right'")
+    if u == v:
+        return CheckResult(True)
     alphabet = spec.alphabet
     for y in alphabet:
         if u.count(y) != v.count(y):
@@ -216,12 +234,56 @@ def check_plain(spec: IdentitySpec, side: str) -> CheckResult:
     return CheckResult(True)
 
 
+def _trunk(t: T.Term) -> tuple[list[str], list] | None:
+    """The letters of t outside every ^+, in order, and the bodies of t's
+    outermost ^+ nodes; None at a node outside every ^+ other than a
+    product, a letter or 1.  On distinct generators the letters label the
+    trunk of t's raw tree."""
+    letters: list[str] = []
+    bodies: list = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        while type(node) is Product:  # down the left spine
+            todo.append(node.right)
+            node = node.left
+        kind = type(node)
+        if kind is Letter:
+            letters.append(node.name)
+        elif kind is Plus:
+            bodies.append(node.child)
+        elif kind is not Identity:
+            return None
+    return letters, bodies
+
+
+def _plus_terms(todo: list) -> bool:
+    """Whether the terms on todo hold only products, letters, 1 and ^+
+    nodes, so that they evaluate in the left flavor; empties todo."""
+    while todo:
+        node = todo.pop()
+        while type(node) is Product:
+            todo.append(node.right)
+            node = node.left
+        kind = type(node)
+        if kind is Plus:
+            todo.append(node.child)
+        elif kind is not Letter and kind is not Identity:
+            return False
+    return True
+
+
 def check_fladX(spec: IdentitySpec) -> CheckResult:
     """Higher-rank left identities: equality of the two generator-images,
-    compared by their codes (`eval_code`)."""
+    compared by their codes (`eval_code`).  Sides whose trunk words
+    differ have different values, since a retraction keeps the trunk:
+    once every node of both is known to evaluate, they are rejected
+    unevaluated.  Any other pair is evaluated, and raises as it does."""
     assign = {x: generator(x, _LEFT) for x in spec.alphabet}
-    if eval_code(spec.lhs, assign, _LEFT) == eval_code(spec.rhs, assign, _LEFT):
-        return CheckResult(True)
+    u, v = _trunk(spec.lhs), _trunk(spec.rhs)
+    if u is None or v is None or u[0] == v[0] or not _plus_terms(u[1] + v[1]):
+        if eval_code(spec.lhs, assign, _LEFT) == eval_code(spec.rhs, assign, _LEFT):
+            return CheckResult(True)
     return CheckResult(False, "tree-inequality", dict(assign))
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adequa import identities as I
-from adequa.algebra import Flavor, eval_term, generator
+from adequa.algebra import Flavor, FlavorError, eval_term, generator
 from adequa.identities import (
     IdentitySpec,
     check_enriched_flad1,
@@ -22,13 +22,17 @@ from adequa.identities import (
     random_monogenic_element,
 )
 from adequa.exactlp import convex_dominates
+from adequa.reproduce import _random_term
 from adequa.terms import (
     Identity,
     Letter,
+    NestedTermError,
     Plus,
     PlusBlock,
     Product,
+    Star,
     _fold,
+    letters_of,
     parse_term,
     pqr_sets,
     prefix_through_last,
@@ -478,6 +482,239 @@ class TestHigherRank:
         assert check_fladX(spec("(x^+y^+)^+", "x^+y^+")).satisfied
         # the monogenic rewrite is not a higher-rank identity
         assert not check_fladX(spec("(xy^+z)^+", "(xy)^+(xz)^+")).satisfied
+
+
+def malformed_term(rng, bad):
+    """A random term over x, y of products, ^+ nodes and 1 leaves, like
+    `random_plus_term`; with bad, one of its leaves is replaced by bad,
+    which later ^+ nodes may or may not cover."""
+    parts = [Letter(rng.choice("xy")) for _ in range(rng.randint(1, 5))]
+    parts += [Identity() for _ in range(rng.randint(0, 1))]
+    if bad is not None:
+        parts[rng.randrange(len(parts))] = bad
+    rng.shuffle(parts)
+    while len(parts) > 1 or rng.random() < 0.3:
+        if len(parts) > 1 and rng.random() < 0.6:
+            i = rng.randrange(len(parts) - 1)
+            parts[i : i + 2] = [Product(parts[i], parts[i + 1])]
+        else:
+            i = rng.randrange(len(parts))
+            parts[i] = Plus(parts[i])
+    return parts[0]
+
+
+def malformed_pairs(seed, count):
+    """Seeded specs whose sides may hold a ^* (of a letter or of a term)
+    or a node that is no term, on either side, both, or neither."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sides = []
+        for _ in range(2):
+            r = rng.random()
+            if r < 0.3:
+                bad = None
+            elif r < 0.55:
+                bad = Star(Letter(rng.choice("xy")))
+            elif r < 0.8:
+                bad = Star(malformed_term(rng, None))
+            else:
+                bad = rng.choice(["q", 2.5, ("x",)])
+            sides.append(malformed_term(rng, bad))
+        yield IdentitySpec(*sides)
+
+
+def decision(check, s):
+    """check(s)'s verdict, tag and witness (letters and codes), or the
+    type and message of the ValueError or TypeError it raises."""
+    try:
+        r = check(s)
+    except (ValueError, TypeError) as e:
+        return type(e).__name__, str(e)
+    witness = r.witness and sorted((x, e.code) for x, e in r.witness.items())
+    return r.satisfied, r.failing_condition, witness
+
+
+class TestMalformedDigest:
+    # sha256 of every checker's answer, or its error's type and message,
+    # on seeded specs with ^* nodes and non-term nodes in any place;
+    # taken before the checkers decided anything ahead of evaluation
+    DIGEST = "74818ee66401d52811082d4c1d3b20740323f2a22fab3cccb831a6b7ad6c6d66"
+    CHECKERS = (
+        ("fladX", check_fladX),
+        ("flad1", check_enriched_flad1),
+        ("frad1", check_enriched_frad1),
+        ("left", lambda s: check_plain(s, "left")),
+        ("right", lambda s: check_plain(s, "right")),
+    )
+
+    def test_answers_digest(self):
+        digest = hashlib.sha256()
+        kinds = set()
+        for s in malformed_pairs(51, 4000):
+            for name, check in self.CHECKERS:
+                answer = decision(check, s)
+                kinds.add((name, answer[0]))
+                digest.update(repr((name, s, answer)).encode())
+        # every checker answers some specs and rejects others with an error
+        assert {"TypeError", "FlavorError", True, False} <= {k for n, k in kinds if n == "fladX"}
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestNormalFormAccept:
+    """Both enriched checkers accept at once when the two sides rewrite to
+    one non-nested word, and `check_plain` when both words are equal; the
+    reference oracle still decides every pair through all four conditions."""
+
+    def pairs(self):
+        for seed, letters, size in ((61, "xyz", 6), (62, "wxyz", 14)):
+            for u, _ in shaped_pairs(seed, 1500, letters, size):
+                yield u, u
+                yield u, str(to_nonnested(parse_term(u)))
+        rng = random.Random(63)
+        for _ in range(1500):
+            t = random_plus_term(rng, rng.randint(1, 8), "xyz")
+            yield term_to_str(t), str(to_nonnested(t))
+        yield "(xy^+z)^+", "(xy)^+(xz)^+"
+        yield "((x^+)^+y)^+", "x^+y^+"
+
+    def test_same_answers_as_the_reference(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("equal normal forms went on to condition (iii)")
+
+        monkeypatch.setattr(I, "_condition_iii", never)
+        monkeypatch.setattr(I, "convex_dominates", never)
+        differ = 0
+        for u, v in self.pairs():
+            s = spec(u, v)
+            differ += s.lhs != s.rhs
+            assert to_nonnested(s.lhs) == to_nonnested(s.rhs), (u, v)
+            assert reference_check_enriched_flad1(s) == (True, None), (u, v)
+            assert verdict(check_enriched_flad1(s)) == (True, None), (u, v)
+            right = IdentitySpec(reverse_term(s.lhs), reverse_term(s.rhs))
+            assert verdict(check_enriched_frad1(right)) == (True, None), (u, v)
+        # distinct terms, not only a term against itself
+        assert differ > 1000
+
+    @pytest.mark.parametrize("u", ["x^*", "(xy^*)^+", "x(y)^+((z)^*)^+", "1^*"])
+    def test_identical_sides_are_still_read(self, u):
+        with pytest.raises(NestedTermError, match="left-adequate"):
+            check_enriched_flad1(spec(u, u))
+        mirrored = u.replace("*", "#").replace("+", "*").replace("#", "+")
+        with pytest.raises(NestedTermError, match="right-adequate"):
+            check_enriched_frad1(spec(mirrored, mirrored))
+        with pytest.raises(ValueError, match="plain word expected"):
+            check_plain(spec(u, u), "left")
+
+    def test_non_terms_are_still_rejected(self):
+        s = IdentitySpec(Product(Letter("x"), "q"), Product(Letter("x"), "q"))
+        for check in (check_enriched_flad1, check_enriched_frad1):
+            with pytest.raises(TypeError, match="not a term: 'q'"):
+                check(s)
+
+    def test_plain_words(self):
+        rng = random.Random(64)
+        for n in range(6):
+            w = "".join(rng.choice("xyz") for _ in range(n)) or "1"
+            s = spec(w, w)
+            assert check_plain(s, "left") == check_plain(s, "right") == I.CheckResult(True)
+            with pytest.raises(ValueError, match="side must be"):
+                check_plain(s, "both")
+
+
+def trunk_labels(t):
+    """The labels of the trunk of t's value on distinct left generators,
+    from start to end, read off the evaluated tree."""
+    tree = eval_term(t, {x: generator(x, Flavor.LEFT) for x in letters_of(t)}, Flavor.LEFT).tree
+    into = {b: (a, label) for a, b, label in tree.edges}
+    labels, v = [], tree.end
+    while v != tree.start:
+        v, label = into[v]
+        labels.append(label)
+    return "".join(reversed(labels))
+
+
+def rank_pairs(seed, count):
+    """Seeded rank-2 and rank-3 pairs: non-nested terms against another
+    term or a law rewrite, as the benchmark draws them, and nested ^+ terms
+    drawn like `reproduce._random_term` and like `random_plus_term`."""
+    rng = random.Random(seed)
+    for i in range(count):
+        letters = "xy" if i % 2 else "xyz"
+        kind = i % 3
+        if kind == 0:
+            n = rng.randint(1, 5)
+            u = shaped_term(rng, letters, n)
+            if rng.random() < 0.5:
+                v = shaped_term(rng, letters, n)
+            else:
+                v = u if rng.random() < 0.5 else "(%s)^+(%s)" % (u, u)
+            yield spec(u, v)
+        elif kind == 1:
+            u, v = _random_term(rng), _random_term(rng)
+            if rng.random() < 0.3:
+                v = Product(Plus(u), u)
+            yield IdentitySpec(u, v)
+        else:
+            u = random_plus_term(rng, rng.randint(1, 6), letters)
+            v = random_plus_term(rng, rng.randint(1, 6), letters) if rng.random() < 0.7 else u
+            yield IdentitySpec(u, v)
+
+
+class TestTrunkReject:
+    """`check_fladX` tells two sides apart by their trunk words before it
+    evaluates them; its oracle compares the evaluated values' codes."""
+
+    def test_same_answers_as_comparing_values(self):
+        kinds = set()
+        for s in rank_pairs(71, 6000):
+            gens = {x: generator(x, Flavor.LEFT) for x in s.alphabet}
+            equal = eval_term(s.lhs, gens, Flavor.LEFT).code == eval_term(s.rhs, gens, Flavor.LEFT).code
+            got = check_fladX(s)
+            assert verdict(got) == ((True, None) if equal else (False, "tree-inequality")), s
+            witness = got.witness and {x: e.code for x, e in got.witness.items()}
+            assert witness == (None if equal else {x: e.code for x, e in gens.items()}), s
+            kinds.add((equal, trunk_labels(s.lhs) == trunk_labels(s.rhs), len(s.alphabet)))
+        # both verdicts on equal trunks, unequal trunks, ranks 2 and 3
+        assert {(True, True), (False, True), (False, False)} == {k[:2] for k in kinds}
+        assert {2, 3} <= {k[2] for k in kinds}
+
+    def test_trunk_words_are_the_trunks_of_the_values(self):
+        for s in rank_pairs(72, 3000):
+            for t in (s.lhs, s.rhs):
+                assert "".join(I._trunk(t)[0]) == trunk_labels(t), t
+
+    def test_unequal_trunks_evaluate_nothing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("eval_code called on unequal trunk words")
+
+        monkeypatch.setattr(I, "eval_code", never)
+        rejected = 0
+        for s in rank_pairs(73, 3000):
+            if trunk_labels(s.lhs) != trunk_labels(s.rhs):
+                assert verdict(check_fladX(s)) == (False, "tree-inequality")
+                rejected += 1
+        assert rejected > 1000
+
+    def test_long_and_deep_sides_without_evaluation(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("eval_code called on unequal trunk words")
+
+        monkeypatch.setattr(I, "eval_code", never)
+        rng = random.Random(74)
+        word = "".join(rng.choice("xy") for _ in range(200_000))
+        deep = Letter("x")
+        for _ in range(50_000):
+            deep = Plus(deep)
+        for s in (spec(word, word + "x"), IdentitySpec(deep, Letter("y"))):
+            assert verdict(check_fladX(s)) == (False, "tree-inequality")
+
+    @pytest.mark.parametrize(
+        "u,v", [("(x(y)^*)^+x", "y"), ("x", "(x(y)^*)^+y"), ("((y^*)^+)^+x", "y"), ("xy^*", "y"), ("x", "y^*y")]
+    )
+    def test_a_star_still_raises(self, u, v):
+        # the trunk words x and y differ; the ^*, under a ^+ or not, decides
+        with pytest.raises(FlavorError, match="star operator"):
+            check_fladX(spec(u, v))
 
 
 class TestTwoSided:
